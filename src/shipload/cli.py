@@ -32,7 +32,7 @@ from .model import (
     Vessel,
     assemble_problem,
 )
-from .oracle import LatticeSpec, grid_search
+from .oracle import LatticeSpec, certifies, grid_search, lattice_levels
 from .quadratic_analysis import classify_constraint_matrix
 from .solver import (
     SolverOptions,
@@ -568,16 +568,15 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
 
     if args.command == "oracle":
         problem = _problem_from(scenario)
+        spec = LatticeSpec(step=args.step, max_points=args.max_points)
+        lattice_levels(problem, spec)  # refuse an oversized lattice before solving
         solution = solve(problem, scenario.solver)
         report = _solution_report("oracle", name, scenario, problem, solution)
         if solution.status is SolverStatus.INFEASIBLE:
             return report, 3
-        spec = LatticeSpec(step=args.step, max_points=args.max_points)
         print(f"enumerating the {args.step} t lattice", file=sys.stderr)
         best_x, best_revenue, points = grid_search(problem, spec)
-        certified = best_x is None or solution.revenue >= best_revenue - 1e-6 * max(
-            1.0, abs(best_revenue)
-        )
+        certified = certifies(solution.revenue, best_revenue)
         report["certification"] = {
             "step": spec.step,
             "lattice_revenue": None if best_x is None else best_revenue,

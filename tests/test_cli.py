@@ -286,6 +286,20 @@ class TestOracleCommand:
         assert float(rows["revenue"]) == pytest.approx(197165.94, rel=1e-6)
 
 
+    def test_oversized_lattice_refused_before_solving(self, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve ran before the lattice size check")
+
+        monkeypatch.setattr(shipload.cli, "solve", no_solve)
+        code, out, err = run_cli(
+            capsys, "oracle", "clarkson3500.json", "--mu", "4", "--order", "reverse"
+        )
+        assert code == 1
+        assert out == ""
+        assert "lattice holds about 1710052162 points" in err
+        assert "enumerating" not in err
+
+
 class TestFormats:
     def test_json_output_parses(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "clarkson3500.json", "--format", "json")
