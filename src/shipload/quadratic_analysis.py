@@ -12,6 +12,7 @@ local solve is globally valid, anything mixed forces a multistart search.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,13 +42,24 @@ class Definiteness(enum.Enum):
 class CongruenceResult:
     """Diagonal congruent to the min-index matrix, plus a reconstruction check.
 
-    ``diagonal`` holds (m1, m2 - m1, ..., mn - m(n-1)).  The residual is the
-    largest absolute entry of Q - B diag(D) B' with B unit lower triangular
-    of ones; it vanishes in exact arithmetic.
+    ``diagonal`` holds (m1, m2 - m1, ..., mn - m(n-1)) for the generating
+    vector ``generator`` = m.  ``factor_check_residual`` is the largest
+    absolute entry of Q - B diag(D) B' with B unit lower triangular of ones;
+    it vanishes in exact arithmetic.  Building Q costs O(n^3), so the
+    residual is computed on first access only and the solve path, which
+    reads just the diagonal, stays O(n).
     """
 
     diagonal: np.ndarray
-    factor_check_residual: float
+    generator: np.ndarray
+
+    @functools.cached_property
+    def factor_check_residual(self) -> float:
+        n = self.generator.size
+        idx = np.arange(n)
+        q = self.generator[np.minimum.outer(idx, idx)]
+        b = np.tril(np.ones((n, n)))
+        return float(np.abs(q - b @ np.diag(self.diagonal) @ b.T).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,13 +77,10 @@ def congruence_diagonal(m) -> CongruenceResult:
     diagonal = np.empty(n)
     diagonal[0] = vec[0]
     diagonal[1:] = np.diff(vec)
-
-    idx = np.arange(n)
-    q = vec[np.minimum.outer(idx, idx)]
-    b = np.tril(np.ones((n, n)))
-    residual = float(np.abs(q - b @ np.diag(diagonal) @ b.T).max())
     diagonal.flags.writeable = False
-    return CongruenceResult(diagonal=diagonal, factor_check_residual=residual)
+    generator = vec.copy()
+    generator.flags.writeable = False
+    return CongruenceResult(diagonal=diagonal, generator=generator)
 
 
 def classify_constraint_matrix(densities, water_density: float) -> DefinitenessClass:

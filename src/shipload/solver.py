@@ -11,11 +11,21 @@ land on stationary points that are not global optima.  The strategy here:
   starts and keep the best point that passes KKT verification.
 
 The local method is sequential quadratic programming with analytic
-gradients.  It is deliberately treated as a black box: a returned point
-counts only if ``kkt_verify`` accepts it, so the method could be swapped
-without touching any contract.  Lagrange multipliers are recovered from
-the active set by nonnegative least squares, since the local method does
-not expose duals.
+gradients.  It runs in scaled coordinates z = x / deadweight_cap, with the
+objective divided by deadweight_cap * max|p| and each constraint divided by
+the scale that the feasibility and KKT checks measure it against, so the
+method sees O(1) numbers whatever the units of mass and money.  The three
+constraints go in as one vector constraint.  A returned point that
+overshoots the stability boundary by rounding is pulled back along its
+ray onto the boundary in closed form.
+
+The method is otherwise treated as a black box: a returned point counts
+only if it is feasible and ``kkt_verify`` accepts it, so the method could
+be swapped without touching any contract.  Lagrange multipliers are
+recovered from the active set by nonnegative least squares, since the
+local method does not expose duals.  ``scipy.optimize`` is imported on
+first use, so classification and the CLI commands that do not solve never
+load it.
 """
 
 from __future__ import annotations
@@ -25,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize, nnls
 
 from .hydrostatics import constraint_slack
 from .model import Problem, revenue
@@ -134,35 +143,46 @@ def _slacks(problem: Problem, x: np.ndarray) -> tuple[float, float, float]:
     return dw, vol, constraint_slack(problem, x)
 
 
+def _constraint_scales(problem: Problem) -> tuple[float, float, float]:
+    """Deadweight, volume and stability scales, in the order of ``_slacks``.
+
+    A slack divided by its scale is the relative violation that the
+    feasibility test, the KKT report and the local solve all work with.
+    """
+    return problem.deadweight_cap, problem.volume_cap, max(1.0, abs(problem.rhs))
+
+
 def _feasible(problem: Problem, x: np.ndarray, tol: float) -> bool:
-    dw, vol, stab = _slacks(problem, x)
     mass_scale = max(1.0, problem.deadweight_cap)
-    return (
-        float(x.min(initial=0.0)) >= -tol * mass_scale
-        and dw >= -tol * problem.deadweight_cap
-        and vol >= -tol * problem.volume_cap
-        and stab >= -tol * max(1.0, abs(problem.rhs))
+    return float(x.min(initial=0.0)) >= -tol * mass_scale and all(
+        slack >= -tol * scale
+        for slack, scale in zip(_slacks(problem, x), _constraint_scales(problem))
     )
 
 
-def _scale_into_stability(problem: Problem, x: np.ndarray) -> np.ndarray:
+def _scale_into_stability(problem: Problem, x: np.ndarray, safety: float = 0.9) -> np.ndarray:
     """Shrink ``x`` toward the origin until the stability constraint holds.
 
-    Along the ray t*x the constraint's left side is a quadratic in t, so
-    the largest feasible scale is available in closed form.  The origin is
-    feasible whenever rhs >= 0, which callers have already checked.
+    Along the ray t*x the constraint's left side is qa*t^2 + qb*t, so the
+    largest feasible scale t is the up-crossing root of qa*t^2 + qb*t - r,
+    written without cancellation for either sign of qb.  The result is
+    ``safety * t * x``: starts keep a margin inside the region, a solver
+    return pulled back onto the boundary uses ``safety = 1``.  The origin
+    is feasible whenever rhs >= 0, which callers have already checked.
     """
     qa = problem.quad_scale * float(x @ problem.quad_matrix @ x)
     qb = problem.linear_coeff * float(x.sum())
     r = problem.rhs
     if qa + qb <= r:
         return x
-    if qa > 0:
-        t = (math.sqrt(qb * qb + 4.0 * qa * r) - qb) / (2.0 * qa)
+    # Infeasible at t = 1 with r >= 0: qb < 0 forces qa > -qb > 0, and
+    # qa < 0 forces qb > r; either way the root lies in [0, 1).
+    root = math.sqrt(max(qb * qb + 4.0 * qa * r, 0.0))
+    if qb < 0:
+        t = (root - qb) / (2.0 * qa)
     else:
-        # qa <= 0 with an infeasible x forces qb > r >= 0
-        t = r / qb
-    return x * (0.9 * max(t, 0.0))
+        t = 2.0 * r / (qb + root) if qb + root > 0 else 0.0
+    return x * (safety * t)
 
 
 def _cap_to_volume(problem: Problem, x: np.ndarray) -> np.ndarray:
@@ -187,42 +207,45 @@ def _random_start(problem: Problem, rng: np.random.Generator) -> np.ndarray:
 
 
 def _local_solve(problem: Problem, x0: np.ndarray, options: SolverOptions) -> np.ndarray:
-    p = problem.objective
-    vol = problem.volume_coeffs
-    ones = np.ones(problem.n)
-    a = problem.quad_matrix
-    s, b, r = problem.quad_scale, problem.linear_coeff, problem.rhs
+    """One SLSQP run from ``x0`` in the scaled coordinates z = x / deadweight_cap."""
+    from scipy.optimize import minimize
 
-    constraints = [
-        {
-            "type": "ineq",
-            "fun": lambda x: problem.deadweight_cap - x.sum(),
-            "jac": lambda x: -ones,
-        },
-        {
-            "type": "ineq",
-            "fun": lambda x: problem.volume_cap - vol @ x,
-            "jac": lambda x: -vol,
-        },
-        {
-            "type": "ineq",
-            "fun": lambda x: r - s * (x @ a @ x) - b * x.sum(),
-            "jac": lambda x: -(2.0 * s * (a @ x) + b),
-        },
-    ]
+    cap = problem.deadweight_cap
+    scales = np.array(_constraint_scales(problem))
+    rate = float(np.abs(problem.objective).max(initial=0.0)) or 1.0
+    cost = -problem.objective / rate
+    # Left sides of the three constraints over their scales, in z:
+    # linear rows sum(x), v.x and b*sum(x), plus the quadratic s*x'Ax.
+    ones = np.ones(problem.n)
+    linear = np.vstack([ones, problem.volume_coeffs, problem.linear_coeff * ones])
+    linear *= (cap / scales)[:, None]
+    quad = problem.quad_matrix * (problem.quad_scale * cap * cap / scales[2])
+    limits = np.array([cap, problem.volume_cap, problem.rhs]) / scales
+
+    def slacks(z):
+        g = limits - linear @ z
+        g[2] -= z @ quad @ z
+        return g
+
+    def slacks_jac(z):
+        jac = -linear
+        jac[2] -= 2.0 * (quad @ z)
+        return jac
+
     result = minimize(
-        lambda x: -float(p @ x),
-        x0,
-        jac=lambda x: -p,
+        lambda z: float(cost @ z),
+        x0 / cap,
+        jac=lambda z: cost,
         method="SLSQP",
         bounds=[(0.0, None)] * problem.n,
-        constraints=constraints,
+        constraints={"type": "ineq", "fun": slacks, "jac": slacks_jac},
         options={"maxiter": options.max_iterations, "ftol": 1e-12},
     )
     # The success flag is not trusted: the method sometimes reports a line
     # search failure while sitting on the optimum.  Feasibility and KKT
-    # checks on the returned point decide whether it counts.
-    return np.maximum(result.x, 0.0)
+    # checks on the returned point decide whether it counts; a point just
+    # outside the stability boundary is first pulled back onto it.
+    return _scale_into_stability(problem, np.maximum(result.x, 0.0) * cap, safety=1.0)
 
 
 def _recover_multipliers(
@@ -235,6 +258,8 @@ def _recover_multipliers(
     ones zero.  Collecting the active constraint gradients as columns turns
     that into a nonnegative least-squares fit for the objective vector.
     """
+    from scipy.optimize import nnls
+
     n = problem.n
     dw, vol, stab = _slacks(problem, x)
     threshold = 10.0 * feasibility_tolerance
@@ -295,11 +320,10 @@ def _kkt_report(
         abs(lam_stab * stab),
         float(np.abs(nu * x).max(initial=0.0)),
     )
+    scales = _constraint_scales(problem)
     primal = max(
         0.0,
-        -dw / problem.deadweight_cap,
-        -vol / problem.volume_cap,
-        -stab / max(1.0, abs(problem.rhs)),
+        *(-slack / scale for slack, scale in zip((dw, vol, stab), scales)),
         -float(x.min(initial=0.0)) / max(1.0, problem.deadweight_cap),
     )
     dual = min(lam_dw, lam_vol, lam_stab, float(nu.min(initial=0.0)))
@@ -329,6 +353,8 @@ def solve_lp(problem: Problem) -> Solution:
     returned KKT report evaluates the full problem, flagging whether the
     vertex also respects the stability margin.
     """
+    from scipy.optimize import linprog
+
     n = problem.n
     result = linprog(
         -problem.objective,

@@ -366,6 +366,13 @@ class TestExitCodes:
         assert run_cli(capsys, "classify", "clarkson3500.json")[0] == 0
 
 
+def package_env():
+    """Environment for a fresh interpreter that imports the package under test."""
+    package_parent = str(Path(shipload.__file__).resolve().parent.parent)
+    pythonpath = filter(None, [package_parent, os.environ.get("PYTHONPATH")])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+
+
 class TestConsoleScript:
     """The declared `shipload` console script launches the CLI in a fresh process."""
 
@@ -400,11 +407,29 @@ class TestConsoleScript:
             f"import sys; from {module} import {attr}; "
             f"sys.argv[0] = 'shipload'; sys.exit({attr}())"
         )
-        package_parent = str(Path(shipload.__file__).resolve().parent.parent)
-        pythonpath = filter(None, [package_parent, os.environ.get("PYTHONPATH")])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
-        self.assert_classifies_psd(self.run([sys.executable, "-c", wrapper], env=env))
+        self.assert_classifies_psd(self.run([sys.executable, "-c", wrapper], env=package_env()))
 
         installed = shutil.which("shipload")
         if installed:
             self.assert_classifies_psd(self.run([installed]))
+
+
+class TestLazyScipyImport:
+    """Commands that never solve do not pay for importing scipy.optimize."""
+
+    def test_classify_leaves_scipy_optimize_unloaded(self):
+        code = (
+            "import sys, shipload, shipload.cli\n"
+            "shipload.classify_constraint_matrix([0.8, 0.6, 0.5], 1.0)\n"
+            "assert shipload.cli.main(['classify', 'clarkson3500.json']) == 0\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=package_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        assert "PositiveSemidefinite" in result.stdout

@@ -29,6 +29,19 @@ class TestCongruenceDiagonal:
     def test_single_entry(self):
         assert np.array_equal(congruence_diagonal(np.array([3.0])).diagonal, [3.0])
 
+    def test_residual_computed_on_first_read(self):
+        result = congruence_diagonal(np.array([1.25, 1.6667, 2.0, 2.2222]))
+        assert "factor_check_residual" not in vars(result)
+        residual = result.factor_check_residual
+        assert vars(result)["factor_check_residual"] == residual
+        assert result.factor_check_residual is residual
+
+    def test_classification_skips_the_residual(self):
+        densities = np.linspace(0.9, 0.4, 2000)
+        result = classify_constraint_matrix(densities, 1.0)
+        assert result.kind is Definiteness.POSITIVE_SEMIDEFINITE
+        assert "factor_check_residual" not in vars(result.evidence)
+
     def test_reconstruction_property(self):
         rng = np.random.default_rng(13)
         for _ in range(200):

@@ -5,6 +5,7 @@ import pytest
 
 from shipload import (
     CargoType,
+    Definiteness,
     Environment,
     LoadingOrder,
     SolverOptions,
@@ -12,11 +13,15 @@ from shipload import (
     StabilityPolicy,
     Vessel,
     assemble_problem,
+    classify_constraint_matrix,
+    constraint_slack,
     kkt_verify,
     mu_sensitivity,
     solve,
     solve_lp,
 )
+from shipload import solver
+from shipload.cli import load_bundled_scenario
 from shipload.solver import stability_gradient
 
 from conftest import draw_random_problem
@@ -279,3 +284,96 @@ class TestAdversarialSeed:
         # The full multistart escapes the trap.
         best = solve(problem, SolverOptions())
         assert best.revenue == pytest.approx(226330.97, rel=1e-6)
+
+
+CASE_ROWS = [
+    pytest.param(order, mu, id=f"{order.kind}-mu{mu:g}")
+    for order in (LoadingOrder.normal(), LoadingOrder.reverse())
+    for mu in (4.0, 6.0)
+]
+
+
+class TestScaledLocalSolve:
+    def test_convex_instances_need_one_start(self):
+        rng = np.random.default_rng(37)
+        convex = 0
+        while convex < 200:
+            problem = draw_random_problem(rng)
+            kind = classify_constraint_matrix(
+                problem.densities, problem.environment.water_density
+            ).kind
+            if kind is not Definiteness.POSITIVE_SEMIDEFINITE:
+                continue
+            convex += 1
+            solution = solve(problem, SolverOptions())
+            assert solution.status is SolverStatus.OPTIMAL
+            assert solution.starts_used == 1
+
+    @pytest.mark.parametrize("order, mu", CASE_ROWS)
+    def test_every_case_study_start_is_feasible(self, assemble_case, monkeypatch, order, mu):
+        problem = assemble_case(mu, order=order)
+        options = SolverOptions()
+        returned = []
+        local_solve = solver._local_solve
+
+        def recording(*args):
+            x = local_solve(*args)
+            returned.append(x)
+            return x
+
+        monkeypatch.setattr(solver, "_local_solve", recording)
+        solution = solve(problem, options)
+        assert len(returned) == solution.starts_used
+        assert len(returned) == (32 if order.kind == "reverse" else 1)
+        for x in returned:
+            assert solver._feasible(problem, x, options.feasibility_tolerance)
+
+    def test_pull_back_lands_on_the_stability_boundary(self, assemble_case):
+        problem = assemble_case(4.0)
+        x = solve(problem, SolverOptions()).x * (1.0 + 1e-6)
+        assert constraint_slack(problem, x) < 0.0
+        pulled = solver._scale_into_stability(problem, x, safety=1.0)
+        t = pulled.sum() / x.sum()
+        assert 1.0 - 1e-5 < t < 1.0
+        np.testing.assert_allclose(pulled, x * t, rtol=1e-14)
+        assert abs(constraint_slack(problem, pulled)) <= 1e-12 * problem.rhs
+
+
+def _problem_pair(vessel, environment, mu, cargoes, order, include_ballast):
+    """The same instance with freight rates as given and multiplied by 1e3."""
+    return tuple(
+        assemble_problem(
+            vessel,
+            environment,
+            StabilityPolicy(mu),
+            tuple(CargoType(c.label, c.density, c.freight_rate * f) for c in cargoes),
+            order,
+            include_ballast,
+        )
+        for f in (1.0, 1e3)
+    )
+
+
+class TestRateUnits:
+    """Quoting every freight rate in another currency unit moves nothing but revenue."""
+
+    @pytest.mark.parametrize("order, mu", CASE_ROWS)
+    def test_case_study_rows(self, carrier, market, order, mu):
+        self.check(*_problem_pair(carrier, Environment(), mu, market, order, True))
+
+    def test_coastal_feeder(self):
+        s = load_bundled_scenario("coastal_feeder.json")
+        self.check(
+            *_problem_pair(
+                s.vessel, Environment(s.water_density), s.mu, s.cargoes, s.order,
+                s.include_ballast,
+            )
+        )
+
+    @staticmethod
+    def check(problem, thousandfold):
+        base = solve(problem, SolverOptions())
+        scaled = solve(thousandfold, SolverOptions())
+        assert scaled.status is base.status
+        assert np.abs(scaled.x - base.x).max() <= 1e-7 * np.abs(base.x).max()
+        assert scaled.revenue == pytest.approx(1e3 * base.revenue, rel=1e-9)
