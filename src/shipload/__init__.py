@@ -10,7 +10,6 @@ depends only on the stacking order of the cargo densities.
 from .hydrostatics import (
     HydroState,
     center_of_mass,
-    center_of_mass_gradient,
     constraint_slack,
     draft,
     hydro_state,
@@ -70,7 +69,6 @@ __all__ = [
     "Vessel",
     "assemble_problem",
     "center_of_mass",
-    "center_of_mass_gradient",
     "certify",
     "classify_constraint_matrix",
     "congruence_diagonal",

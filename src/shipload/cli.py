@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import io
 import json
+import logging
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -51,6 +52,11 @@ __all__ = [
     "bundled_scenario_names",
     "main",
 ]
+
+
+# Named, not __name__: under ``python -m shipload.cli`` that is "__main__",
+# outside the package logger that ``main`` attaches its handler to.
+_log = logging.getLogger("shipload.cli")
 
 
 class ScenarioError(Exception):
@@ -558,10 +564,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
 
     if args.command == "solve":
         problem = _problem_from(scenario)
-        print(
-            f"solving {name} with up to {scenario.solver.multistart_count} starts",
-            file=sys.stderr,
-        )
+        _log.info("solving %s with up to %s starts", name, scenario.solver.multistart_count)
         solution = solve(problem, scenario.solver)
         report = _solution_report("solve", name, scenario, problem, solution)
         return report, _exit_code(solution.status, certified=None)
@@ -574,7 +577,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
         report = _solution_report("oracle", name, scenario, problem, solution)
         if solution.status is SolverStatus.INFEASIBLE:
             return report, 3
-        print(f"enumerating the {args.step} t lattice", file=sys.stderr)
+        _log.info("enumerating the %s t lattice", args.step)
         best_x, best_revenue, points = grid_search(problem, spec)
         certified = certifies(solution.revenue, best_revenue)
         report["certification"] = {
@@ -771,6 +774,21 @@ def render_report(report: dict, fmt: str, kilotons: bool = False) -> str:
 
 
 def main(argv=None) -> int:
+    """Run one command; progress logged by shipload at INFO goes to standard error."""
+    package = logging.getLogger("shipload")
+    stderr = logging.StreamHandler(sys.stderr)
+    stderr.setLevel(logging.INFO)
+    saved_level = package.level
+    package.setLevel(min(package.getEffectiveLevel(), logging.INFO))
+    package.addHandler(stderr)
+    try:
+        return _run(argv)
+    finally:
+        package.removeHandler(stderr)
+        package.setLevel(saved_level)
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -22,7 +22,6 @@ __all__ = [
     "draft",
     "keel_to_metacenter",
     "center_of_mass",
-    "center_of_mass_gradient",
     "hydro_state",
     "metacentric_height",
     "constraint_slack",
@@ -105,19 +104,6 @@ def center_of_mass(problem: Problem, x) -> float:
     return (vessel.light_kg * vessel.light_mass + _mass_moment(problem, arr)) / (
         total + vessel.light_mass
     )
-
-
-def center_of_mass_gradient(problem: Problem, x) -> np.ndarray:
-    """Analytic gradient of ``center_of_mass`` with respect to the loads."""
-    arr = problem.check_vector(x)
-    vessel = problem.vessel
-    w = stacking_matrix(problem.densities)
-    numer = vessel.light_kg * vessel.light_mass + float(arr @ w @ arr) / (
-        2.0 * vessel.waterplane_area
-    )
-    denom = float(arr.sum()) + vessel.light_mass
-    dnumer = (w @ arr) / vessel.waterplane_area
-    return (dnumer * denom - numer) / denom**2
 
 
 def hydro_state(problem: Problem, x) -> HydroState:

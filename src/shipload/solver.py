@@ -11,26 +11,33 @@ land on stationary points that are not global optima.  The strategy here:
   starts and keep the best point that passes KKT verification.
 
 The local method is sequential quadratic programming with analytic
-gradients.  It runs in scaled coordinates z = x / deadweight_cap, with the
+gradients: SciPy's compiled SLSQP kernel (Kraft 1988), driven by a short
+loop here that is iterate for iterate the same as
+``scipy.optimize.minimize(method="SLSQP")`` without its per-call Python
+layers.  It runs in scaled coordinates z = x / deadweight_cap, with the
 objective divided by deadweight_cap * max|p| and each constraint divided by
 the scale that the feasibility and KKT checks measure it against, so the
-method sees O(1) numbers whatever the units of mass and money.  The three
+method sees O(1) numbers whatever the units of mass and money.  The scaled
+data and the kernel's work arrays are built once per solve.  The three
 constraints go in as one vector constraint.  A returned point that
 overshoots the stability boundary by rounding is pulled back along its
 ray onto the boundary in closed form.
 
 The method is otherwise treated as a black box: a returned point counts
-only if it is feasible and ``kkt_verify`` accepts it, so the method could
-be swapped without touching any contract.  Lagrange multipliers are
-recovered from the active set by nonnegative least squares, since the
-local method does not expose duals.  ``scipy.optimize`` is imported on
-first use, so classification and the CLI commands that do not solve never
-load it.
+only if it is feasible and ``kkt_verify`` accepts it.  A start whose
+return fails the feasibility filter is logged at DEBUG on the
+``shipload.solver`` logger.  Lagrange multipliers are recovered from the
+active set by nonnegative least squares, since the local method does not
+expose duals; a start whose revenue is already below a verified one
+skips that recovery and the KKT report, because it can no longer be
+returned.  ``scipy.optimize`` is imported on first use, so classification
+and the CLI commands that do not solve never load it.
 """
 
 from __future__ import annotations
 
 import enum
+import logging
 import math
 from dataclasses import dataclass
 
@@ -51,6 +58,8 @@ __all__ = [
     "mu_sensitivity",
     "stability_gradient",
 ]
+
+_log = logging.getLogger(__name__)
 
 DEFAULT_KKT_TOLERANCE = 1e-6
 DEFAULT_FEASIBILITY_TOLERANCE = 1e-8
@@ -160,6 +169,18 @@ def _feasible(problem: Problem, x: np.ndarray, tol: float) -> bool:
     )
 
 
+def _violation(problem: Problem, x: np.ndarray, slacks) -> float:
+    """Worst relative violation of the constraints and of x >= 0.
+
+    0 when nothing is violated, NaN when the loads hold a NaN.
+    """
+    terms = [
+        *(-slack / scale for slack, scale in zip(slacks, _constraint_scales(problem))),
+        -float(x.min(initial=0.0)) / max(1.0, problem.deadweight_cap),
+    ]
+    return math.nan if any(map(math.isnan, terms)) else max(0.0, *terms)
+
+
 def _scale_into_stability(problem: Problem, x: np.ndarray, safety: float = 0.9) -> np.ndarray:
     """Shrink ``x`` toward the origin until the stability constraint holds.
 
@@ -206,46 +227,98 @@ def _random_start(problem: Problem, rng: np.random.Generator) -> np.ndarray:
     return _scale_into_stability(problem, _cap_to_volume(problem, x))
 
 
-def _local_solve(problem: Problem, x0: np.ndarray, options: SolverOptions) -> np.ndarray:
-    """One SLSQP run from ``x0`` in the scaled coordinates z = x / deadweight_cap."""
-    from scipy.optimize import minimize
+class _ScaledProblem:
+    """The problem as SLSQP sees it, in z = x / deadweight_cap, and the kernel's work arrays.
 
-    cap = problem.deadweight_cap
-    scales = np.array(_constraint_scales(problem))
-    rate = float(np.abs(problem.objective).max(initial=0.0)) or 1.0
-    cost = -problem.objective / rate
-    # Left sides of the three constraints over their scales, in z:
-    # linear rows sum(x), v.x and b*sum(x), plus the quadratic s*x'Ax.
-    ones = np.ones(problem.n)
-    linear = np.vstack([ones, problem.volume_coeffs, problem.linear_coeff * ones])
-    linear *= (cap / scales)[:, None]
-    quad = problem.quad_matrix * (problem.quad_scale * cap * cap / scales[2])
-    limits = np.array([cap, problem.volume_cap, problem.rhs]) / scales
+    Built once per :func:`solve` and shared by its starts; ``_local_solve``
+    resets the work arrays before each one.  The cost is -p / max|p|, and
+    the three constraints are divided by their ``_constraint_scales``:
+    linear rows sum(x), v.x and b*sum(x) plus the quadratic s*x'Ax.
+    """
 
-    def slacks(z):
-        g = limits - linear @ z
-        g[2] -= z @ quad @ z
-        return g
+    def __init__(self, problem: Problem, max_iterations: int) -> None:
+        from scipy.optimize._slsqplib import slsqp
 
-    def slacks_jac(z):
-        jac = -linear
-        jac[2] -= 2.0 * (quad @ z)
-        return jac
+        self.kernel = slsqp
+        self.max_iterations = max_iterations
+        n = problem.n
+        cap = problem.deadweight_cap
+        scales = np.array(_constraint_scales(problem))
+        rate = float(np.abs(problem.objective).max(initial=0.0)) or 1.0
+        self.cap = cap
+        self.cost = -problem.objective / rate
+        ones = np.ones(n)
+        linear = np.vstack([ones, problem.volume_coeffs, problem.linear_coeff * ones])
+        linear *= (cap / scales)[:, None]
+        self.linear = linear
+        self.neg_linear = -linear
+        self.quad = problem.quad_matrix * (problem.quad_scale * cap * cap / scales[2])
+        self.limits = np.array([cap, problem.volume_cap, problem.rhs]) / scales
+        # Work arrays sized as scipy.optimize's SLSQP driver sizes them for
+        # m = 3 inequality constraints and no equalities.
+        m = 3
+        self.lower = np.zeros(n)
+        self.upper = np.full(n, np.nan)  # NaN: no upper bound
+        self.slack = np.zeros(m)
+        self.jacobian = np.zeros((m, n), order="F")
+        self.mult = np.zeros(m + 2 * n + 2)
+        self.buffer = np.zeros(n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28)
+        self.indices = np.zeros(m + 2 * n + 2, dtype=np.int32)
 
-    result = minimize(
-        lambda z: float(cost @ z),
-        x0 / cap,
-        jac=lambda z: cost,
-        method="SLSQP",
-        bounds=[(0.0, None)] * problem.n,
-        constraints={"type": "ineq", "fun": slacks, "jac": slacks_jac},
-        options={"maxiter": options.max_iterations, "ftol": 1e-12},
-    )
-    # The success flag is not trusted: the method sometimes reports a line
+    def eval_slack(self, z: np.ndarray) -> None:
+        np.subtract(self.limits, self.linear @ z, out=self.slack)
+        self.slack[2] -= z @ self.quad @ z
+
+    def eval_jacobian(self, z: np.ndarray) -> None:
+        self.jacobian[...] = self.neg_linear
+        self.jacobian[2] -= 2.0 * (self.quad @ z)
+
+
+def _local_solve(
+    problem: Problem, scaled: _ScaledProblem, x0: np.ndarray
+) -> tuple[np.ndarray, int, int]:
+    """One SLSQP run from ``x0``; returns the loads, the exit mode and the iteration count.
+
+    Drives the compiled kernel exactly as ``scipy.optimize.minimize``
+    does for this problem (ftol 1e-12, lower bounds 0, no upper bounds),
+    so the iterates are the same, without its per-call Python layers.
+    The kernel asks for the objective and constraint values (mode 1) or
+    their gradients (mode -1); any other mode ends the run.
+    """
+    s = scaled
+    z = np.clip(x0 / s.cap, 0.0, np.inf)
+    for work in (s.mult, s.buffer, s.indices):
+        work.fill(0)
+    acc = 1e-12
+    state = {
+        "acc": acc, "alpha": 0.0, "f0": 0.0, "gs": 0.0,
+        "h1": 0.0, "h2": 0.0, "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0,
+        "tol": 10.0 * acc, "exact": 0, "inconsistent": 0, "reset": 0,
+        "iter": 0, "itermax": s.max_iterations, "line": 0,
+        "m": 3, "meq": 0, "mode": 0, "n": problem.n,
+    }
+    objective = float(s.cost @ z)
+    s.eval_slack(z)
+    s.eval_jacobian(z)
+    while True:
+        s.kernel(
+            state, objective, s.cost, s.jacobian, s.slack, z, s.mult, s.lower, s.upper,
+            s.buffer, s.indices,
+        )
+        mode = state["mode"]
+        if mode == 1:
+            objective = float(s.cost @ z)
+            s.eval_slack(z)
+        elif mode == -1:
+            s.eval_jacobian(z)
+        else:
+            break
+    # The exit mode is not trusted: the method sometimes reports a line
     # search failure while sitting on the optimum.  Feasibility and KKT
     # checks on the returned point decide whether it counts; a point just
     # outside the stability boundary is first pulled back onto it.
-    return _scale_into_stability(problem, np.maximum(result.x, 0.0) * cap, safety=1.0)
+    x = _scale_into_stability(problem, np.maximum(z, 0.0) * s.cap, safety=1.0)
+    return x, mode, state["iter"]
 
 
 def _recover_multipliers(
@@ -320,12 +393,7 @@ def _kkt_report(
         abs(lam_stab * stab),
         float(np.abs(nu * x).max(initial=0.0)),
     )
-    scales = _constraint_scales(problem)
-    primal = max(
-        0.0,
-        *(-slack / scale for slack, scale in zip((dw, vol, stab), scales)),
-        -float(x.min(initial=0.0)) / max(1.0, problem.deadweight_cap),
-    )
+    primal = _violation(problem, x, (dw, vol, stab))
     dual = min(lam_dw, lam_vol, lam_stab, float(nu.min(initial=0.0)))
 
     objective = abs(float(p @ x))
@@ -436,14 +504,30 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Solution:
         and classification.kind is Definiteness.POSITIVE_SEMIDEFINITE
     )
 
+    scaled = _ScaledProblem(problem, opts.max_iterations)
+    best_verified = -math.inf
+
     def evaluate(starts: list[np.ndarray], offset: int):
+        nonlocal best_verified
         found = []
         for k, x0 in enumerate(starts):
-            x = _local_solve(problem, x0, opts)
+            x, mode, iterations = _local_solve(problem, scaled, x0)
             if not _feasible(problem, x, opts.feasibility_tolerance):
+                _log.debug(
+                    "start %d rejected: exit mode %d after %d iterations, "
+                    "worst relative violation %.3g",
+                    offset + k, mode, iterations, _violation(problem, x, _slacks(problem, x)),
+                )
+                continue
+            value = float(problem.objective @ x)
+            if value < best_verified:
+                # Once a start is verified only verified starts can be
+                # returned, and this one would lose to it on revenue.
                 continue
             multipliers = _recover_multipliers(problem, x, opts.feasibility_tolerance)
             report = _kkt_report(problem, x, *multipliers, opts.kkt_tolerance)
+            if report.satisfied:
+                best_verified = max(best_verified, value)
             found.append((x, multipliers, report, offset + k))
         return found
 

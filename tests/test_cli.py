@@ -1,6 +1,7 @@
 """Scenario parsing, report rendering, and command exit codes."""
 
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -371,6 +372,32 @@ def package_env():
     package_parent = str(Path(shipload.__file__).resolve().parent.parent)
     pythonpath = filter(None, [package_parent, os.environ.get("PYTHONPATH")])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+
+
+class TestProgressLogging:
+    """Progress notes are INFO records of the shipload loggers, shown on stderr by main."""
+
+    def test_handler_lives_for_one_command(self, capsys):
+        package = logging.getLogger("shipload")
+        handlers, level = list(package.handlers), package.level
+        for _ in range(2):
+            code, _, err = run_cli(
+                capsys, "oracle", "coastal_feeder.json", "--step", "50", "--format", "json"
+            )
+            assert code == 0
+            assert err == "enumerating the 50.0 t lattice\n"
+        assert (package.handlers, package.level) == (handlers, level)
+
+    def test_module_entry_point_shows_progress(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "shipload.cli", "solve", "clarkson3500.json"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=package_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == "solving clarkson3500.json with up to 32 starts\n"
 
 
 class TestConsoleScript:

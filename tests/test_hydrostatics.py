@@ -7,7 +7,6 @@ from shipload import (
     Environment,
     LoadingOrder,
     center_of_mass,
-    center_of_mass_gradient,
     constraint_slack,
     draft,
     hydro_state,
@@ -85,21 +84,6 @@ class TestCenterOfMass:
     def test_dimension_mismatch(self, assemble_case):
         with pytest.raises(ValueError, match="shape"):
             center_of_mass(assemble_case(4.0), np.zeros(3))
-
-    def test_gradient_matches_finite_differences(self, assemble_case):
-        problem = assemble_case(4.0)
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            x = rng.uniform(0.0, 8000.0, problem.n)
-            grad = center_of_mass_gradient(problem, x)
-            for i in range(problem.n):
-                h = 1e-2 * max(1.0, x[i])
-                step = np.zeros(problem.n)
-                step[i] = h
-                numeric = (
-                    center_of_mass(problem, x + step) - center_of_mass(problem, x - step)
-                ) / (2.0 * h)
-                assert numeric == pytest.approx(grad[i], rel=1e-5, abs=1e-10)
 
 
 class TestMetacentricHeight:
