@@ -34,10 +34,10 @@ from .model import (
     assemble_problem,
 )
 from .oracle import LatticeSpec, certifies, grid_search, lattice_levels
-from .quadratic_analysis import classify_constraint_matrix
 from .solver import (
     SolverOptions,
     SolverStatus,
+    active_set,
     mu_sensitivity,
     solve,
     solve_lp,
@@ -161,35 +161,36 @@ def _parse_cargoes(doc: dict) -> tuple[CargoType, ...]:
     return tuple(cargoes)
 
 
-def _parse_order(doc: dict, cargo_count: int) -> LoadingOrder:
-    if "order" not in doc:
-        return LoadingOrder.normal()
-    raw = doc["order"]
+def _parse_order(raw, cargo_count: int, name: str = "order") -> LoadingOrder:
+    """The loading order of a scenario's ``order`` value, or of ``--order`` as that value.
+
+    ``name`` is the field or flag that error messages cite.
+    """
     if isinstance(raw, str):
         if raw == "normal":
             return LoadingOrder.normal()
         if raw == "reverse":
             return LoadingOrder.reverse()
         raise ScenarioError(
-            f"order must be 'normal', 'reverse', or a permutation array, got {raw!r}"
+            f"{name} must be 'normal', 'reverse', or a permutation array, got {raw!r}"
         )
     if isinstance(raw, list):
         positions = []
         for i, value in enumerate(raw):
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ScenarioError(f"order[{i}] must be an integer position")
+                raise ScenarioError(f"{name}[{i}] must be an integer position")
             positions.append(value)
         if len(positions) != cargo_count:
             raise ScenarioError(
-                f"order permutation covers {len(positions)} positions, "
+                f"{name} permutation covers {len(positions)} positions, "
                 f"but there are {cargo_count} cargo types"
             )
         # Scenario files and flags count cargo positions from 1.
         try:
             return LoadingOrder.explicit(i - 1 for i in positions)
         except ValueError as err:
-            raise ScenarioError(f"order: {err}") from None
-    raise ScenarioError("order must be 'normal', 'reverse', or a permutation array")
+            raise ScenarioError(f"{name}: {err}") from None
+    raise ScenarioError(f"{name} must be 'normal', 'reverse', or a permutation array")
 
 
 def _parse_solver(doc: dict) -> SolverOptions:
@@ -198,8 +199,7 @@ def _parse_solver(doc: dict) -> SolverOptions:
     obj = doc["solver"]
     if not isinstance(obj, dict):
         raise ScenarioError("solver must be an object")
-    allowed = set(_SOLVER_INT_FIELDS) | set(_SOLVER_FLOAT_FIELDS) | {"convexity_dispatch"}
-    _reject_unknown(obj, allowed, "solver")
+    _reject_unknown(obj, set(_SOLVER_INT_FIELDS) | set(_SOLVER_FLOAT_FIELDS), "solver")
     kwargs = {}
     for name in _SOLVER_INT_FIELDS:
         if name in obj:
@@ -210,11 +210,6 @@ def _parse_solver(doc: dict) -> SolverOptions:
     for name in _SOLVER_FLOAT_FIELDS:
         if name in obj:
             kwargs[name] = _get_number(obj, name, "solver")
-    if "convexity_dispatch" in obj:
-        value = obj["convexity_dispatch"]
-        if not isinstance(value, bool):
-            raise ScenarioError("solver.convexity_dispatch must be a boolean")
-        kwargs["convexity_dispatch"] = value
     try:
         return SolverOptions(**kwargs)
     except ValueError as err:
@@ -259,12 +254,16 @@ def parse_scenario(document: str) -> Scenario:
             raise ScenarioError("include_ballast must be a boolean")
         include_ballast = value
 
+    order = LoadingOrder.normal()
+    if "order" in doc:
+        order = _parse_order(doc["order"], len(cargoes))
+
     return Scenario(
         vessel=vessel,
         cargoes=cargoes,
         water_density=water_density,
         mu=mu,
-        order=_parse_order(doc, len(cargoes)),
+        order=order,
         include_ballast=include_ballast,
         solver=_parse_solver(doc),
     )
@@ -299,7 +298,6 @@ def scenario_to_json(scenario: Scenario) -> str:
             "feasibility_tolerance": scenario.solver.feasibility_tolerance,
             "kkt_tolerance": scenario.solver.kkt_tolerance,
             "max_iterations": scenario.solver.max_iterations,
-            "convexity_dispatch": scenario.solver.convexity_dispatch,
         },
     }
     if scenario.mu is not None:
@@ -341,20 +339,15 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
-def _parse_order_flag(text: str) -> LoadingOrder:
-    if text == "normal":
-        return LoadingOrder.normal()
-    if text == "reverse":
-        return LoadingOrder.reverse()
+def _order_flag_value(text: str):
+    """``--order`` written as a scenario ``order`` value: a word or a position list."""
+    if text in ("normal", "reverse"):
+        return text
     if text.startswith("perm="):
         try:
-            positions = [int(part) for part in text[5:].split(",") if part]
+            return [int(part) for part in text[5:].split(",") if part]
         except ValueError:
             raise ScenarioError(f"invalid --order permutation {text!r}") from None
-        try:
-            return LoadingOrder.explicit(i - 1 for i in positions)
-        except ValueError as err:
-            raise ScenarioError(f"--order: {err}") from None
     raise ScenarioError(
         f"invalid --order value {text!r}: use normal, reverse, or perm=i,j,..."
     )
@@ -369,13 +362,9 @@ def _apply_flags(scenario: Scenario, args: argparse.Namespace) -> Scenario:
             raise ScenarioError(f"--mu: {err}") from None
         changes["mu"] = float(args.mu)
     if getattr(args, "order", None) is not None:
-        order = _parse_order_flag(args.order)
-        if order.kind == "explicit" and len(order.explicit_order) != len(scenario.cargoes):
-            raise ScenarioError(
-                f"--order permutation covers {len(order.explicit_order)} positions, "
-                f"but there are {len(scenario.cargoes)} cargo types"
-            )
-        changes["order"] = order
+        changes["order"] = _parse_order(
+            _order_flag_value(args.order), len(scenario.cargoes), "--order"
+        )
     if getattr(args, "no_ballast", False):
         changes["include_ballast"] = False
     solver_changes = {}
@@ -466,29 +455,20 @@ def _problem_from(scenario: Scenario, need_mu: bool = True) -> Problem:
     )
 
 
-def _binding(slack: float, scale: float, tolerance: float) -> bool:
-    return slack <= 10.0 * tolerance * max(1.0, scale)
-
-
 def _solution_report(command: str, name: str, scenario: Scenario, problem: Problem, solution) -> dict:
     x = np.asarray(solution.x, dtype=float)
     state = hydro_state(problem, x)
-    classification = classify_constraint_matrix(
-        problem.densities, problem.environment.water_density
-    )
     total = float(x.sum())
-    tol = scenario.solver.feasibility_tolerance
-    volume_used = float(problem.volume_coeffs @ x)
-    dw_slack = problem.deadweight_cap - total
-    vol_slack = problem.volume_cap - volume_used
-    stab_slack = constraint_slack(problem, x)
+    deadweight, volume, stability, _ = active_set(
+        problem, x, scenario.solver.feasibility_tolerance
+    )
     return {
         "command": command,
         "scenario": name,
         "order": _order_document(scenario.order),
         "mu": problem.policy.min_metacentric_height,
         "status": solution.status.value,
-        "definiteness": classification.kind.value,
+        "definiteness": problem.classification.kind.value,
         "mass_unit": "t",
         "loads": [
             {
@@ -502,24 +482,20 @@ def _solution_report(command: str, name: str, scenario: Scenario, problem: Probl
         ],
         "total_load": total,
         "deadweight_cap": problem.deadweight_cap,
-        "volume_used": volume_used,
+        "volume_used": float(problem.volume_coeffs @ x),
         "volume_cap": problem.volume_cap,
         "revenue": solution.revenue,
         "draft": state.draft,
         "keel_to_metacenter": state.keel_to_metacenter,
         "center_of_mass": state.keel_to_mass,
         "metacentric_height": state.metacentric_height,
-        "stability_slack": stab_slack,
+        "stability_slack": constraint_slack(problem, x),
         "multipliers": {
             "deadweight": float(solution.multiplier_deadweight),
             "volume": float(solution.multiplier_volume),
             "stability": float(solution.multiplier_stability),
         },
-        "binding": {
-            "deadweight": _binding(dw_slack, problem.deadweight_cap, tol),
-            "volume": _binding(vol_slack, problem.volume_cap, tol),
-            "stability": _binding(stab_slack, abs(problem.rhs), tol),
-        },
+        "binding": {"deadweight": deadweight, "volume": volume, "stability": stability},
         "kkt": {
             "stationarity_residual": solution.kkt.stationarity_residual,
             "complementarity_residual": solution.kkt.complementarity_residual,
@@ -539,9 +515,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
 
     if args.command == "classify":
         problem = _problem_from(scenario, need_mu=False)
-        classification = classify_constraint_matrix(
-            problem.densities, problem.environment.water_density
-        )
+        classification = problem.classification
         report = {
             "command": "classify",
             "scenario": name,

@@ -47,26 +47,18 @@ class HydroState:
     displacement_mass: float
 
 
-def draft(
-    vessel: Vessel,
-    environment: Environment,
-    total_cargo_mass: float,
-    max_draft: float | None = None,
-) -> float:
+def draft(vessel: Vessel, environment: Environment, total_cargo_mass: float) -> float:
     """Submerged depth of the hull carrying the given cargo mass.
 
     Archimedes for a box: displaced water mass rho*L*B*T balances light
     mass plus cargo.  A draft above the beam is physically suspicious for
-    this hull shape and triggers a warning; ``max_draft`` turns excess into
-    an error for callers that want a hard limit.
+    this hull shape and triggers a warning.
     """
     if total_cargo_mass < 0:
         raise ValueError(f"cargo mass must be nonnegative, got {total_cargo_mass}")
     t = (vessel.light_mass + total_cargo_mass) / (
         environment.water_density * vessel.length * vessel.beam
     )
-    if max_draft is not None and t > max_draft:
-        raise ValueError(f"draft {t:.3f} m exceeds the configured limit {max_draft} m")
     if t > vessel.beam:
         warnings.warn(
             f"draft {t:.3f} m exceeds the beam {vessel.beam} m; "

@@ -27,6 +27,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .quadratic_analysis import DefinitenessClass, classify_constraint_matrix
+
 __all__ = [
     "Vessel",
     "CargoType",
@@ -206,7 +208,9 @@ class Problem:
     ``cargoes`` is already permuted bottom-to-top.  The stability data is
     kept in split form (``quad_scale``, ``quad_matrix``, ``linear_coeff``,
     ``rhs``) rather than pre-multiplied so the algebra stays checkable
-    against the physical metacentric-height condition.
+    against the physical metacentric-height condition.  ``classification``
+    is the definiteness class of ``quad_matrix``, computed once from the
+    ordered densities and the water density.
     """
 
     vessel: Vessel
@@ -223,12 +227,15 @@ class Problem:
     rhs: float
     ballast_index: int | None = None
     densities: np.ndarray = field(init=False)
+    classification: DefinitenessClass = field(init=False)
 
     def __post_init__(self) -> None:
+        densities = _frozen(np.array([c.density for c in self.cargoes], dtype=float))
+        object.__setattr__(self, "densities", densities)
         object.__setattr__(
             self,
-            "densities",
-            _frozen(np.array([c.density for c in self.cargoes], dtype=float)),
+            "classification",
+            classify_constraint_matrix(densities, self.environment.water_density),
         )
 
     @property

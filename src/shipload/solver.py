@@ -4,11 +4,18 @@ The full problem has a linear objective, two linear constraints, and one
 quadratic constraint whose matrix may be indefinite, so local methods can
 land on stationary points that are not global optima.  The strategy here:
 
-* classify the constraint matrix first; a positive-semidefinite matrix
-  makes the feasible region convex, and a single local solve from an
-  interior point is globally valid,
+* read the constraint matrix's class, which the problem computed once when
+  it was built; a positive-semidefinite matrix makes the feasible region
+  convex, and a single local solve from an interior point is globally
+  valid,
 * otherwise run many local solves from seeded pseudo-random feasible
   starts and keep the best point that passes KKT verification.
+
+This module is the one home of the constraint rules: the slacks and their
+scales, the feasibility test (worst relative violation at most the
+tolerance) and the active set (slack at most ten times the tolerance times
+max(1, scale)), which both multiplier recovery and the CLI's binding flags
+read.
 
 The local method is sequential quadratic programming with analytic
 gradients: SciPy's compiled SLSQP kernel (Kraft 1988), driven by a short
@@ -24,7 +31,7 @@ overshoots the stability boundary by rounding is pulled back along its
 ray onto the boundary in closed form.
 
 The method is otherwise treated as a black box: a returned point counts
-only if it is feasible and ``kkt_verify`` accepts it.  A start whose
+only if it is feasible and passes the KKT report.  A start whose
 return fails the feasibility filter is logged at DEBUG on the
 ``shipload.solver`` logger.  Lagrange multipliers are recovered from the
 active set by nonnegative least squares, since the local method does not
@@ -45,7 +52,7 @@ import numpy as np
 
 from .hydrostatics import constraint_slack
 from .model import Problem, revenue
-from .quadratic_analysis import Definiteness, classify_constraint_matrix
+from .quadratic_analysis import Definiteness
 
 __all__ = [
     "SolverStatus",
@@ -57,6 +64,7 @@ __all__ = [
     "kkt_verify",
     "mu_sensitivity",
     "stability_gradient",
+    "active_set",
 ]
 
 _log = logging.getLogger(__name__)
@@ -81,21 +89,20 @@ class SolverOptions:
     feasibility_tolerance: float = DEFAULT_FEASIBILITY_TOLERANCE
     kkt_tolerance: float = DEFAULT_KKT_TOLERANCE
     max_iterations: int = 500
-    convexity_dispatch: bool = True
 
     def __post_init__(self) -> None:
         if int(self.multistart_count) < 1:
             raise ValueError("multistart_count must be at least 1")
         self.multistart_count = int(self.multistart_count)
         self.rng_seed = int(self.rng_seed)
-        if not (self.feasibility_tolerance > 0):
-            raise ValueError("feasibility_tolerance must be positive")
-        if not (self.kkt_tolerance > 0):
-            raise ValueError("kkt_tolerance must be positive")
+        for name in ("feasibility_tolerance", "kkt_tolerance"):
+            value = getattr(self, name)
+            # An infinite tolerance would accept every point as feasible and KKT.
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
         if int(self.max_iterations) < 1:
             raise ValueError("max_iterations must be at least 1")
         self.max_iterations = int(self.max_iterations)
-        self.convexity_dispatch = bool(self.convexity_dispatch)
 
 
 @dataclass(frozen=True)
@@ -130,10 +137,10 @@ class Solution:
 
     x: np.ndarray
     revenue: float
-    multiplier_deadweight: float | None
-    multiplier_volume: float | None
-    multiplier_stability: float | None
-    multipliers_nonneg: np.ndarray | None
+    multiplier_deadweight: float
+    multiplier_volume: float
+    multiplier_stability: float
+    multipliers_nonneg: np.ndarray
     kkt: KktReport
     status: SolverStatus
     starts_used: int
@@ -161,14 +168,6 @@ def _constraint_scales(problem: Problem) -> tuple[float, float, float]:
     return problem.deadweight_cap, problem.volume_cap, max(1.0, abs(problem.rhs))
 
 
-def _feasible(problem: Problem, x: np.ndarray, tol: float) -> bool:
-    mass_scale = max(1.0, problem.deadweight_cap)
-    return float(x.min(initial=0.0)) >= -tol * mass_scale and all(
-        slack >= -tol * scale
-        for slack, scale in zip(_slacks(problem, x), _constraint_scales(problem))
-    )
-
-
 def _violation(problem: Problem, x: np.ndarray, slacks) -> float:
     """Worst relative violation of the constraints and of x >= 0.
 
@@ -179,6 +178,30 @@ def _violation(problem: Problem, x: np.ndarray, slacks) -> float:
         -float(x.min(initial=0.0)) / max(1.0, problem.deadweight_cap),
     ]
     return math.nan if any(map(math.isnan, terms)) else max(0.0, *terms)
+
+
+def _feasible(problem: Problem, x: np.ndarray, tol: float) -> bool:
+    return _violation(problem, x, _slacks(problem, x)) <= tol
+
+
+def active_set(
+    problem: Problem, x: np.ndarray, tolerance: float
+) -> tuple[bool, bool, bool, np.ndarray]:
+    """Which constraints bind at ``x``: deadweight, volume, stability, and the mask x_i ~ 0.
+
+    A constraint binds when its slack is at most ten times ``tolerance``
+    times max(1, its scale); a violated constraint binds too.  Multiplier
+    recovery takes its columns from these flags, and reports show them.
+    """
+    threshold = 10.0 * tolerance
+    mass_scale = max(1.0, problem.deadweight_cap)
+    dw, vol, stab = _slacks(problem, x)
+    return (
+        dw <= threshold * mass_scale,
+        vol <= threshold * max(1.0, problem.volume_cap),
+        stab <= threshold * max(1.0, abs(problem.rhs)),
+        x <= threshold * mass_scale,
+    )
 
 
 def _scale_into_stability(problem: Problem, x: np.ndarray, safety: float = 0.9) -> np.ndarray:
@@ -334,41 +357,22 @@ def _recover_multipliers(
     from scipy.optimize import nnls
 
     n = problem.n
-    dw, vol, stab = _slacks(problem, x)
-    threshold = 10.0 * feasibility_tolerance
-    mass_scale = max(1.0, problem.deadweight_cap)
+    *binding, at_zero = active_set(problem, x, feasibility_tolerance)
+    gradients = (np.ones(n), problem.volume_coeffs, stability_gradient(problem, x))
+    active = [k for k, on in enumerate(binding) if on]
+    zero = np.flatnonzero(at_zero)
+    units = np.zeros((n, zero.size))
+    units[zero, np.arange(zero.size)] = -1.0
 
-    columns: list[np.ndarray] = []
-    tags: list[object] = []
-    if dw <= threshold * mass_scale:
-        columns.append(np.ones(n))
-        tags.append("deadweight")
-    if vol <= threshold * max(1.0, problem.volume_cap):
-        columns.append(np.asarray(problem.volume_coeffs, dtype=float))
-        tags.append("volume")
-    if stab <= threshold * max(1.0, abs(problem.rhs)):
-        columns.append(stability_gradient(problem, x))
-        tags.append("stability")
-    for i in np.flatnonzero(x <= threshold * mass_scale):
-        unit = np.zeros(n)
-        unit[i] = -1.0
-        columns.append(unit)
-        tags.append(int(i))
-
-    lam_dw = lam_vol = lam_stab = 0.0
+    lam = [0.0, 0.0, 0.0]
     nu = np.zeros(n)
-    if columns:
-        coef, _ = nnls(np.column_stack(columns), problem.objective)
-        for value, tag in zip(coef, tags):
-            if tag == "deadweight":
-                lam_dw = float(value)
-            elif tag == "volume":
-                lam_vol = float(value)
-            elif tag == "stability":
-                lam_stab = float(value)
-            else:
-                nu[tag] = float(value)
-    return lam_dw, lam_vol, lam_stab, nu
+    if active or zero.size:
+        columns = np.column_stack([*(gradients[k] for k in active), units])
+        coef, _ = nnls(columns, problem.objective)
+        for k, value in zip(active, coef):
+            lam[k] = float(value)
+        nu[zero] = coef[len(active):]
+    return (*lam, nu)
 
 
 def _kkt_report(
@@ -434,24 +438,53 @@ def solve_lp(problem: Problem) -> Solution:
     if not result.success:
         raise RuntimeError(f"LP solve failed: {result.message}")
     x = np.maximum(result.x, 0.0)
+    multipliers = (
+        float(max(-result.ineqlin.marginals[0], 0.0)),
+        float(max(-result.ineqlin.marginals[1], 0.0)),
+        0.0,
+        np.maximum(np.asarray(result.lower.marginals, dtype=float), 0.0),
+    )
+    report = _kkt_report(problem, x, *multipliers, DEFAULT_KKT_TOLERANCE)
+    return _solution(problem, x, multipliers, report, SolverStatus.OPTIMAL, 1, 0)
+
+
+def _solution(
+    problem: Problem,
+    x: np.ndarray,
+    multipliers: tuple,
+    report: KktReport,
+    status: SolverStatus,
+    starts_used: int,
+    best_start_index: int,
+) -> Solution:
+    """A :class:`Solution` with read-only copies of the loads and of ``nu``."""
+    lam_dw, lam_vol, lam_stab, nu = multipliers
+    x = np.array(x, dtype=float)
     x.flags.writeable = False
-    lam_dw = float(max(-result.ineqlin.marginals[0], 0.0))
-    lam_vol = float(max(-result.ineqlin.marginals[1], 0.0))
-    nu = np.maximum(np.asarray(result.lower.marginals, dtype=float), 0.0)
+    nu = np.array(nu, dtype=float)
     nu.flags.writeable = False
-    report = _kkt_report(problem, x, lam_dw, lam_vol, 0.0, nu, DEFAULT_KKT_TOLERANCE)
     return Solution(
         x=x,
         revenue=revenue(problem, x),
         multiplier_deadweight=lam_dw,
         multiplier_volume=lam_vol,
-        multiplier_stability=0.0,
+        multiplier_stability=lam_stab,
         multipliers_nonneg=nu,
         kkt=report,
-        status=SolverStatus.OPTIMAL,
-        starts_used=1,
-        best_start_index=0,
+        status=status,
+        starts_used=starts_used,
+        best_start_index=best_start_index,
     )
+
+
+def _empty_vessel(
+    problem: Problem, tolerance: float, status: SolverStatus, starts_used: int
+) -> Solution:
+    """The zero loading with zero multipliers, for when no start gives a feasible point."""
+    x = np.zeros(problem.n)
+    multipliers = (0.0, 0.0, 0.0, np.zeros(problem.n))
+    report = _kkt_report(problem, x, *multipliers, tolerance)
+    return _solution(problem, x, multipliers, report, status, starts_used, -1)
 
 
 def _preferred(problem: Problem, challenger: np.ndarray, incumbent: np.ndarray) -> bool:
@@ -466,43 +499,19 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Solution:
     """Maximize revenue over the full constraint set.
 
     A negative right-hand side means the empty vessel already violates the
-    stability margin and nothing is feasible.  Otherwise the constraint
-    matrix is classified: positive semidefinite gives a convex region and a
-    single deterministic interior start (status Optimal); any other class
+    stability margin and nothing is feasible.  Otherwise the problem's
+    ``classification`` decides: positive semidefinite gives a convex region
+    and a single deterministic interior start (status Optimal); any other class
     triggers the seeded multistart, whose best KKT-verified point is
     returned as LocalOnly.  The oracle module can upgrade LocalOnly results
     with brute-force evidence; the solver itself never claims more than it
     can prove.
     """
     opts = options if options is not None else SolverOptions()
-    n = problem.n
-
     if problem.rhs < 0:
-        x = np.zeros(n)
-        x.flags.writeable = False
-        nu = np.zeros(n)
-        nu.flags.writeable = False
-        report = _kkt_report(problem, x, 0.0, 0.0, 0.0, nu, opts.kkt_tolerance)
-        return Solution(
-            x=x,
-            revenue=0.0,
-            multiplier_deadweight=0.0,
-            multiplier_volume=0.0,
-            multiplier_stability=0.0,
-            multipliers_nonneg=nu,
-            kkt=report,
-            status=SolverStatus.INFEASIBLE,
-            starts_used=0,
-            best_start_index=-1,
-        )
+        return _empty_vessel(problem, opts.kkt_tolerance, SolverStatus.INFEASIBLE, 0)
 
-    classification = classify_constraint_matrix(
-        problem.densities, problem.environment.water_density
-    )
-    convex = (
-        opts.convexity_dispatch
-        and classification.kind is Definiteness.POSITIVE_SEMIDEFINITE
-    )
+    convex = problem.classification.kind is Definiteness.POSITIVE_SEMIDEFINITE
 
     scaled = _ScaledProblem(problem, opts.max_iterations)
     best_verified = -math.inf
@@ -547,71 +556,40 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Solution:
 
     verified = [c for c in candidates if c[2].satisfied]
     pool = verified if verified else candidates
-    if pool:
-        best = pool[0]
-        for candidate in pool[1:]:
-            if _preferred(problem, candidate[0], best[0]):
-                best = candidate
-        x, (lam_dw, lam_vol, lam_stab, nu), report, index = best
-    else:
+    if not pool:
         # Every start failed even the feasibility filter; fall back to the
         # origin, which is feasible here because rhs >= 0.
-        x = np.zeros(n)
-        lam_dw = lam_vol = lam_stab = 0.0
-        nu = np.zeros(n)
-        report = _kkt_report(problem, x, 0.0, 0.0, 0.0, nu, opts.kkt_tolerance)
-        index = -1
-
+        return _empty_vessel(
+            problem, opts.kkt_tolerance, SolverStatus.ITERATION_LIMIT, starts_used
+        )
+    best = pool[0]
+    for candidate in pool[1:]:
+        if _preferred(problem, candidate[0], best[0]):
+            best = candidate
     if verified:
         status = SolverStatus.OPTIMAL if convex else SolverStatus.LOCAL_ONLY
     else:
         status = SolverStatus.ITERATION_LIMIT
-
-    x = np.array(x, dtype=float)
-    x.flags.writeable = False
-    nu = np.array(nu, dtype=float)
-    nu.flags.writeable = False
-    return Solution(
-        x=x,
-        revenue=revenue(problem, x),
-        multiplier_deadweight=lam_dw,
-        multiplier_volume=lam_vol,
-        multiplier_stability=lam_stab,
-        multipliers_nonneg=nu,
-        kkt=report,
-        status=status,
-        starts_used=starts_used,
-        best_start_index=index,
-    )
+    x, multipliers, report, index = best
+    return _solution(problem, x, multipliers, report, status, starts_used, index)
 
 
 def kkt_verify(problem: Problem, solution, tolerance: float = DEFAULT_KKT_TOLERANCE) -> KktReport:
     """Check first-order optimality of a solution or raw loading vector.
 
-    Accepts a :class:`Solution` (its multipliers are reused when present)
-    or any loading vector, in which case multipliers are recovered from the
+    Accepts a :class:`Solution`, whose own multipliers are reused, or any
+    loading vector, in which case multipliers are recovered from the
     active set by nonnegative least squares.  Always returns a report; the
     ``satisfied`` flag carries the verdict.
     """
     if isinstance(solution, Solution):
         x = problem.check_vector(solution.x)
-        carried = (
+        multipliers = (
             solution.multiplier_deadweight,
             solution.multiplier_volume,
             solution.multiplier_stability,
             solution.multipliers_nonneg,
         )
-        if any(part is None for part in carried):
-            multipliers = _recover_multipliers(
-                problem, x, DEFAULT_FEASIBILITY_TOLERANCE
-            )
-        else:
-            multipliers = (
-                float(carried[0]),
-                float(carried[1]),
-                float(carried[2]),
-                np.asarray(carried[3], dtype=float),
-            )
     else:
         x = problem.check_vector(solution)
         multipliers = _recover_multipliers(problem, x, DEFAULT_FEASIBILITY_TOLERANCE)
@@ -626,7 +604,5 @@ def mu_sensitivity(problem: Problem, solution: Solution) -> float:
     together one displacement of tightening, so the first-order revenue
     cost is the stability multiplier times the displacement.
     """
-    if solution.multiplier_stability is None:
-        raise ValueError("solution carries no stability multiplier")
     displacement = float(solution.x.sum()) + problem.vessel.light_mass
     return float(solution.multiplier_stability) * displacement

@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -123,6 +124,12 @@ class TestParseScenario:
         assert scenario.solver.multistart_count == 8
         assert scenario.solver.rng_seed == 5
 
+    def test_removed_convexity_dispatch_field_rejected(self):
+        doc = json.loads(scenario_to_json(load_bundled_scenario("clarkson3500.json")))
+        doc["solver"]["convexity_dispatch"] = True
+        with pytest.raises(ScenarioError, match="unknown field 'solver.convexity_dispatch'"):
+            parse_scenario(json.dumps(doc))
+
     def test_solver_count_must_be_integer(self):
         doc = json.loads(scenario_to_json(load_bundled_scenario("clarkson3500.json")))
         doc["solver"]["multistart_count"] = 2.5
@@ -133,6 +140,33 @@ class TestParseScenario:
         for name in bundled_scenario_names():
             scenario = load_bundled_scenario(name)
             assert parse_scenario(scenario_to_json(scenario)) == scenario
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            *(("vessel", name) for name in (
+                "length", "beam", "deadweight", "volume_capacity", "light_mass", "light_kg",
+            )),
+            ("cargoes", 0, "density"),
+            ("cargoes", 0, "freight_rate"),
+            ("water_density",),
+            ("mu",),
+            ("solver", "feasibility_tolerance"),
+            ("solver", "kkt_tolerance"),
+        ],
+        ids=lambda path: ".".join(map(str, path)),
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_number_rejected(self, path, value):
+        doc = json.loads(scenario_to_json(load_bundled_scenario("clarkson3500.json")))
+        *parents, key = path
+        target = doc
+        for part in parents:
+            target = target[part]
+        target[key] = value
+        location = ".*".join(re.escape(str(part)) for part in path)
+        with pytest.raises(ScenarioError, match=location):
+            parse_scenario(json.dumps(doc))
 
     def test_round_trip_variants(self):
         base = load_bundled_scenario("clarkson3500.json")
@@ -347,6 +381,26 @@ class TestFormats:
             assert grid[label] == pytest.approx(expected, rel=5.1e-4, abs=5e-10)
 
 
+class TestClassifyOnce:
+    """A command that builds one problem computes its congruent diagonal once."""
+
+    @pytest.mark.parametrize(
+        "args", [["solve"], ["oracle", "--step", "50"], ["classify"]], ids=lambda a: a[0]
+    )
+    def test_one_congruence_per_command(self, capsys, monkeypatch, args):
+        calls = []
+        original = shipload.quadratic_analysis.congruence_diagonal
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(shipload.quadratic_analysis, "congruence_diagonal", counting)
+        code, _, _ = run_cli(capsys, args[0], "coastal_feeder.json", *args[1:])
+        assert code == 0
+        assert len(calls) == 1
+
+
 class TestExitCodes:
     def test_input_error_codes(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -354,6 +408,20 @@ class TestExitCodes:
         assert run_cli(capsys, "solve", str(bad))[0] == 1
         assert run_cli(capsys, "solve", "clarkson3500.json", "--order", "sideways")[0] == 1
         assert run_cli(capsys, "solve", "clarkson3500.json", "--starts", "0")[0] == 1
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("perm=1,x", "invalid --order permutation 'perm=1,x'"),
+            ("perm=1,1,2,3", "--order: explicit order (0, 0, 1, 2) is not a permutation of 0..3"),
+            ("perm=2,1", "--order permutation covers 2 positions, but there are 4 cargo types"),
+            ("sideways", "invalid --order value 'sideways': use normal, reverse, or perm=i,j,..."),
+        ],
+    )
+    def test_order_flag_errors(self, capsys, flag, message):
+        assert run_cli(capsys, "solve", "clarkson3500.json", "--order", flag) == (
+            1, "", f"error: {message}\n"
+        )
 
     def test_infeasible_is_three(self, capsys):
         assert run_cli(capsys, "solve", "clarkson3500.json", "--mu", "40")[0] == 3

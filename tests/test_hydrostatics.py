@@ -31,10 +31,6 @@ class TestDraft:
         with pytest.raises(ValueError, match="cargo mass"):
             draft(carrier, Environment(), -1.0)
 
-    def test_max_draft_cap(self, carrier):
-        with pytest.raises(ValueError, match="exceeds the configured limit"):
-            draft(carrier, Environment(), 45000.0, max_draft=10.0)
-
     def test_draft_above_beam_warns(self, carrier):
         with pytest.warns(UserWarning, match="beam"):
             draft(carrier, Environment(), 500000.0)

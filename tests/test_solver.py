@@ -37,7 +37,6 @@ class TestSolverOptions:
         assert options.feasibility_tolerance == 1e-8
         assert options.kkt_tolerance == 1e-6
         assert options.max_iterations == 500
-        assert options.convexity_dispatch is True
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -46,6 +45,8 @@ class TestSolverOptions:
             dict(feasibility_tolerance=0.0),
             dict(kkt_tolerance=-1.0),
             dict(max_iterations=0),
+            dict(feasibility_tolerance=float("inf")),
+            dict(kkt_tolerance=float("inf")),
         ],
     )
     def test_validation(self, kwargs):
@@ -166,13 +167,6 @@ class TestDeterminism:
         b = solve(problem, SolverOptions(rng_seed=12345))
         assert a.revenue == pytest.approx(b.revenue, rel=1e-6)
         assert a.starts_used == 1
-
-    def test_dispatch_off_matches_dispatch_on(self, assemble_case):
-        problem = assemble_case(4.0)
-        on = solve(problem, SolverOptions())
-        off = solve(problem, SolverOptions(convexity_dispatch=False))
-        assert off.revenue == pytest.approx(on.revenue, rel=1e-6)
-        assert off.starts_used == 32
 
 
 class TestKktVerify:
