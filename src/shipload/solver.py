@@ -13,9 +13,9 @@ land on stationary points that are not global optima.  The strategy here:
 
 This module is the one home of the constraint rules: the slacks and their
 scales, the feasibility test (worst relative violation at most the
-tolerance) and the active set (slack at most ten times the tolerance times
-max(1, scale)), which both multiplier recovery and the CLI's binding flags
-read.
+tolerance) and the active set (|slack| at most ten times the tolerance
+times max(1, scale)), which both multiplier recovery and the CLI's binding
+flags read.
 
 The local method is sequential quadratic programming with analytic
 gradients: SciPy's compiled SLSQP kernel (Kraft 1988), driven by a short
@@ -37,15 +37,26 @@ return fails the feasibility filter is logged at DEBUG on the
 active set by nonnegative least squares, since the local method does not
 expose duals; a start whose revenue is already below a verified one
 skips that recovery and the KKT report, because it can no longer be
-returned.  ``scipy.optimize`` is imported on first use, so classification
-and the CLI commands that do not solve never load it.
+returned.
+
+The LP relaxation is solved by enumerating the bases of its
+two-constraint polytope in NumPy.  Nothing here imports the
+``scipy.optimize`` package, whose import costs most of a CLI process: the
+compiled extension that holds both the SLSQP kernel and the Lawson-Hanson
+NNLS routine is loaded straight from SciPy's package directory on first
+use and registered under its own module name, so a later
+``import scipy.optimize`` shares it.
 """
 
 from __future__ import annotations
 
 import enum
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +82,44 @@ _log = logging.getLogger(__name__)
 
 DEFAULT_KKT_TOLERANCE = 1e-6
 DEFAULT_FEASIBILITY_TOLERANCE = 1e-8
+
+_KERNEL_MODULE = "scipy.optimize._slsqplib"
+# Relative slack of solve_lp's revenue and dual tests (see its tie rule).
+_LP_TOLERANCE = 1e-9
+
+
+def _slsqplib():
+    """SciPy's compiled ``slsqp``/``nnls`` extension, without importing ``scipy.optimize``.
+
+    The extension file is found through the ``scipy`` package's import
+    spec, which does not import SciPy, and loaded on its own.  It is
+    registered in ``sys.modules`` under its own name, so a later
+    ``import scipy.optimize`` reuses this module object, and a process
+    that already imported it gets the same object back.  The package
+    imported later has no ``_slsqplib`` attribute, since only an import
+    of the submodule itself would set it; ``import
+    scipy.optimize._slsqplib`` still finds the module.
+    """
+    module = sys.modules.get(_KERNEL_MODULE)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec("scipy")
+    folders = spec.submodule_search_locations if spec is not None else None
+    for folder in folders or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "optimize", "_slsqplib" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(_KERNEL_MODULE, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(_KERNEL_MODULE, path, loader=loader)
+                )
+                sys.modules[_KERNEL_MODULE] = module
+                loader.exec_module(module)
+                return module
+    raise ImportError(
+        f"{_KERNEL_MODULE} not found: shipload needs SciPy >= 1.16, whose compiled "
+        "SLSQP and NNLS routines it calls"
+    )
 
 
 class SolverStatus(enum.Enum):
@@ -189,18 +238,19 @@ def active_set(
 ) -> tuple[bool, bool, bool, np.ndarray]:
     """Which constraints bind at ``x``: deadweight, volume, stability, and the mask x_i ~ 0.
 
-    A constraint binds when its slack is at most ten times ``tolerance``
-    times max(1, its scale); a violated constraint binds too.  Multiplier
+    A constraint binds when its slack, or a load, is within ten times
+    ``tolerance`` times max(1, its scale) of zero on either side; a
+    constraint violated by more than that does not bind.  Multiplier
     recovery takes its columns from these flags, and reports show them.
     """
     threshold = 10.0 * tolerance
     mass_scale = max(1.0, problem.deadweight_cap)
     dw, vol, stab = _slacks(problem, x)
     return (
-        dw <= threshold * mass_scale,
-        vol <= threshold * max(1.0, problem.volume_cap),
-        stab <= threshold * max(1.0, abs(problem.rhs)),
-        x <= threshold * mass_scale,
+        abs(dw) <= threshold * mass_scale,
+        abs(vol) <= threshold * max(1.0, problem.volume_cap),
+        abs(stab) <= threshold * max(1.0, abs(problem.rhs)),
+        np.abs(x) <= threshold * mass_scale,
     )
 
 
@@ -260,9 +310,7 @@ class _ScaledProblem:
     """
 
     def __init__(self, problem: Problem, max_iterations: int) -> None:
-        from scipy.optimize._slsqplib import slsqp
-
-        self.kernel = slsqp
+        self.kernel = _slsqplib().slsqp
         self.max_iterations = max_iterations
         n = problem.n
         cap = problem.deadweight_cap
@@ -352,10 +400,10 @@ def _recover_multipliers(
     Stationarity at a KKT point reads p = lam_C*1 + lam_V*(1/d) +
     lam_S*grad_g(x) - nu with every multiplier nonnegative and inactive
     ones zero.  Collecting the active constraint gradients as columns turns
-    that into a nonnegative least-squares fit for the objective vector.
+    that into a nonnegative least-squares fit for the objective vector,
+    solved by the compiled routine behind ``scipy.optimize.nnls`` with that
+    function's input checks and its default of 3 * columns iterations.
     """
-    from scipy.optimize import nnls
-
     n = problem.n
     *binding, at_zero = active_set(problem, x, feasibility_tolerance)
     gradients = (np.ones(n), problem.volume_coeffs, stability_gradient(problem, x))
@@ -367,8 +415,14 @@ def _recover_multipliers(
     lam = [0.0, 0.0, 0.0]
     nu = np.zeros(n)
     if active or zero.size:
-        columns = np.column_stack([*(gradients[k] for k in active), units])
-        coef, _ = nnls(columns, problem.objective)
+        columns = np.asarray_chkfinite(
+            np.column_stack([*(gradients[k] for k in active), units]),
+            dtype=np.float64, order="C",
+        )
+        rates = np.asarray_chkfinite(problem.objective, dtype=np.float64)
+        coef, _, info = _slsqplib().nnls(columns, rates, 3 * columns.shape[1])
+        if info == 3:
+            raise RuntimeError("Maximum number of iterations reached.")
         for k, value in zip(active, coef):
             lam[k] = float(value)
         nu[zero] = coef[len(active):]
@@ -420,30 +474,68 @@ def _kkt_report(
 def solve_lp(problem: Problem) -> Solution:
     """Globally solve the relaxation without the stability constraint.
 
-    The optimum sits at a vertex of the two-constraint polytope, so at
-    most two loads are nonzero.  Multipliers come from the LP duals; the
-    returned KKT report evaluates the full problem, flagging whether the
-    vertex also respects the stability margin.
-    """
-    from scipy.optimize import linprog
+    The relaxation, max p.x subject to sum(x) <= C, v.x <= V and x >= 0
+    with v_k = 1/d_k, has two constraints, so each basis holds at most two
+    loads.  Every basis is enumerated, in this order: the empty vessel;
+    each cargo alone at the deadweight cap, x_i = C; each cargo alone at
+    the volume cap, x_i = V*d_i; each pair i < j with both caps binding.
+    A basis is optimal when its loads and its duals are both feasible.
+    Its duals (lam_C, lam_V) are (0, 0) for the empty vessel, (p_i, 0) or
+    (0, p_i*d_i) for a single cargo, and lam_V = (p_j - p_i)/(v_j - v_i),
+    lam_C = p_i - lam_V*v_i for a pair; they are feasible when lam_C,
+    lam_V >= 0 and nu_k = lam_C + lam_V*v_k - p_k >= 0 for every k.  The
+    multipliers are those duals, and the KKT report evaluates the full
+    problem, flagging whether the vertex also respects the stability
+    margin.
 
+    Tie rule: among the feasible bases whose revenue is within 1e-9
+    relative of the best, the first in the order above whose duals are
+    feasible to 1e-9 of the largest rate wins.  Ties come from equal
+    revenues (the lower-indexed vertex wins), from C*v_i = V (one load at
+    both caps, where the deadweight basis is tried first) and from all-zero
+    rates (the empty vessel wins).  The work is O(n^2), plus O(n) per tied
+    basis.
+    """
+    p = problem.objective
+    v = problem.volume_coeffs
+    cap, room = problem.deadweight_cap, problem.volume_cap
     n = problem.n
-    result = linprog(
-        -problem.objective,
-        A_ub=np.vstack([np.ones(n), problem.volume_coeffs]),
-        b_ub=[problem.deadweight_cap, problem.volume_cap],
-        bounds=[(0.0, None)] * n,
-        method="highs",
+    cargo = np.arange(n)
+    nothing = np.zeros(n)
+    i, j = np.triu_indices(n, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Equal densities give infinite or NaN loads, which fail the checks below.
+        pair_lam_v = (p[j] - p[i]) / (v[j] - v[i])
+        pair_i = (room - v[j] * cap) / (v[i] - v[j])
+        pair_j = (v[i] * cap - room) / (v[i] - v[j])
+    first = np.concatenate([[0], cargo, cargo, i])
+    second = np.concatenate([[0], cargo, cargo, j])
+    load_first = np.concatenate([[0.0], np.full(n, cap), room * problem.densities, pair_i])
+    load_second = np.concatenate([[0.0], nothing, nothing, pair_j])
+    lam_c = np.concatenate([[0.0], p, nothing, p[i] - pair_lam_v * v[i]])
+    lam_v = np.concatenate([[0.0], nothing, p * problem.densities, pair_lam_v])
+    # A single cargo must fit the other cap; a pair binds both by construction.
+    feasible = np.concatenate(
+        [[True], v * cap <= room, room * problem.densities <= cap, (pair_i >= 0) & (pair_j >= 0)]
     )
-    if not result.success:
-        raise RuntimeError(f"LP solve failed: {result.message}")
-    x = np.maximum(result.x, 0.0)
-    multipliers = (
-        float(max(-result.ineqlin.marginals[0], 0.0)),
-        float(max(-result.ineqlin.marginals[1], 0.0)),
-        0.0,
-        np.maximum(np.asarray(result.lower.marginals, dtype=float), 0.0),
-    )
+    with np.errstate(invalid="ignore"):  # a zero rate times an infinite load
+        revenue = np.where(feasible, p[first] * load_first + p[second] * load_second, -np.inf)
+
+    tol = _LP_TOLERANCE
+    best = revenue.max()  # the empty vessel is always feasible, so best >= 0
+    tied = np.flatnonzero(revenue >= best * (1.0 - tol))
+    nu = lam_c[tied, None] + lam_v[tied, None] * v - p
+    violation = -np.minimum(nu.min(axis=1), np.minimum(lam_c[tied], lam_v[tied]))
+    # The first tied basis within tolerance, or else the least violating one.
+    b = tied[np.argmin(np.maximum(violation, tol * p.max()))]
+
+    x = np.zeros(n)
+    x[second[b]] = load_second[b]  # 0, and the same index as first, for a single cargo
+    x[first[b]] = load_first[b]
+    x = np.maximum(x, 0.0)
+    lam_dw = max(float(lam_c[b]), 0.0)
+    lam_vol = max(float(lam_v[b]), 0.0)
+    multipliers = (lam_dw, lam_vol, 0.0, np.maximum(lam_dw + lam_vol * v - p, 0.0))
     report = _kkt_report(problem, x, *multipliers, DEFAULT_KKT_TOLERANCE)
     return _solution(problem, x, multipliers, report, SolverStatus.OPTIMAL, 1, 0)
 

@@ -1,8 +1,12 @@
 """Shared fixtures: the 3500 TEU case-study vessel and its cargo market."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import shipload
 from shipload import (
     CargoType,
     Environment,
@@ -88,3 +92,10 @@ def draw_nonneg_loading(problem, rng):
     """A random nonnegative loading within the deadweight cap."""
     weights = rng.dirichlet(np.full(problem.n, 0.6))
     return weights * problem.deadweight_cap * rng.uniform()
+
+
+def package_env():
+    """Environment for a fresh interpreter that imports the package under test."""
+    package_parent = str(Path(shipload.__file__).resolve().parent.parent)
+    pythonpath = filter(None, [package_parent, os.environ.get("PYTHONPATH")])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}

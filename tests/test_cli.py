@@ -2,7 +2,6 @@
 
 import json
 import logging
-import os
 import re
 import shutil
 import subprocess
@@ -23,6 +22,8 @@ from shipload.cli import (
     parse_scenario,
     scenario_to_json,
 )
+
+from conftest import package_env
 
 
 def run_cli(capsys, *args):
@@ -435,13 +436,6 @@ class TestExitCodes:
         assert run_cli(capsys, "classify", "clarkson3500.json")[0] == 0
 
 
-def package_env():
-    """Environment for a fresh interpreter that imports the package under test."""
-    package_parent = str(Path(shipload.__file__).resolve().parent.parent)
-    pythonpath = filter(None, [package_parent, os.environ.get("PYTHONPATH")])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
-
-
 class TestProgressLogging:
     """Progress notes are INFO records of the shipload loggers, shown on stderr by main."""
 
@@ -510,21 +504,58 @@ class TestConsoleScript:
 
 
 class TestLazyScipyImport:
-    """Commands that never solve do not pay for importing scipy.optimize."""
+    """No command and no library call imports the scipy.optimize package."""
 
-    def test_classify_leaves_scipy_optimize_unloaded(self):
-        code = (
-            "import sys, shipload, shipload.cli\n"
-            "shipload.classify_constraint_matrix([0.8, 0.6, 0.5], 1.0)\n"
-            "assert shipload.cli.main(['classify', 'clarkson3500.json']) == 0\n"
-            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
-        )
+    UNLOADED = "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+
+    @classmethod
+    def run(cls, code):
         result = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-c", "import sys\n" + code + cls.UNLOADED],
             capture_output=True,
             text=True,
             timeout=120,
             env=package_env(),
         )
         assert result.returncode == 0, result.stderr
+        return result
+
+    def test_classify_leaves_scipy_optimize_unloaded(self):
+        result = self.run(
+            "import shipload, shipload.cli\n"
+            "shipload.classify_constraint_matrix([0.8, 0.6, 0.5], 1.0)\n"
+            "assert shipload.cli.main(['classify', 'clarkson3500.json']) == 0\n"
+        )
         assert "PositiveSemidefinite" in result.stdout
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["lp", "clarkson3500.json", "--mu", "4"], 0),
+            (["solve", "clarkson3500.json", "--mu", "4"], 0),
+            (["solve", "clarkson3500.json", "--mu", "4", "--order", "reverse"], 2),
+            (["oracle", "coastal_feeder.json", "--step", "50"], 0),
+            (["sensitivity", "clarkson3500.json", "--order", "reverse"], 2),
+        ],
+        ids=["lp", "solve-normal", "solve-reverse", "oracle", "sensitivity-reverse"],
+    )
+    def test_command_leaves_scipy_optimize_unloaded(self, argv, code):
+        result = self.run(
+            "import shipload.cli\n"
+            f"assert shipload.cli.main({argv!r} + ['--format', 'json']) == {code}\n"
+        )
+        assert json.loads(result.stdout)["command"] == argv[0]
+
+    def test_library_solve_and_raw_vector_kkt(self):
+        self.run(
+            "import numpy as np\n"
+            "from shipload import *\n"
+            "problem = assemble_problem(\n"
+            "    Vessel(200.0, 25.0, 45000.0, 120000.0, 15000.0, 2.0), Environment(),\n"
+            "    StabilityPolicy(4.0), (CargoType('type1', 0.8, 4.5), CargoType('type4', 0.45, 5.5)),\n"
+            "    LoadingOrder.reverse(), True,\n"
+            ")\n"
+            "solution = solve(problem)\n"
+            "assert solution.status is SolverStatus.LOCAL_ONLY\n"
+            "assert kkt_verify(problem, np.array(solution.x)).satisfied\n"
+        )

@@ -1,6 +1,8 @@
 """LP baseline, multistart quadratically constrained solves, and KKT checks."""
 
 import logging
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from shipload import solver
 from shipload.cli import load_bundled_scenario
 from shipload.solver import stability_gradient
 
-from conftest import draw_random_problem
+from conftest import draw_random_problem, package_env
 
 
 class TestSolverOptions:
@@ -98,6 +100,152 @@ class TestSolveLp:
         )
         solution = solve_lp(problem)
         assert solution.x[0] == pytest.approx(10000.0, rel=1e-9)
+
+
+def _linprog_reference(problem):
+    """The relaxation through HiGHS: loads, deadweight and volume duals, reduced costs."""
+    from scipy.optimize import linprog
+
+    result = linprog(
+        -problem.objective,
+        A_ub=np.vstack([np.ones(problem.n), problem.volume_coeffs]),
+        b_ub=[problem.deadweight_cap, problem.volume_cap],
+        bounds=[(0.0, None)] * problem.n,
+        method="highs",
+    )
+    assert result.success, result.message
+    lam_dw, lam_vol = np.maximum(-result.ineqlin.marginals, 0.0)
+    return np.maximum(result.x, 0.0), lam_dw, lam_vol, np.maximum(result.lower.marginals, 0.0)
+
+
+def _unique_optimum(problem, x, lam_dw, lam_vol, nu, tol=1e-7):
+    """Whether loads and duals are both unique: a nondegenerate, strictly complementary vertex."""
+    cap, room = problem.deadweight_cap, problem.volume_cap
+    rate = max(1.0, float(problem.objective.max()))
+    slack_dw = cap - x.sum()
+    slack_vol = room - problem.volume_coeffs @ x
+    positive = (x > tol * cap).sum() + (slack_dw > tol * cap) + (slack_vol > tol * room)
+    strict = (
+        (x > tol * cap) | (nu > tol * rate)
+    ).all() and (slack_dw > tol * cap or lam_dw > tol * rate) and (
+        slack_vol > tol * room or lam_vol > tol * rate
+    )
+    return positive == 2 and strict
+
+
+def _assert_lp_certificate(problem, solution):
+    """Feasible loads and feasible duals whose objective equals the revenue: an LP optimum."""
+    p, v = problem.objective, problem.volume_coeffs
+    cap, room = problem.deadweight_cap, problem.volume_cap
+    x = solution.x
+    lam_dw, lam_vol = solution.multiplier_deadweight, solution.multiplier_volume
+    nu = solution.multipliers_nonneg
+    assert x.min() >= 0.0
+    assert x.sum() <= cap * (1 + 1e-9) and v @ x <= room * (1 + 1e-9)
+    assert min(lam_dw, lam_vol, nu.min()) >= 0.0
+    assert solution.multiplier_stability == 0.0
+    np.testing.assert_allclose(lam_dw + lam_vol * v - nu, p, rtol=0, atol=1e-9 * max(1.0, p.max()))
+    assert cap * lam_dw + room * lam_vol == pytest.approx(solution.revenue, rel=1e-9, abs=1e-9)
+
+
+def _lp_problem(cargoes, deadweight=45000.0, volume=120000.0, ballast=False):
+    vessel = Vessel(200.0, 25.0, deadweight, volume, 15000.0, 2.0)
+    return assemble_problem(
+        vessel, Environment(), StabilityPolicy(0.0), cargoes, LoadingOrder.normal(), ballast
+    )
+
+
+class TestLpAgainstHighs:
+    """Vertex enumeration against SciPy's HiGHS LP solver."""
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(8)
+        unique = 0
+        for _ in range(300):
+            problem = draw_random_problem(rng)
+            solution = solve_lp(problem)
+            x, lam_dw, lam_vol, nu = _linprog_reference(problem)
+            reference = float(problem.objective @ x)
+            assert solution.revenue == pytest.approx(reference, rel=1e-9, abs=1e-9)
+            _assert_lp_certificate(problem, solution)
+            if _unique_optimum(problem, x, lam_dw, lam_vol, nu):
+                unique += 1
+                rate = max(1.0, float(problem.objective.max()))
+                np.testing.assert_allclose(
+                    solution.x, x, rtol=0, atol=1e-9 * problem.deadweight_cap
+                )
+                assert solution.multiplier_deadweight == pytest.approx(lam_dw, abs=1e-9 * rate)
+                assert solution.multiplier_volume == pytest.approx(lam_vol, abs=1e-9 * rate)
+                np.testing.assert_allclose(
+                    solution.multipliers_nonneg, nu, rtol=0, atol=1e-9 * rate
+                )
+        assert unique >= 250
+
+    @pytest.mark.parametrize(
+        "cargoes, volume, ballast, loads, duals",
+        [
+            pytest.param(
+                (CargoType("a", 0.6, 5.0), CargoType("b", 0.6, 5.0)),
+                120000.0, False, {"a": 45000.0, "b": 0.0}, (5.0, 0.0),
+                id="equal-densities-equal-rates",
+            ),
+            pytest.param(
+                (CargoType("a", 0.6, 4.0), CargoType("b", 0.6, 5.0)),
+                60000.0, False, {"a": 0.0, "b": 36000.0}, (0.0, 3.0),
+                id="equal-densities-volume-bound",
+            ),
+            pytest.param(
+                (CargoType("a", 0.8, 0.0), CargoType("b", 0.5, 0.0)),
+                120000.0, True, {"a": 0.0, "b": 0.0, "ballast": 0.0}, (0.0, 0.0),
+                id="zero-rates",
+            ),
+            pytest.param(
+                (CargoType("one", 0.5, 2.0),), 120000.0, False, {"one": 45000.0}, (2.0, 0.0),
+                id="n1-deadweight-bound",
+            ),
+            pytest.param(
+                (CargoType("one", 0.5, 2.0),), 20000.0, False, {"one": 10000.0}, (0.0, 1.0),
+                id="n1-volume-bound",
+            ),
+            pytest.param(
+                # HiGHS returns the duals of the pair (a, b), (45/14, 36/35),
+                # equally optimal; the tie rule tries the deadweight basis first.
+                (CargoType("a", 0.8, 4.5), CargoType("b", 0.45, 5.5)),
+                100000.0, False, {"a": 0.0, "b": 45000.0}, (5.5, 0.0),
+                id="both-caps-at-one-load",
+            ),
+            pytest.param(
+                (CargoType("one", 0.5, 2.0),), 90000.0, False, {"one": 45000.0}, (2.0, 0.0),
+                id="n1-both-caps",
+            ),
+            pytest.param(
+                # Both caps bind at b = 45 000 t, but a pays more per tonne,
+                # so only the volume price is a feasible dual there.
+                (CargoType("a", 0.4, 6.0), CargoType("b", 0.5, 5.0)),
+                90000.0, False, {"a": 0.0, "b": 45000.0}, (0.0, 2.5),
+                id="both-caps-volume-dual",
+            ),
+            pytest.param(
+                # Cargo "w" has the density of water, like the zero-rate ballast.
+                (CargoType("w", 1.0, 3.0), CargoType("b", 0.45, 5.5)),
+                80000.0, True, {"w": 180000 / 11, "ballast": 0.0, "b": 315000 / 11},
+                (21 / 22, 45 / 22),
+                id="ballast-at-water-density",
+            ),
+        ],
+    )
+    def test_degenerate_cases(self, cargoes, volume, ballast, loads, duals):
+        problem = _lp_problem(cargoes, volume=volume, ballast=ballast)
+        solution = solve_lp(problem)
+        x, *_ = _linprog_reference(problem)
+        assert solution.revenue == pytest.approx(
+            float(problem.objective @ x), rel=1e-9, abs=1e-9
+        )
+        _assert_lp_certificate(problem, solution)
+        assert dict(zip(problem.labels, solution.x)) == pytest.approx(loads, rel=1e-12)
+        assert (solution.multiplier_deadweight, solution.multiplier_volume) == pytest.approx(
+            duals, rel=1e-12, abs=1e-12
+        )
 
 
 class TestSolveCaseStudy:
@@ -541,3 +689,80 @@ class TestRateUnits:
         assert scaled.status is base.status
         assert np.abs(scaled.x - base.x).max() <= 1e-7 * np.abs(base.x).max()
         assert scaled.revenue == pytest.approx(1e3 * base.revenue, rel=1e-9)
+
+
+class TestKernelLoader:
+    """SciPy's compiled SLSQP/NNLS extension, loaded without ``scipy.optimize``."""
+
+    def test_nnls_matches_public_wrapper(self, assemble_case, monkeypatch):
+        from scipy.optimize import nnls
+
+        kernel = solver._slsqplib()
+        systems = []
+
+        class Recording:
+            slsqp = kernel.slsqp
+
+            @staticmethod
+            def nnls(columns, rates, iterations):
+                systems.append((columns.copy(), rates.copy(), iterations))
+                return kernel.nnls(columns, rates, iterations)
+
+        monkeypatch.setattr(solver, "_slsqplib", lambda: Recording)
+        for order in (LoadingOrder.normal(), LoadingOrder.reverse()):
+            for mu in (4.0, 6.0):
+                problem = assemble_case(mu, order=order)
+                kkt_verify(problem, np.array(solve(problem).x))
+        assert len(systems) >= 8  # each row: its solve and the kkt_verify of its loads
+        for columns, rates, iterations in systems:
+            assert iterations == 3 * columns.shape[1]
+            coef, rnorm, info = kernel.nnls(columns, rates, iterations)
+            public_coef, public_rnorm = nnls(columns, rates)
+            assert info != 3
+            assert np.array_equal(coef, public_coef)
+            assert rnorm == public_rnorm
+
+    def test_scipy_optimize_reuses_the_loaded_kernel(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from shipload import solver\n"
+            "kernel = solver._slsqplib()\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "import scipy.optimize\n"
+            "import scipy.optimize._slsqplib as imported\n"
+            "assert imported is kernel\n"
+            "result = scipy.optimize.minimize(\n"
+            "    lambda z: (z[0] - 1.0) ** 2 + (z[1] - 2.0) ** 2, [0.0, 0.0], method='SLSQP',\n"
+            "    constraints={'type': 'ineq', 'fun': lambda z: 1.0 - z[0] - z[1]},\n"
+            ")\n"
+            "assert result.success, result.message\n"
+            "assert np.allclose(result.x, [0.0, 1.0], atol=1e-6), result.x\n"
+            "assert solver._slsqplib() is kernel\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=package_env(),
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_missing_extension_names_the_scipy_floor(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.optimize._slsqplib", raising=False)
+        monkeypatch.setattr(solver.importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match=r"SciPy >= 1\.16"):
+            solver._slsqplib()
+
+    def test_raises_when_nnls_runs_out_of_iterations(self, assemble_case, monkeypatch):
+        class Exhausted:
+            @staticmethod
+            def nnls(columns, rates, iterations):
+                return np.zeros(columns.shape[1]), 0.0, 3
+
+        problem = assemble_case(4.0)
+        x = np.array(solve(problem).x)
+        monkeypatch.setattr(solver, "_slsqplib", lambda: Exhausted)
+        with pytest.raises(RuntimeError, match="Maximum number of iterations"):
+            kkt_verify(problem, x)
