@@ -13,6 +13,20 @@ The search enumerates the first n - 1 coordinates as NumPy arrays of
 lattice prefixes and solves the last coordinate in closed form for every
 prefix, so its cost is O(L^(n-1)) evaluations for L levels per coordinate.
 Each closed-form level is re-checked with the exact lattice predicate.
+
+Certification only asks whether some lattice point earns more than the
+plan, so :func:`certify` runs the search as branch and bound (Land and
+Doig, 1960) with the plan's revenue as the threshold ``above``.  A row of
+fixed leading coordinates is skipped with its whole subtree when its
+revenue so far plus an upper bound on what the remaining cargoes can add
+is at most the incumbent, the larger of the threshold and the best point
+found.  The bound is the two-constraint LP over the remaining cargoes,
+read off precomputed dual vertices, with the deadweight room tightened by
+a lower bound on the stability quadratic that the stacking structure
+gives.  Every quantity in it is widened by a relative margin, so it
+dominates each lattice point the float predicate accepts and the bounded
+search returns exactly what the exhaustive one does whenever that beats
+the threshold.
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import Problem, revenue
-from .solver import Solution
+from .solver import Solution, _slacks, _violation
 
 __all__ = ["LatticeSpec", "lattice_levels", "grid_search", "certifies", "certify"]
 
@@ -127,14 +141,129 @@ def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return parent, level
 
 
-def grid_search(problem: Problem, spec: LatticeSpec) -> tuple[np.ndarray | None, float, int]:
-    """Best feasible point of the step-lattice, by exhaustive enumeration.
+# Relative widening of every quantity the branch-and-bound bound is built
+# from, far above the rounding of the float lattice predicate (a few ulp)
+# and of the stability root (about sqrt(ulp) at a double root).
+_MARGIN = 1e-6
+
+
+def _dual_vertices(p: np.ndarray, vol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices (lambda_C, lambda_V) of the dual of the suffix LP.
+
+    The LP is max p.x subject to sum(x) <= R_m, vol.x <= R_v, x >= 0; its
+    dual region is lambda_C >= h(lambda_V) = max(0, max_k p_k - vol_k *
+    lambda_V) with lambda_V >= 0.  The envelope h is walked from lambda_V =
+    0 to the right: each vertex hands the envelope to a strictly flatter
+    line or to zero, so there are at most one vertex per paying cargo plus
+    one.  Cargoes without a rate add no dual constraint and are skipped;
+    so is the zero volume coefficient of the cargo that pads n = 1.
+    Each lambda_C is re-evaluated as h(lambda_V) and widened by the margin,
+    so every returned pair is dual feasible whatever the rounding.
+    """
+    paying = p > 0.0
+    p, vol = p[paying], vol[paying]
+    if not p.size:
+        return np.zeros(1), np.zeros(1)
+    lam = [0.0]
+    top = p.max()
+    ties = np.flatnonzero(p == top)
+    line = int(ties[np.argmin(vol[ties])])
+    while True:
+        flatter = np.flatnonzero(vol < vol[line])
+        zero = p[line] / vol[line]
+        if flatter.size:
+            meet = (p[line] - p[flatter]) / (vol[line] - vol[flatter])
+            first = np.lexsort((vol[flatter], meet))[0]
+            if meet[first] < zero:
+                lam.append(max(float(meet[first]), 0.0))
+                line = int(flatter[first])
+                continue
+        lam.append(zero)
+        break
+    lam_v = np.array(lam)
+    envelope = np.maximum((p[:, None] - vol[:, None] * lam_v).max(axis=0), 0.0)
+    lam_c = envelope + _MARGIN * (top + vol.max() * lam_v)
+    return lam_c, lam_v
+
+
+def _revenue_bound(problem: Problem, p: np.ndarray, vol: np.ndarray, a: np.ndarray):
+    """Revenue bound on every completion of a row whose coordinates below j are fixed.
+
+    ``p``, ``vol`` and ``a`` are the search's rates, volume coefficients and
+    matrix, padded for n = 1.  The returned ``bound(j, mass, volume, quad,
+    w, gain)`` takes a row's running sums, with ``w`` = sum_{i<j} A_ij x_i,
+    and gives gain + UB, or -inf when no completion can be stable.
+
+    UB is the value of the two-constraint LP over the cargoes j..m-1 with
+    mass room R_m and volume room R_v = V - volume, taken as the least of
+    lambda_C * R_m + lambda_V * R_v over the dual vertices of
+    :func:`_dual_vertices`, which are computed once per depth.
+
+    R_m is tightened by stability.  The matrix is c_min(i,k) in stack order,
+    as ``assemble_problem`` builds it, so with the suffix masses S_k =
+    x_k + ... + x_{m-1} <= T = S_j its suffix block is sum_k D_k S_k^2 with
+    D_j = A_jj and D_k = A_kk - A_{k-1,k-1}, which is at least alpha_j * T^2
+    with alpha_j = A_jj + sum_{k>j} min(D_k, 0).  The cross term with the
+    prefix is 2 w T, the same for every k >= j.  A stable completion of
+    suffix mass T therefore keeps s(Q + 2wT + alpha_j T^2) + b(mass + T) <=
+    r, and R_m is the largest such T in [0, C - mass]: C - mass when the
+    quadratic holds there, else its up-crossing root in the non-cancelling
+    form the last coordinate uses, and no T (the row is dropped) when that
+    root lies outside.
+
+    Margins: the rooms are widened by _MARGIN times the caps, the stability
+    right side by _MARGIN times |r| + s max|A| C^2 + |b| C, the root by
+    _MARGIN times its size plus C, each lambda_C by _MARGIN times the
+    largest rate plus max(vol) lambda_V, and the bound by the relative
+    _MARGIN.  These dominate the rounding of the float predicate and of
+    the root, so every lattice point the search would accept lies under
+    the bound.
+    """
+    cap, vol_cap = problem.deadweight_cap, problem.volume_cap
+    s, b, r = problem.quad_scale, problem.linear_coeff, problem.rhs
+    duals = [_dual_vertices(p[j:], vol[j:]) for j in range(p.size)]
+    diag = np.diag(a)
+    drops = np.minimum(np.diff(diag), 0.0)
+    alpha = diag + np.r_[np.cumsum(drops[::-1])[::-1], 0.0]
+    relax = _MARGIN * (abs(r) + s * np.abs(a).max() * cap * cap + abs(b) * cap)
+
+    def bound(j, mass, volume, quad, w, gain):
+        room = np.maximum(cap - mass, 0.0) + _MARGIN * cap
+        vol_room = np.maximum(vol_cap - volume, 0.0) + _MARGIN * vol_cap
+        sa = s * alpha[j]
+        beta = 2.0 * s * w + b
+        gamma = s * quad + b * mass - r - relax
+        short = (sa * room + beta) * room + gamma > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root_d = np.sqrt(beta * beta - 4.0 * sa * gamma)
+            crossing = np.where(
+                beta >= 0.0, 2.0 * gamma / (-beta - root_d), (root_d - beta) / (2.0 * sa)
+            )
+        # Infinite crossings become finite ones outside [0, C].
+        crossing = np.clip(crossing, -2.0 * cap, 2.0 * cap)
+        widen = _MARGIN * (np.abs(crossing) + cap)
+        # No real root: the quadratic is positive everywhere when it opens
+        # upward and never positive when it opens downward.
+        outside = (crossing + widen < 0.0) | (crossing - widen > room)
+        lost = short & (outside | (np.isnan(crossing) & (sa > 0)))
+        room = np.where(short, np.fmin(room, crossing + widen), room)
+        lam_c, lam_v = duals[j]
+        lp = (room[:, None] * lam_c + vol_room[:, None] * lam_v).min(axis=1)
+        return np.where(lost, -math.inf, (gain + lp) * (1.0 + _MARGIN))
+
+    return bound
+
+
+def grid_search(
+    problem: Problem, spec: LatticeSpec, *, above: float = -math.inf
+) -> tuple[np.ndarray | None, float, int]:
+    """Best feasible point of the step-lattice, when it earns more than ``above``.
 
     Returns ``(best_x, best_revenue, points_evaluated)``.  The search is
     lexicographic over coordinates and keeps the first point found among
     revenue ties, so the result is deterministic.  ``points_evaluated``
     counts the mass-feasible lattice points covered; subtrees removed by
-    monotone pruning are skipped without being counted.
+    pruning are skipped without being counted.
 
     The first n - 1 coordinates are enumerated as arrays of prefixes, grown
     one coordinate at a time and cut to at most a fixed number of rows per
@@ -156,10 +285,27 @@ def grid_search(problem: Problem, spec: LatticeSpec) -> tuple[np.ndarray | None,
     entry and the linear coefficient are nonnegative, which makes the
     constraint's left side monotone in every coordinate.
 
+    With the default ``above = -inf`` the search is exhaustive.  A finite
+    ``above`` turns it into branch and bound (Land and Doig, 1960) for the
+    question "does any lattice point earn more than ``above``?".  The
+    incumbent is the larger of ``above`` and the best revenue found so far,
+    and a row whose revenue bound is at most the incumbent is dropped with
+    its whole subtree: after each growth of the prefixes, before the
+    second-to-last coordinate u is expanded, and for each (prefix, u) row
+    before its last coordinate is solved.  No dropped subtree holds a point
+    that would change the answer, so the result is the exhaustive search's
+    first best point and its revenue when that earns more than ``above``,
+    and ``(None, -inf, points_evaluated)`` otherwise; only the count
+    shrinks.  :func:`_revenue_bound` states the bound.
+
     If no lattice point is feasible (possible when the empty vessel fails
     the stability margin) the best point is ``None`` with revenue -inf.
-    Raises ``ValueError`` when the lattice would exceed ``max_points``.
+    Raises ``ValueError`` when the lattice would exceed ``max_points`` or
+    ``above`` is NaN.
     """
+    above = float(above)
+    if math.isnan(above):
+        raise ValueError("above must be a number or -inf, got NaN")
     n = problem.n
     cap = problem.deadweight_cap
     levels = lattice_levels(problem, spec)
@@ -184,6 +330,9 @@ def grid_search(problem: Problem, spec: LatticeSpec) -> tuple[np.ndarray | None,
     m = p.size
     iu, iv = m - 2, m - 1
     auu, auv, avv = a[iu, iu], a[iu, iv], a[iv, iv]
+    bound = _revenue_bound(problem, p, vol, a) if above > -math.inf else None
+    # The incumbent: a point is only kept when it earns more than this.
+    best_revenue = above
 
     def grow(rows: _Prefixes, parent: np.ndarray, level: np.ndarray, j: int) -> _Prefixes:
         # Children of the listed rows at coordinate j, minus the pruned ones.
@@ -206,6 +355,12 @@ def grid_search(problem: Problem, spec: LatticeSpec) -> tuple[np.ndarray | None,
 
     def prefixes(rows: _Prefixes, j: int):
         # Depth-first over chunks keeps the yield order lexicographic.
+        if bound is not None:
+            ub = bound(j, rows.mass, rows.volume, rows.quad, rows.y[:, 0], rows.gain)
+            keep = ub > best_revenue
+            rows = rows._make(field[keep] for field in rows)
+            if not rows.mass.size:
+                return
         if j == iu:
             yield rows
             return
@@ -222,6 +377,17 @@ def grid_search(problem: Problem, spec: LatticeSpec) -> tuple[np.ndarray | None,
         # Covered points of one chunk of (prefix, u) rows, and its first best
         # point when that earns more than floor.
         u = values[u_level]
+        if bound is not None:
+            y = rows.y[parent]
+            keep = bound(
+                iv,
+                rows.mass[parent] + u,
+                rows.volume[parent] + vol[iu] * u,
+                rows.quad[parent] + 2.0 * u * y[:, 0] + auu * u * u,
+                y[:, 1] + auv * u,
+                rows.gain[parent] + p[iu] * u,
+            ) > floor
+            parent, u_level, u = parent[keep], u_level[keep], u[keep]
         c = room[parent]
         v_mass = _settle(
             _guess(c - u, step, levels), levels, lambda i, k: u[i] + values[k] <= c[i]
@@ -283,7 +449,6 @@ def grid_search(problem: Problem, spec: LatticeSpec) -> tuple[np.ndarray | None,
         point = values[np.r_[rows.levels[parent[row]], u_level[row], v_level]]
         return covered, float(row_gains[v_level]), point[-n:]
 
-    best_revenue = -math.inf
     best_x: np.ndarray | None = None
     examined = 0
     root = _Prefixes(
@@ -305,6 +470,8 @@ def grid_search(problem: Problem, spec: LatticeSpec) -> tuple[np.ndarray | None,
             examined += covered
             if value > best_revenue:
                 best_revenue, best_x = value, point
+    if best_x is None:
+        return None, -math.inf, examined
     return best_x, best_revenue, examined
 
 
@@ -326,16 +493,21 @@ def certify(
     spec: LatticeSpec,
     tolerance: float = 1e-6,
 ) -> bool:
-    """True when no lattice point earns more than the solution.
+    """True when the plan is feasible and no lattice point earns more than it.
 
-    ``solution`` may be a :class:`Solution` or a raw loading vector.  The
-    comparison allows a relative slack of ``tolerance`` on the lattice
-    best.  Used to upgrade a LocalOnly verdict to optimal-within-resolution
-    in reports; a vacuously empty lattice certifies trivially.
+    ``solution`` may be a :class:`Solution` or a raw loading vector.  A plan
+    whose worst relative constraint violation exceeds ``tolerance`` is
+    never certified.  Otherwise the verdict is :func:`certifies` on the
+    plan's revenue and the lattice best, with a relative slack of
+    ``tolerance``; a vacuously empty lattice certifies trivially.  The
+    search asks only whether a point beats the plan, so it runs
+    ``grid_search(problem, spec, above=value)`` and skips every subtree
+    that cannot; the verdict is the one the exhaustive search gives.  Used
+    to upgrade a LocalOnly verdict to optimal-within-resolution in reports.
     """
-    if isinstance(solution, Solution):
-        value = solution.revenue
-    else:
-        value = revenue(problem, solution)
-    _, best_revenue, _ = grid_search(problem, spec)
+    x = problem.check_vector(solution.x if isinstance(solution, Solution) else solution)
+    if not _violation(problem, x, _slacks(problem, x)) <= tolerance:
+        return False
+    value = solution.revenue if isinstance(solution, Solution) else revenue(problem, x)
+    _, best_revenue, _ = grid_search(problem, spec, above=value)
     return certifies(value, best_revenue, tolerance)

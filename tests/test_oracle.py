@@ -22,8 +22,11 @@ from shipload import (
     constraint_slack,
     grid_search,
     solve,
+    solve_lp,
 )
 from shipload import oracle
+from shipload.oracle import certifies
+from shipload.solver import _slacks, _violation
 
 
 class TestLatticeSpec:
@@ -113,6 +116,43 @@ def _tiny_lattices():
     return cases
 
 
+def assert_bounded_matches(problem, step, levels):
+    """``grid_search(above=t)`` against brute force at thresholds around the best.
+
+    Each bounded search returns the brute-force first best point and its
+    revenue when that earns more than t, and (None, -inf) otherwise; at
+    t = -inf it also covers exactly the brute-force points.
+    """
+    want_x, want_revenue, want_points, _ = brute_force(problem, step, levels)
+    below = np.nextafter(want_revenue, -math.inf)
+    for above in (-math.inf, below, want_revenue, 0.5 * want_revenue):
+        best_x, best_revenue, points = grid_search(problem, LatticeSpec(step), above=above)
+        if want_revenue > above:
+            assert best_revenue == want_revenue
+            assert np.array_equal(best_x, want_x)
+        else:
+            assert (best_x, best_revenue) == (None, -math.inf)
+        if above == -math.inf:
+            assert points == want_points
+
+
+def zero_rate_problem():
+    """Water-density ballast on top and a zero-rate cargo at the bottom."""
+    cargoes = (
+        CargoType("light", 0.5, 4.0),
+        CargoType("free", 0.7, 0.0),
+        CargoType("water", 1.0, 0.0),
+    )
+    return assemble_problem(
+        Vessel(60.0, 12.0, 3000.0, 2150.0, 1500.0, 2.5),
+        Environment(1.0),
+        StabilityPolicy(0.5),
+        cargoes,
+        LoadingOrder.explicit([1, 0, 2]),
+        False,
+    )
+
+
 TINY_LATTICES = _tiny_lattices()
 
 
@@ -131,6 +171,57 @@ class TestDifferential:
             assert best_x is None
         else:
             assert np.array_equal(best_x, want_x)
+
+    @pytest.mark.parametrize("row_budget", [oracle._ROW_BUDGET, 5])
+    @pytest.mark.parametrize("index", range(len(TINY_LATTICES)))
+    def test_bounded_search_matches_brute_force(self, index, row_budget, monkeypatch):
+        monkeypatch.setattr(oracle, "_ROW_BUDGET", row_budget)
+        problem, step, levels = TINY_LATTICES[index]
+        assert_bounded_matches(problem, step, levels)
+
+    def test_bounded_single_cargo(self):
+        vessel = Vessel(100.0, 20.0, 1000.0, 1e9, 5000.0, 2.0)
+        problem = assemble_problem(
+            vessel,
+            Environment(),
+            StabilityPolicy(0.0),
+            (CargoType("one", 0.5, 1.0),),
+            LoadingOrder.normal(),
+            False,
+        )
+        assert_bounded_matches(problem, 100.0, 10)
+
+    def test_bounded_zero_rates(self):
+        # The three-way tie of test_zero_rates_keep_the_first_best_point.
+        problem = zero_rate_problem()
+        assert_bounded_matches(problem, 100.0, 30)
+        best_x, best_revenue, _ = grid_search(problem, LatticeSpec(100.0), above=3999.0)
+        assert np.array_equal(best_x, [0.0, 1000.0, 0.0]) and best_revenue == 4000.0
+
+    def test_bounded_ballast_at_water_density(self, carrier, market):
+        # An explicit order puts the ballast at the bottom: D_1 = 0.
+        problem = assemble_problem(
+            carrier, Environment(), StabilityPolicy(4.0), market[:3],
+            LoadingOrder.explicit([2, 0, 1]), True,
+        )
+        assert problem.labels[0] == "ballast" and problem.quad_matrix[0, 0] == 0.0
+        assert_bounded_matches(problem, 45000.0 / 8.5, 8)
+
+    def test_bounded_equal_densities(self, carrier):
+        cargoes = (
+            CargoType("a", 0.6, 4.0),
+            CargoType("b", 0.6, 5.0),
+            CargoType("c", 0.9, 4.5),
+        )
+        for order in (LoadingOrder.normal(), LoadingOrder.reverse()):
+            problem = assemble_problem(
+                carrier, Environment(), StabilityPolicy(2.0), cargoes, order, False
+            )
+            assert_bounded_matches(problem, 45000.0 / 12.5, 12)
+
+    def test_above_must_be_a_number(self, assemble_case):
+        with pytest.raises(ValueError, match="NaN"):
+            grid_search(assemble_case(4.0), LatticeSpec(5000.0), above=math.nan)
 
     def test_cases_cover_the_hard_classes(self):
         kinds, sizes, dense, ballast = set(), set(), 0, 0
@@ -164,19 +255,7 @@ class TestDifferential:
         # returns the first in lexicographic order, also when every prefix
         # is searched as a chunk of its own.
         monkeypatch.setattr(oracle, "_ROW_BUDGET", row_budget)
-        cargoes = (
-            CargoType("light", 0.5, 4.0),
-            CargoType("free", 0.7, 0.0),
-            CargoType("water", 1.0, 0.0),
-        )
-        problem = assemble_problem(
-            Vessel(60.0, 12.0, 3000.0, 2150.0, 1500.0, 2.5),
-            Environment(1.0),
-            StabilityPolicy(0.5),
-            cargoes,
-            LoadingOrder.explicit([1, 0, 2]),
-            False,
-        )
+        problem = zero_rate_problem()
         assert problem.labels == ("free", "light", "water")
         best_x, best_revenue, points = grid_search(problem, LatticeSpec(100.0))
         want_x, want_revenue, want_points, ties = brute_force(problem, 100.0, 30)
@@ -303,3 +382,41 @@ class TestCertify:
         trapped = solve(problem, SolverOptions(multistart_count=1, rng_seed=17))
         assert trapped.kkt.satisfied
         assert certify(problem, trapped, LatticeSpec(250.0)) is False
+
+    def test_verdict_matches_the_exhaustive_search(self):
+        # certify asks a bounded question; its verdict must be the rule's
+        # verdict on the exhaustive lattice best, for optimal plans and for
+        # plans the lattice beats.
+        rng = np.random.default_rng(99)
+        verdicts = set()
+        for _ in range(200):
+            problem = draw_random_problem(rng)
+            levels = {1: 40, 2: 30, 3: 16, 4: 10, 5: 7}.get(problem.n, 5)
+            spec = LatticeSpec(problem.deadweight_cap / levels)
+            best_revenue = grid_search(problem, spec)[1]
+            solution = solve(problem, SolverOptions())
+            worse = 0.9 * solution.x
+            assert _violation(problem, worse, _slacks(problem, worse)) <= 1e-6
+            for plan, value in ((solution, solution.revenue), (worse, problem.objective @ worse)):
+                verdict = certify(problem, plan, spec)
+                assert verdict == certifies(value, best_revenue)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_bounded_search_covers_a_sliver_of_the_lattice(self, assemble_case):
+        problem = assemble_case(4.0, order=LoadingOrder.reverse(), include_ballast=False)
+        solution = solve(problem, SolverOptions())
+        spec = LatticeSpec(500.0)
+        full = grid_search(problem, spec)[2]
+        assert full == 2973992
+        assert grid_search(problem, spec, above=solution.revenue)[2] <= 0.01 * full
+
+    def test_infeasible_plans_are_not_certified(self, assemble_case):
+        problem = assemble_case(4.0, order=LoadingOrder.reverse(), include_ballast=False)
+        vertex = solve_lp(problem).x
+        assert constraint_slack(problem, vertex) < 0.0
+        assert certify(problem, vertex, LatticeSpec(500.0)) is False
+        overloaded = np.full(problem.n, 1e6)
+        assert certify(problem, overloaded, LatticeSpec(500.0)) is False
+        # The rule on its own still certifies against an empty lattice.
+        assert certifies(0.0, -math.inf) is True
