@@ -33,7 +33,7 @@ from .model import (
     Vessel,
     assemble_problem,
 )
-from .oracle import LatticeSpec, certifies, grid_search, lattice_levels
+from .oracle import LatticeSpec, certifies, grid_search
 from .solver import (
     SolverOptions,
     SolverStatus,
@@ -421,7 +421,7 @@ def _build_parser() -> _Parser:
         "--max-points",
         type=int,
         default=LatticeSpec(1.0).max_points,
-        help="refuse lattices larger than this",
+        help="stop the lattice search after building this many rows",
     )
     sensitivity = commands.add_parser(
         "sensitivity", help="compare the multiplier prediction against a re-solve"
@@ -546,7 +546,6 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
     if args.command == "oracle":
         problem = _problem_from(scenario)
         spec = LatticeSpec(step=args.step, max_points=args.max_points)
-        lattice_levels(problem, spec)  # refuse an oversized lattice before solving
         solution = solve(problem, scenario.solver)
         report = _solution_report("oracle", name, scenario, problem, solution)
         if solution.status is SolverStatus.INFEASIBLE:

@@ -1,4 +1,4 @@
-"""Brute-force lattice search for global-optimality evidence.
+"""Lattice search for global-optimality evidence.
 
 Local solves on an indefinite quadratic constraint can stop at stationary
 points that are not global optima.  This module finds the best loading on
@@ -11,22 +11,23 @@ witness.
 
 The search enumerates the first n - 1 coordinates as NumPy arrays of
 lattice prefixes and solves the last coordinate in closed form for every
-prefix, so its cost is O(L^(n-1)) evaluations for L levels per coordinate.
-Each closed-form level is re-checked with the exact lattice predicate.
+prefix.  Each closed-form level is re-checked with the exact lattice
+predicate.
 
-Certification only asks whether some lattice point earns more than the
-plan, so :func:`certify` runs the search as branch and bound (Land and
-Doig, 1960) with the plan's revenue as the threshold ``above``.  A row of
-fixed leading coordinates is skipped with its whole subtree when its
-revenue so far plus an upper bound on what the remaining cargoes can add
-is at most the incumbent, the larger of the threshold and the best point
-found.  The bound is the two-constraint LP over the remaining cargoes,
-read off precomputed dual vertices, with the deadweight room tightened by
-a lower bound on the stability quadratic that the stacking structure
-gives.  Every quantity in it is widened by a relative margin, so it
-dominates each lattice point the float predicate accepts and the bounded
-search returns exactly what the exhaustive one does whenever that beats
-the threshold.
+The search is branch and bound (Land and Doig, 1960).  A row of fixed
+leading coordinates is skipped with its whole subtree when its revenue so
+far plus an upper bound on what the remaining cargoes can add is at most
+the incumbent: the best point found so far, or a caller's threshold
+``above`` when that is larger, as in :func:`certify`, which asks only
+whether some lattice point earns more than the plan.  The bound is the
+two-constraint LP over the remaining cargoes, read off precomputed dual
+vertices, with the deadweight room tightened by a lower bound on the
+stability quadratic that the stacking structure gives; a row with no
+stable completion is skipped outright.  Every quantity in it is widened
+by a relative margin, so it dominates each lattice point the float
+predicate accepts and no skipped subtree holds a point that would change
+the answer.  The work is bounded by a count of the lattice rows the
+search builds, not by the size of the lattice.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from .model import Problem, revenue
 from .solver import Solution, _slacks, _violation
 
-__all__ = ["LatticeSpec", "lattice_levels", "grid_search", "certifies", "certify"]
+__all__ = ["LatticeSpec", "grid_search", "certifies", "certify"]
 
 # Most lattice rows held at once per coordinate; wider prefix sets are
 # enumerated in consecutive chunks of their leading coordinates.
@@ -49,7 +50,7 @@ _ROW_BUDGET = 1 << 12
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Lattice resolution in tons plus a safety cap on enumeration size."""
+    """Lattice resolution in tons plus a cap on the lattice rows a search builds."""
 
     step: float
     max_points: int = 100_000_000
@@ -60,24 +61,6 @@ class LatticeSpec:
         if int(self.max_points) < 1:
             raise ValueError("max_points must be at least 1")
         object.__setattr__(self, "max_points", int(self.max_points))
-
-
-def lattice_levels(problem: Problem, spec: LatticeSpec) -> int:
-    """Highest lattice level per coordinate, after the lattice size check.
-
-    Raises ``ValueError`` when the lattice would exceed ``spec.max_points``.
-    The size is the number of points of {0..levels}^n with coordinate sum
-    <= levels, the weak compositions binomial(levels + n, n).
-    """
-    n = problem.n
-    levels = int(math.floor(problem.deadweight_cap / spec.step + 1e-9))
-    estimated = math.comb(levels + n, n)
-    if estimated > spec.max_points:
-        raise ValueError(
-            f"lattice holds about {estimated} points, above the cap of "
-            f"{spec.max_points}; raise max_points or coarsen the step"
-        )
-    return levels
 
 
 class _Prefixes(NamedTuple):
@@ -262,8 +245,8 @@ def grid_search(
     Returns ``(best_x, best_revenue, points_evaluated)``.  The search is
     lexicographic over coordinates and keeps the first point found among
     revenue ties, so the result is deterministic.  ``points_evaluated``
-    counts the mass-feasible lattice points covered; subtrees removed by
-    pruning are skipped without being counted.
+    counts the mass-feasible lattice points covered; skipped subtrees are
+    not counted.
 
     The first n - 1 coordinates are enumerated as arrays of prefixes, grown
     one coordinate at a time and cut to at most a fixed number of rows per
@@ -276,40 +259,35 @@ def grid_search(
     the root where the quadratic turns positive, 2*gamma/(-beta - sqrt(D)),
     which covers alpha > 0, alpha < 0 and alpha = 0.  Every level found in
     closed form is re-checked with the exact lattice predicate and moved
-    to the last fitting level, so no infeasible point is returned.  The
-    cost is O(L^(n-1)) evaluations for L lattice levels per coordinate.
+    to the last fitting level, so no infeasible point is returned.
 
-    Pruning never drops feasible points: the volume column sums are
-    positive, so a prefix over the volume cap can only get worse, and the
-    stability prefix bound is applied only when every quadratic matrix
-    entry and the linear coefficient are nonnegative, which makes the
-    constraint's left side monotone in every coordinate.
-
-    With the default ``above = -inf`` the search is exhaustive.  A finite
-    ``above`` turns it into branch and bound (Land and Doig, 1960) for the
-    question "does any lattice point earn more than ``above``?".  The
-    incumbent is the larger of ``above`` and the best revenue found so far,
-    and a row whose revenue bound is at most the incumbent is dropped with
-    its whole subtree: after each growth of the prefixes, before the
+    The search is branch and bound (Land and Doig, 1960).  The incumbent is
+    the best revenue found so far, or ``above`` while that is larger, and a
+    row whose revenue bound is at most the incumbent is dropped with its
+    whole subtree: after each growth of the prefixes, before the
     second-to-last coordinate u is expanded, and for each (prefix, u) row
-    before its last coordinate is solved.  No dropped subtree holds a point
-    that would change the answer, so the result is the exhaustive search's
-    first best point and its revenue when that earns more than ``above``,
-    and ``(None, -inf, points_evaluated)`` otherwise; only the count
-    shrinks.  :func:`_revenue_bound` states the bound.
+    before its last coordinate is solved.  A prefix over the volume cap is
+    dropped too, since the volume coefficients are positive.  No dropped
+    subtree holds a point that would change the answer, so the result is
+    the lattice's first best point and its revenue when that earns more
+    than ``above``, and ``(None, -inf, points_evaluated)`` otherwise.
+    :func:`_revenue_bound` states the bound.  With the default ``above =
+    -inf`` the answer is the lattice best; a finite ``above`` asks "does any
+    lattice point earn more than ``above``?" and lets the search skip more.
 
     If no lattice point is feasible (possible when the empty vessel fails
     the stability margin) the best point is ``None`` with revenue -inf.
-    Raises ``ValueError`` when the lattice would exceed ``max_points`` or
-    ``above`` is NaN.
+    Raises ``ValueError`` when ``above`` is NaN, and during the search when
+    the lattice rows it has built, prefixes and (prefix, u) rows alike,
+    exceed ``spec.max_points``.
     """
     above = float(above)
     if math.isnan(above):
         raise ValueError("above must be a number or -inf, got NaN")
     n = problem.n
     cap = problem.deadweight_cap
-    levels = lattice_levels(problem, spec)
     step = spec.step
+    levels = int(math.floor(cap / step + 1e-9))
     values = step * np.arange(levels + 1)
     p = problem.objective
     vol = problem.volume_coeffs
@@ -318,9 +296,6 @@ def grid_search(
     s = problem.quad_scale
     b = problem.linear_coeff
     r = problem.rhs
-    # Monotone stability pruning is only sound when loading more of any
-    # cargo can never loosen the constraint.
-    stab_prunable = bool(a.min() >= 0.0 and b >= 0.0)
     # The last two coordinates are searched as a pair (u, v).  A single
     # cargo is the v of a pair whose u is held at level zero.
     u_top = levels
@@ -330,9 +305,21 @@ def grid_search(
     m = p.size
     iu, iv = m - 2, m - 1
     auu, auv, avv = a[iu, iu], a[iu, iv], a[iv, iv]
-    bound = _revenue_bound(problem, p, vol, a) if above > -math.inf else None
+    bound = _revenue_bound(problem, p, vol, a)
     # The incumbent: a point is only kept when it earns more than this.
     best_revenue = above
+    built = 0
+
+    def expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # _expand, after charging the children to the row cap.
+        nonlocal built
+        built += int(counts.sum())
+        if built > spec.max_points:
+            raise ValueError(
+                f"the search built more than {spec.max_points} lattice rows; "
+                "raise max_points or coarsen the step"
+            )
+        return _expand(counts)
 
     def grow(rows: _Prefixes, parent: np.ndarray, level: np.ndarray, j: int) -> _Prefixes:
         # Children of the listed rows at coordinate j, minus the pruned ones.
@@ -341,8 +328,6 @@ def grid_search(
         volume = rows.volume[parent] + vol[j] * t
         quad = rows.quad[parent] + 2.0 * t * rows.y[parent, 0] + a[j, j] * t * t
         keep = volume <= vol_cap
-        if stab_prunable:
-            keep &= s * quad + b * mass <= r
         parent, level, t = parent[keep], level[keep], t[keep]
         return _Prefixes(
             np.column_stack([rows.levels[parent], level]),
@@ -355,12 +340,10 @@ def grid_search(
 
     def prefixes(rows: _Prefixes, j: int):
         # Depth-first over chunks keeps the yield order lexicographic.
-        if bound is not None:
-            ub = bound(j, rows.mass, rows.volume, rows.quad, rows.y[:, 0], rows.gain)
-            keep = ub > best_revenue
-            rows = rows._make(field[keep] for field in rows)
-            if not rows.mass.size:
-                return
+        ub = bound(j, rows.mass, rows.volume, rows.quad, rows.y[:, 0], rows.gain)
+        rows = rows._make(field[ub > best_revenue] for field in rows)
+        if not rows.mass.size:
+            return
         if j == iu:
             yield rows
             return
@@ -370,24 +353,23 @@ def grid_search(
             lambda i, k: rows.mass[i] + values[k] <= cap,
         )
         for part in _chunks(count):
-            parent, level = _expand(count[part])
+            parent, level = expand(count[part])
             yield from prefixes(grow(rows, parent + part.start, level, j), j + 1)
 
     def pairs(rows: _Prefixes, room: np.ndarray, parent: np.ndarray, u_level: np.ndarray, floor):
         # Covered points of one chunk of (prefix, u) rows, and its first best
         # point when that earns more than floor.
         u = values[u_level]
-        if bound is not None:
-            y = rows.y[parent]
-            keep = bound(
-                iv,
-                rows.mass[parent] + u,
-                rows.volume[parent] + vol[iu] * u,
-                rows.quad[parent] + 2.0 * u * y[:, 0] + auu * u * u,
-                y[:, 1] + auv * u,
-                rows.gain[parent] + p[iu] * u,
-            ) > floor
-            parent, u_level, u = parent[keep], u_level[keep], u[keep]
+        y = rows.y[parent]
+        keep = bound(
+            iv,
+            rows.mass[parent] + u,
+            rows.volume[parent] + vol[iu] * u,
+            rows.quad[parent] + 2.0 * u * y[:, 0] + auu * u * u,
+            y[:, 1] + auv * u,
+            rows.gain[parent] + p[iu] * u,
+        ) > floor
+        parent, u_level, u = parent[keep], u_level[keep], u[keep]
         c = room[parent]
         v_mass = _settle(
             _guess(c - u, step, levels), levels, lambda i, k: u[i] + values[k] <= c[i]
@@ -465,7 +447,7 @@ def grid_search(
             _guess(room, step, u_top), u_top, lambda i, k: values[k] <= room[i]
         )
         for part in _chunks(count):
-            parent, u_level = _expand(count[part])
+            parent, u_level = expand(count[part])
             covered, value, point = pairs(rows, room, parent + part.start, u_level, best_revenue)
             examined += covered
             if value > best_revenue:
@@ -502,8 +484,10 @@ def certify(
     ``tolerance``; a vacuously empty lattice certifies trivially.  The
     search asks only whether a point beats the plan, so it runs
     ``grid_search(problem, spec, above=value)`` and skips every subtree
-    that cannot; the verdict is the one the exhaustive search gives.  Used
-    to upgrade a LocalOnly verdict to optimal-within-resolution in reports.
+    that cannot; the verdict is the one the lattice best gives.  This is
+    the library's certificate for a LocalOnly plan.  ``shipload oracle``
+    reports the lattice best itself, so it runs :func:`grid_search` without
+    a threshold and applies :func:`certifies` to the result.
     """
     x = problem.check_vector(solution.x if isinstance(solution, Solution) else solution)
     if not _violation(problem, x, _slacks(problem, x)) <= tolerance:

@@ -321,19 +321,27 @@ class TestOracleCommand:
         assert rows["certification.certified"] == "false"
         assert float(rows["revenue"]) == pytest.approx(197165.94, rel=1e-6)
 
+    def test_default_step_certifies_the_case_study(self, capsys):
+        # The step-250 lattice of the n = 5 case study holds about 1.7e9
+        # points; branch and bound covers a sliver of it.
+        code, out, _ = run_cli(
+            capsys, "oracle", "clarkson3500.json", "--mu", "4", "--order", "reverse",
+            "--format", "json",
+        )
+        assert code == 0
+        certification = json.loads(out)["certification"]
+        assert certification["step"] == 250.0
+        assert certification["certified"] is True
+        assert certification["lattice_revenue"] == 226275.0
 
-    def test_oversized_lattice_refused_before_solving(self, capsys, monkeypatch):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solve ran before the lattice size check")
-
-        monkeypatch.setattr(shipload.cli, "solve", no_solve)
+    def test_row_cap_stops_the_search(self, capsys):
         code, out, err = run_cli(
-            capsys, "oracle", "clarkson3500.json", "--mu", "4", "--order", "reverse"
+            capsys, "oracle", "clarkson3500.json", "--mu", "4", "--order", "reverse",
+            "--max-points", "1000",
         )
         assert code == 1
         assert out == ""
-        assert "lattice holds about 1710052162 points" in err
-        assert "enumerating" not in err
+        assert "the search built more than 1000 lattice rows" in err
 
 
 class TestFormats:

@@ -45,11 +45,12 @@ def brute_force(problem, step, levels):
     Each point is scored with the expressions ``grid_search`` evaluates, in
     the same floating-point order: running sums over the coordinates before
     the last two, then one expression for the last pair (u, v), where n = 1
-    has no u.  A point is covered when every prefix passes the mass,
-    volume and, when it is sound, stability prunes and u + v fits the
-    remaining deadweight.  Returns the first best point in lexicographic
-    order, its revenue, the number of covered points and the level vectors
-    of all feasible points that tie on the best revenue.
+    has no u.  A point is covered when every prefix passes the mass and
+    volume prunes and u + v fits the remaining deadweight, which is what
+    the search covers when its revenue bound keeps every row.  Returns the
+    first best point in lexicographic order, its revenue, the number of
+    covered points and the level vectors of all feasible points that tie
+    on the best revenue.
     """
     n = problem.n
     pad = max(0, 2 - n)
@@ -59,7 +60,6 @@ def brute_force(problem, step, levels):
     m = len(p)
     cap, vol_cap = problem.deadweight_cap, problem.volume_cap
     s, b, r = problem.quad_scale, problem.linear_coeff, problem.rhs
-    prunable = problem.quad_matrix.min() >= 0.0 and b >= 0.0
     best_x, best_revenue, covered, ties = None, -math.inf, 0, []
     for point in itertools.product(range(levels + 1), repeat=n):
         x = [0.0] * (m - n) + [step * k for k in point]
@@ -73,7 +73,7 @@ def brute_force(problem, step, levels):
             quad = quad + 2.0 * t * y[j] + a[j][j] * t * t
             gain = gain + p[j] * t
             y = [y[i] + t * a[i][j] for i in range(m)]
-            if mass > cap or volume > vol_cap or (prunable and s * quad + b * mass > r):
+            if mass > cap or volume > vol_cap:
                 pruned = True
                 break
         if pruned:
@@ -116,24 +116,56 @@ def _tiny_lattices():
     return cases
 
 
-def assert_bounded_matches(problem, step, levels):
-    """``grid_search(above=t)`` against brute force at thresholds around the best.
+def never_prune(problem, p, vol, a):
+    """Stand-in for ``oracle._revenue_bound`` whose bound keeps every row."""
+    return lambda j, mass, *sums: np.full(mass.shape, math.inf)
 
-    Each bounded search returns the brute-force first best point and its
-    revenue when that earns more than t, and (None, -inf) otherwise; at
-    t = -inf it also covers exactly the brute-force points.
+
+def search(problem, spec, *, above=-math.inf, prune=True):
+    """``grid_search``; with ``prune=False`` its revenue bound keeps every row."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not prune:
+            patch.setattr(oracle, "_revenue_bound", never_prune)
+        return grid_search(problem, spec, above=above)
+
+
+def assert_bounded_matches(problem, step, levels, thresholds=None):
+    """``grid_search(above=t)`` against brute force, with and without pruning.
+
+    The default thresholds are -inf and three around the best.  Each search
+    returns the brute-force first best point and its revenue when that
+    earns more than t, and (None, -inf) otherwise.  With a bound that keeps
+    every row it covers exactly the brute-force points; with the real bound
+    it covers no more.
     """
     want_x, want_revenue, want_points, _ = brute_force(problem, step, levels)
-    below = np.nextafter(want_revenue, -math.inf)
-    for above in (-math.inf, below, want_revenue, 0.5 * want_revenue):
-        best_x, best_revenue, points = grid_search(problem, LatticeSpec(step), above=above)
-        if want_revenue > above:
-            assert best_revenue == want_revenue
-            assert np.array_equal(best_x, want_x)
-        else:
-            assert (best_x, best_revenue) == (None, -math.inf)
-        if above == -math.inf:
-            assert points == want_points
+    if thresholds is None:
+        below = np.nextafter(want_revenue, -math.inf)
+        thresholds = (-math.inf, below, want_revenue, 0.5 * want_revenue)
+    for above in thresholds:
+        for prune in (False, True):
+            best_x, best_revenue, points = search(
+                problem, LatticeSpec(step), above=above, prune=prune
+            )
+            if want_revenue > above:
+                assert best_revenue == want_revenue
+                assert np.array_equal(best_x, want_x)
+            else:
+                assert (best_x, best_revenue) == (None, -math.inf)
+            if prune:
+                assert points <= want_points
+            else:
+                assert points == want_points
+
+
+def count_rows(monkeypatch):
+    """A list that collects the size of every chunk of rows the search builds."""
+    built = []
+    expand = oracle._expand
+    monkeypatch.setattr(
+        oracle, "_expand", lambda counts: built.append(int(counts.sum())) or expand(counts)
+    )
+    return built
 
 
 def zero_rate_problem():
@@ -163,14 +195,7 @@ class TestDifferential:
         # The small row budget splits these lattices into many chunks.
         monkeypatch.setattr(oracle, "_ROW_BUDGET", row_budget)
         problem, step, levels = TINY_LATTICES[index]
-        best_x, best_revenue, points = grid_search(problem, LatticeSpec(step))
-        want_x, want_revenue, want_points, _ = brute_force(problem, step, levels)
-        assert points == want_points
-        assert best_revenue == want_revenue
-        if want_x is None:
-            assert best_x is None
-        else:
-            assert np.array_equal(best_x, want_x)
+        assert_bounded_matches(problem, step, levels, thresholds=(-math.inf,))
 
     @pytest.mark.parametrize("row_budget", [oracle._ROW_BUDGET, 5])
     @pytest.mark.parametrize("index", range(len(TINY_LATTICES)))
@@ -236,15 +261,18 @@ class TestDifferential:
         assert dense >= 5 and ballast >= 5
 
     def test_no_feasible_point(self, carrier):
-        # A cargo denser than water keeps the stability prune off, so every
-        # mass-feasible point is covered, and the margin rejects them all.
+        # The margin rejects every lattice point.  With every row kept, each
+        # mass-feasible point is covered; the bound's stability test finds
+        # that no row has a stable completion and covers none of them.
         market = (CargoType("dense", 2.0, 4.5), CargoType("light", 0.6, 5.0))
         problem = assemble_problem(
             carrier, Environment(), StabilityPolicy(20.0), market, LoadingOrder.reverse(), True
         )
+        spec = LatticeSpec(5000.0)
         covered = brute_force(problem, 5000.0, 9)[2]
         assert covered > 0
-        assert grid_search(problem, LatticeSpec(5000.0)) == (None, -math.inf, covered)
+        assert search(problem, spec, prune=False) == (None, -math.inf, covered)
+        assert grid_search(problem, spec) == (None, -math.inf, 0)
 
     @pytest.mark.parametrize("row_budget", [oracle._ROW_BUDGET, 1, 5])
     def test_zero_rates_keep_the_first_best_point(self, row_budget, monkeypatch):
@@ -253,16 +281,22 @@ class TestDifferential:
         # for one rung of either zero-rate cargo, so three points tie on
         # revenue, two of them under another first coordinate.  The search
         # returns the first in lexicographic order, also when every prefix
-        # is searched as a chunk of its own.
+        # is searched as a chunk of its own.  Once a chunk has found the best,
+        # the bound skips the rows of later chunks that cannot beat it.
         monkeypatch.setattr(oracle, "_ROW_BUDGET", row_budget)
         problem = zero_rate_problem()
         assert problem.labels == ("free", "light", "water")
-        best_x, best_revenue, points = grid_search(problem, LatticeSpec(100.0))
         want_x, want_revenue, want_points, ties = brute_force(problem, 100.0, 30)
         assert ties == [(0, 10, 0), (0, 10, 1), (1, 10, 0)]
-        assert np.array_equal(best_x, [0.0, 1000.0, 0.0])
-        assert np.array_equal(best_x, want_x)
-        assert (best_revenue, points) == (want_revenue, want_points) == (4000.0, 4776)
+        assert (want_revenue, want_points) == (4000.0, 4776)
+        # The default budget covers the lattice in one chunk, before the
+        # incumbent exists; smaller chunks let the bound skip later rows.
+        pruned = 2001 if row_budget in (1, 5) else 4776
+        for prune, covered in ((False, 4776), (True, pruned)):
+            best_x, best_revenue, points = search(problem, LatticeSpec(100.0), prune=prune)
+            assert np.array_equal(best_x, [0.0, 1000.0, 0.0])
+            assert np.array_equal(best_x, want_x)
+            assert (best_revenue, points) == (4000.0, covered)
 
 
 def test_settle_finds_the_last_fitting_level_of_the_run():
@@ -305,10 +339,30 @@ class TestGridSearch:
         assert np.array_equal(best_x, np.zeros(5))
         assert best_revenue == 0.0
 
-    def test_refuses_oversized_lattice(self, assemble_case):
+    def test_refuses_oversized_lattice(self, assemble_case, monkeypatch):
+        # The cap counts every lattice row the search builds: a cap of
+        # exactly that many lets it finish, one less stops it.
         problem = assemble_case(4.0)
-        with pytest.raises(ValueError, match="lattice holds about"):
-            grid_search(problem, LatticeSpec(50.0))
+        built = count_rows(monkeypatch)
+        answer = grid_search(problem, LatticeSpec(500.0))
+        rows = sum(built)
+        again = grid_search(problem, LatticeSpec(500.0, max_points=rows))
+        assert np.array_equal(again[0], answer[0]) and again[1:] == answer[1:]
+        with pytest.raises(ValueError, match=f"built more than {rows - 1} lattice rows"):
+            grid_search(problem, LatticeSpec(500.0, max_points=rows - 1))
+
+    def test_cap_counts_rows_not_covered_points(self, assemble_case, monkeypatch):
+        # Above the plan's revenue the search covers almost no points but
+        # builds many rows to rule the lattice out; the cap stops it all the
+        # same.
+        problem = assemble_case(4.0, order=LoadingOrder.reverse())
+        plan = solve(problem, SolverOptions()).revenue
+        built = count_rows(monkeypatch)
+        points = grid_search(problem, LatticeSpec(500.0), above=plan)[2]
+        cap = max(points, 1)
+        assert cap < sum(built)
+        with pytest.raises(ValueError, match="lattice rows"):
+            grid_search(problem, LatticeSpec(500.0, max_points=cap), above=plan)
 
     def test_respects_custom_max_points(self, assemble_case):
         problem = assemble_case(4.0)
@@ -346,16 +400,17 @@ class TestGridSearch:
                 assert solver.revenue >= lattice_revenue - 1e-6 * max(1.0, lattice_revenue)
 
     def test_memory_stays_within_the_row_budget(self, assemble_case):
-        # 3e6 lattice points; building all 1.3e5 (prefix, u) rows at once
-        # would allocate about 25 MB of temporaries.
+        # 3e6 lattice points, all covered when the bound keeps every row;
+        # building all 1.3e5 (prefix, u) rows at once would allocate about
+        # 25 MB of temporaries.
         problem = assemble_case(4.0, order=LoadingOrder.reverse(), include_ballast=False)
         tracemalloc.start()
         try:
-            _, _, points = grid_search(problem, LatticeSpec(500.0))
+            _, _, points = search(problem, LatticeSpec(500.0), prune=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert points == 2973992
+        assert points == 3049501
         assert peak < 8 * 2**20
 
     def test_deterministic(self, assemble_case):
@@ -385,8 +440,8 @@ class TestCertify:
 
     def test_verdict_matches_the_exhaustive_search(self):
         # certify asks a bounded question; its verdict must be the rule's
-        # verdict on the exhaustive lattice best, for optimal plans and for
-        # plans the lattice beats.
+        # verdict on the lattice best, for optimal plans and for plans the
+        # lattice beats.
         rng = np.random.default_rng(99)
         verdicts = set()
         for _ in range(200):
@@ -407,8 +462,8 @@ class TestCertify:
         problem = assemble_case(4.0, order=LoadingOrder.reverse(), include_ballast=False)
         solution = solve(problem, SolverOptions())
         spec = LatticeSpec(500.0)
-        full = grid_search(problem, spec)[2]
-        assert full == 2973992
+        full = search(problem, spec, prune=False)[2]
+        assert full == 3049501
         assert grid_search(problem, spec, above=solution.revenue)[2] <= 0.01 * full
 
     def test_infeasible_plans_are_not_certified(self, assemble_case):
