@@ -28,6 +28,10 @@ by a relative margin, so it dominates each lattice point the float
 predicate accepts and no skipped subtree holds a point that would change
 the answer.  The work is bounded by a count of the lattice rows the
 search builds, not by the size of the lattice.
+
+:func:`certify` first asks the root of that tree: a weak-duality bound
+from the plan's multipliers (Geoffrion, 1974), with tangents and secants on
+the stability terms (McCormick, 1976), proves a convex plan in O(n).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import Problem, revenue
-from .solver import Solution, _slacks, _violation
+from .solver import Solution, _plan_multipliers, _slacks, _violation
 
 __all__ = ["LatticeSpec", "grid_search", "certifies", "certify"]
 
@@ -56,10 +60,10 @@ class LatticeSpec:
     max_points: int = 100_000_000
 
     def __post_init__(self) -> None:
-        if not (self.step > 0):
-            raise ValueError(f"step must be positive, got {self.step}")
-        if int(self.max_points) < 1:
-            raise ValueError("max_points must be at least 1")
+        if not (0 < self.step < math.inf):
+            raise ValueError(f"step must be positive and finite, got {self.step}")
+        if not (1 <= self.max_points < math.inf):
+            raise ValueError(f"max_points must be finite and at least 1, got {self.max_points}")
         object.__setattr__(self, "max_points", int(self.max_points))
 
 
@@ -457,16 +461,62 @@ def grid_search(
     return best_x, best_revenue, examined
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not (0 <= tolerance < math.inf):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
+
+
 def certifies(value: float, best_revenue: float, tolerance: float = 1e-6) -> bool:
     """The certification rule: ``value`` is no worse than the lattice best.
 
-    The comparison allows a relative slack of ``tolerance`` on
-    ``best_revenue``.  A lattice without a feasible point (best revenue
-    -inf) certifies trivially.
+    The comparison allows a relative slack of ``tolerance``, finite and
+    nonnegative, on ``best_revenue``.  A lattice without a feasible point
+    (best revenue -inf) certifies trivially.
     """
+    _check_tolerance(tolerance)
     if best_revenue == -math.inf:
         return True
     return bool(value >= best_revenue - tolerance * max(1.0, abs(best_revenue)))
+
+
+def _lagrangian_bound(problem: Problem, x: np.ndarray, multipliers) -> float:
+    """Weak-duality bound on the revenue of every feasible point.
+
+    For lam = the first three ``multipliers`` clipped at 0, a feasible y has
+    p.y <= p.y + lam_C (C - 1.y) + lam_V (V - v.y) + lam_S (r - s y'Ay -
+    b 1.y), where y'Ay = sum_k D_k S_k^2 with S_k = y_k + ... + y_{n-1} and
+    D the classification's congruent diagonal.  With D+ = max(D, 0) and D-
+    = max(-D, 0), the concave terms lie under tangents at the plan x,
+    -D+_k S_k^2 <= -D+_k (2 X_k S_k - X_k^2) with X_k = S_k(x), and the
+    convex ones under secants over 0 <= S_k <= C, D-_k S_k^2 <= D-_k C S_k.
+    So p.y <= K + c.y, and y >= 0, 1.y <= C give UB = K + C max(0, max c):
+
+        c_i = p_i - lam_C - lam_V v_i - lam_S b - lam_S s sum_{k<=i} (2 D+_k X_k - D-_k C)
+        K   = lam_C C + lam_V V + lam_S r + lam_S s sum_k D+_k X_k^2.
+
+    Rounding: each term takes O(n) float operations; the search's float
+    predicate passes a point over a limit by rounding of the same order,
+    charged at lam times the overshoot; D_k = g_k - g_{k-1} is exact by
+    Sterbenz for neighbours within a factor of 2, else one rounding off.
+    UB is widened by 1e-9 times the sum of the absolute values of the
+    terms: far above that rounding for n below 10^6, far below the 1e-6
+    default tolerance.
+    """
+    lam_c, lam_v, lam_s = (max(float(m), 0.0) for m in multipliers[:3])
+    cap, vol_cap = problem.deadweight_cap, problem.volume_cap
+    s, b, r = problem.quad_scale, problem.linear_coeff, problem.rhs
+    p, vol = problem.objective, problem.volume_coeffs
+    d = problem.classification.evidence.diagonal
+    up = np.maximum(d, 0.0)
+    suffix = np.cumsum(x[::-1])[::-1]
+    slope = np.cumsum(2.0 * up * suffix - np.maximum(-d, 0.0) * cap)
+    c = p - lam_c - lam_v * vol - lam_s * (b + s * slope)
+    k = lam_c * cap + lam_v * vol_cap + lam_s * (r + s * float(up @ suffix**2))
+    size = (
+        cap * (p.max() + 2.0 * lam_c + lam_v * vol.max()) + lam_v * vol_cap
+        + lam_s * (abs(r) + abs(b) * cap + s * float(np.abs(d) @ (np.abs(suffix) + cap) ** 2))
+    )
+    return k + cap * max(0.0, float(c.max())) + 1e-9 * size
 
 
 def certify(
@@ -481,17 +531,27 @@ def certify(
     whose worst relative constraint violation exceeds ``tolerance`` is
     never certified.  Otherwise the verdict is :func:`certifies` on the
     plan's revenue and the lattice best, with a relative slack of
-    ``tolerance``; a vacuously empty lattice certifies trivially.  The
-    search asks only whether a point beats the plan, so it runs
-    ``grid_search(problem, spec, above=value)`` and skips every subtree
-    that cannot; the verdict is the one the lattice best gives.  This is
-    the library's certificate for a LocalOnly plan.  ``shipload oracle``
-    reports the lattice best itself, so it runs :func:`grid_search` without
-    a threshold and applies :func:`certifies` to the result.
+    ``tolerance``; a vacuously empty lattice certifies trivially.  The rule
+    is monotone in the best revenue, so it is first applied to
+    :func:`_lagrangian_bound` with the plan's multipliers (a Solution's own,
+    else recovered as :func:`kkt_verify` does), which settles a convex plan
+    in O(n).  Otherwise the search asks only whether a point beats the plan:
+    ``grid_search(problem, spec, above=value)`` skips every subtree that
+    cannot.  This is the library's certificate for a LocalOnly plan.
+    ``shipload oracle`` reports the lattice best itself, so it runs
+    :func:`grid_search` without a threshold and applies :func:`certifies`.
     """
+    _check_tolerance(tolerance)
     x = problem.check_vector(solution.x if isinstance(solution, Solution) else solution)
     if not _violation(problem, x, _slacks(problem, x)) <= tolerance:
         return False
     value = solution.revenue if isinstance(solution, Solution) else revenue(problem, x)
+    try:
+        multipliers = _plan_multipliers(problem, solution, x)
+    except (RuntimeError, ValueError):
+        pass  # the search needs no multipliers
+    else:
+        if certifies(value, _lagrangian_bound(problem, x, multipliers), tolerance):
+            return True
     _, best_revenue, _ = grid_search(problem, spec, above=value)
     return certifies(value, best_revenue, tolerance)

@@ -674,18 +674,22 @@ def kkt_verify(problem: Problem, solution, tolerance: float = DEFAULT_KKT_TOLERA
     active set by nonnegative least squares.  Always returns a report; the
     ``satisfied`` flag carries the verdict.
     """
+    x = problem.check_vector(solution.x if isinstance(solution, Solution) else solution)
+    return _kkt_report(problem, x, *_plan_multipliers(problem, solution, x), tolerance)
+
+
+def _plan_multipliers(
+    problem: Problem, solution, x: np.ndarray
+) -> tuple[float, float, float, np.ndarray]:
+    """(lam_C, lam_V, lam_S, nu) of a plan: a :class:`Solution`'s own, else recovered at ``x``."""
     if isinstance(solution, Solution):
-        x = problem.check_vector(solution.x)
-        multipliers = (
+        return (
             solution.multiplier_deadweight,
             solution.multiplier_volume,
             solution.multiplier_stability,
             solution.multipliers_nonneg,
         )
-    else:
-        x = problem.check_vector(solution)
-        multipliers = _recover_multipliers(problem, x, DEFAULT_FEASIBILITY_TOLERANCE)
-    return _kkt_report(problem, x, *multipliers, tolerance)
+    return _recover_multipliers(problem, x, DEFAULT_FEASIBILITY_TOLERANCE)
 
 
 def mu_sensitivity(problem: Problem, solution: Solution) -> float:

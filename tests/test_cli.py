@@ -343,6 +343,16 @@ class TestOracleCommand:
         assert out == ""
         assert "the search built more than 1000 lattice rows" in err
 
+    def test_infinite_step_refused(self, capsys):
+        # An infinite step used to empty the lattice and certify any plan.
+        code, out, err = run_cli(
+            capsys, "oracle", "clarkson3500.json", "--mu", "4", "--order", "reverse",
+            "--step", "inf", "--format", "json",
+        )
+        assert code == 1
+        assert out == ""
+        assert "step must be positive and finite" in err
+
 
 class TestFormats:
     def test_json_output_parses(self, capsys):

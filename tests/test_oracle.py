@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import draw_random_problem
+from conftest import draw_nonneg_loading, draw_random_problem
 
 from shipload import (
     CargoType,
@@ -25,6 +25,7 @@ from shipload import (
     solve_lp,
 )
 from shipload import oracle
+from shipload.cli import load_bundled_scenario
 from shipload.oracle import certifies
 from shipload.solver import _slacks, _violation
 
@@ -37,6 +38,17 @@ class TestLatticeSpec:
     def test_max_points_must_be_positive(self):
         with pytest.raises(ValueError, match="max_points"):
             LatticeSpec(100.0, max_points=0)
+
+    @pytest.mark.parametrize("step", [math.inf, -math.inf, math.nan])
+    def test_step_must_be_finite(self, step):
+        # An infinite step made every lattice value inf * 0 = NaN, so every
+        # lattice was empty and certified any plan.
+        with pytest.raises(ValueError, match="step"):
+            LatticeSpec(step)
+
+    def test_max_points_must_be_finite(self):
+        with pytest.raises(ValueError, match="max_points"):
+            LatticeSpec(100.0, max_points=math.inf)
 
 
 def brute_force(problem, step, levels):
@@ -166,6 +178,23 @@ def count_rows(monkeypatch):
         oracle, "_expand", lambda counts: built.append(int(counts.sum())) or expand(counts)
     )
     return built
+
+
+def refuse_search(*args, **kwargs):
+    raise AssertionError("certify searched the lattice")
+
+
+def count_searches(monkeypatch):
+    """A list that collects the ``above`` of every search ``certify`` runs."""
+    calls = []
+    search = oracle.grid_search
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["above"])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "grid_search", counted)
+    return calls
 
 
 def zero_rate_problem():
@@ -432,11 +461,24 @@ class TestCertify:
         best_x, _, _ = grid_search(problem, LatticeSpec(500.0))
         assert certify(problem, best_x, LatticeSpec(500.0)) is True
 
-    def test_local_trap_rejected(self, assemble_case):
+    def test_local_trap_rejected(self, assemble_case, monkeypatch):
         problem = assemble_case(4.0, order=LoadingOrder.reverse(), include_ballast=False)
         trapped = solve(problem, SolverOptions(multistart_count=1, rng_seed=17))
         assert trapped.kkt.satisfied
+        # The root bound cannot settle a trap; the search above it decides.
+        searches = count_searches(monkeypatch)
         assert certify(problem, trapped, LatticeSpec(250.0)) is False
+        assert searches == [trapped.revenue]
+
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan, -1e-6])
+    def test_tolerance_must_be_finite_and_nonnegative(self, assemble_case, tolerance):
+        # An infinite tolerance certified the trap of test_local_trap_rejected.
+        problem = assemble_case(4.0, order=LoadingOrder.reverse(), include_ballast=False)
+        trapped = solve(problem, SolverOptions(multistart_count=1, rng_seed=17))
+        with pytest.raises(ValueError, match="tolerance"):
+            certify(problem, trapped, LatticeSpec(250.0), tolerance=tolerance)
+        with pytest.raises(ValueError, match="tolerance"):
+            certifies(trapped.revenue, 226331.0, tolerance)
 
     def test_verdict_matches_the_exhaustive_search(self):
         # certify asks a bounded question; its verdict must be the rule's
@@ -475,3 +517,102 @@ class TestCertify:
         assert certify(problem, overloaded, LatticeSpec(500.0)) is False
         # The rule on its own still certifies against an empty lattice.
         assert certifies(0.0, -math.inf) is True
+
+
+def root_bound_problems(carrier, market):
+    """Seeded random problems plus the shapes the random draw misses."""
+    rng = np.random.default_rng(2024)
+    problems = [draw_random_problem(rng) for _ in range(400)]
+    equal = (CargoType("a", 0.6, 4.0), CargoType("b", 0.6, 5.0), CargoType("c", 0.9, 4.5))
+    for order in (LoadingOrder.normal(), LoadingOrder.reverse()):
+        problems.append(
+            assemble_problem(carrier, Environment(), StabilityPolicy(2.0), equal, order, False)
+        )
+    # An explicit order puts the ballast at the bottom: D_1 = 0.
+    problems.append(
+        assemble_problem(
+            carrier, Environment(), StabilityPolicy(4.0), market[:3],
+            LoadingOrder.explicit([2, 0, 1]), True,
+        )
+    )
+    return problems
+
+
+class TestRootBound:
+    def test_bound_dominates_the_lattice(self, carrier, market):
+        # Weak duality holds for every lambda >= 0 and every reference point
+        # of the tangents, so each bound must reach the lattice best: the
+        # solver's multipliers at its plan, random lambda and random
+        # references.
+        rng = np.random.default_rng(7)
+        kinds, cargo_counts, water_at_keel, equal_neighbours, bounds = set(), set(), 0, 0, 0
+        for problem in root_bound_problems(carrier, market):
+            levels = {1: 40, 2: 30, 3: 16, 4: 10, 5: 7}.get(problem.n, 5)
+            best_x, best_revenue, _ = grid_search(
+                problem, LatticeSpec(problem.deadweight_cap / levels)
+            )
+            if best_x is None:
+                continue
+            diagonal = problem.classification.evidence.diagonal
+            kinds.add(problem.classification.kind.value)
+            cargo_counts.add(problem.n)
+            water_at_keel += diagonal[0] == 0.0
+            equal_neighbours += bool((diagonal[1:] == 0.0).any())
+            solution = solve(problem, SolverOptions(multistart_count=4))
+            own = (
+                solution.multiplier_deadweight,
+                solution.multiplier_volume,
+                solution.multiplier_stability,
+            )
+            # Multiplier sizes that price each constraint near the rates.
+            rate = problem.objective.max()
+            gradient = abs(problem.linear_coeff) + 2.0 * problem.quad_scale * (
+                np.abs(problem.quad_matrix).max() * problem.deadweight_cap
+            )
+            sizes_of_lambda = np.array([rate, rate / problem.volume_coeffs.max(), rate / gradient])
+            trials = [(solution.x, own)]
+            for _ in range(11):
+                lam = sizes_of_lambda * rng.uniform(0.0, 2.0, 3) * (rng.uniform(size=3) < 0.7)
+                reference = (solution.x, best_x, draw_nonneg_loading(problem, rng))[
+                    int(rng.integers(3))
+                ]
+                trials.append((reference, lam if rng.uniform() < 0.7 else own))
+            for reference, lam in trials:
+                assert oracle._lagrangian_bound(problem, reference, lam) >= best_revenue
+                bounds += 1
+        assert kinds == {"PositiveSemidefinite", "NegativeSemidefinite", "Indefinite"}
+        assert 1 in cargo_counts and water_at_keel and equal_neighbours
+        assert bounds > 4000
+
+    @pytest.mark.parametrize("include_ballast", [True, False])
+    @pytest.mark.parametrize("mu", [4.0, 6.0])
+    def test_convex_case_rows_certify_at_the_root(
+        self, assemble_case, monkeypatch, mu, include_ballast
+    ):
+        problem = assemble_case(mu, include_ballast=include_ballast)
+        assert problem.classification.kind.value == "PositiveSemidefinite"
+        solution = solve(problem, SolverOptions())
+        monkeypatch.setattr(oracle, "grid_search", refuse_search)
+        assert certify(problem, solution, LatticeSpec(500.0)) is True
+
+    def test_coastal_feeder_certifies_at_the_root(self, monkeypatch):
+        scenario = load_bundled_scenario("coastal_feeder.json")
+        problem = assemble_problem(
+            scenario.vessel, Environment(scenario.water_density),
+            StabilityPolicy(scenario.mu), scenario.cargoes, scenario.order,
+            scenario.include_ballast,
+        )
+        solution = solve(problem, scenario.solver)
+        monkeypatch.setattr(oracle, "grid_search", refuse_search)
+        assert certify(problem, solution, LatticeSpec(15.0)) is True
+
+    @pytest.mark.parametrize("include_ballast", [True, False])
+    @pytest.mark.parametrize("mu", [4.0, 6.0])
+    def test_reverse_rows_reach_the_search(self, assemble_case, monkeypatch, mu, include_ballast):
+        # The secant on the convex terms leaves these bounds 5-80% above the
+        # plan, so the lattice decides.
+        problem = assemble_case(mu, order=LoadingOrder.reverse(), include_ballast=include_ballast)
+        solution = solve(problem, SolverOptions())
+        searches = count_searches(monkeypatch)
+        assert certify(problem, solution, LatticeSpec(1000.0)) is True
+        assert searches == [solution.revenue]
