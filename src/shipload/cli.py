@@ -397,8 +397,14 @@ def _build_parser() -> _Parser:
             action="store_true",
             help="do not add the zero-rate ballast type",
         )
-        sub.add_argument("--seed", type=int, default=None, help="multistart RNG seed")
-        sub.add_argument("--starts", type=int, default=None, help="number of multistart runs")
+        sub.add_argument(
+            "--seed", type=int, default=None, help="RNG seed of the fallback random multistart"
+        )
+        sub.add_argument(
+            "--starts", type=int, default=None,
+            help="number of random starts, run when the KKT enumeration cannot settle a "
+            "nonconvex instance",
+        )
         sub.add_argument(
             "--format",
             choices=("table", "csv", "json"),

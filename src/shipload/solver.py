@@ -8,8 +8,11 @@ land on stationary points that are not global optima.  The strategy here:
   it was built; a positive-semidefinite matrix makes the feasible region
   convex, and a single local solve from an interior point is globally
   valid,
-* otherwise run many local solves from seeded pseudo-random feasible
-  starts and keep the best point that passes KKT verification.
+* otherwise enumerate the candidate KKT points in closed form, support by
+  support, and start one local solve from the best of them; when that
+  enumeration is over budget or cannot finish, or its start does not
+  verify at its revenue, run local solves from seeded pseudo-random
+  feasible starts.  The best point that passes KKT verification wins.
 
 This module is the one home of the constraint rules: the slacks and their
 scales, the feasibility test (worst relative violation at most the
@@ -53,6 +56,7 @@ from __future__ import annotations
 import enum
 import importlib.machinery
 import importlib.util
+import itertools
 import logging
 import math
 import os
@@ -84,7 +88,9 @@ DEFAULT_KKT_TOLERANCE = 1e-6
 DEFAULT_FEASIBILITY_TOLERANCE = 1e-8
 
 _KERNEL_MODULE = "scipy.optimize._slsqplib"
-# Relative slack of solve_lp's revenue and dual tests (see its tie rule).
+# Relative slack of solve_lp's revenue and dual tests (see its tie rule),
+# of the stability test of its vertex in _kkt_optimum, and of the revenue
+# that ends solve's search.
 _LP_TOLERANCE = 1e-9
 
 
@@ -131,7 +137,13 @@ class SolverStatus(enum.Enum):
 
 @dataclass
 class SolverOptions:
-    """Knobs for :func:`solve`; defaults reproduce the reported results."""
+    """Knobs for :func:`solve`; defaults reproduce the reported results.
+
+    ``multistart_count`` and ``rng_seed`` drive the seeded random starts,
+    which run only as a fallback: after a stalled interior start on a
+    convex instance, or on a nonconvex one whose KKT enumeration is over
+    budget, incomplete or not confirmed by its own start.
+    """
 
     multistart_count: int = 32
     rng_seed: int = 0
@@ -182,6 +194,13 @@ class Solution:
     reported as 0 and the KKT report still checks the full problem, so
     ``kkt.satisfied`` tells whether the LP vertex happens to solve the
     quadratically constrained problem as well.
+
+    ``starts_used`` counts the local solves that ran, and
+    ``best_start_index`` is the position of the winning one in the order
+    they ran (-1 when none returned a feasible point).  Start 0 is the
+    interior start of a convex instance or the enumerated KKT optimum of a
+    nonconvex one; the seeded random starts follow it, or come first when
+    there is no such start.
     """
 
     x: np.ndarray
@@ -298,6 +317,13 @@ def _random_start(problem: Problem, rng: np.random.Generator) -> np.ndarray:
     weights = rng.dirichlet(np.full(problem.n, 0.4))
     x = weights * (problem.deadweight_cap * rng.uniform())
     return _scale_into_stability(problem, _cap_to_volume(problem, x))
+
+
+def _random_starts(problem: Problem, options: SolverOptions):
+    """The seeded random starts; the generator, and ``numpy.random``, load on the first draw."""
+    rng = np.random.default_rng(options.rng_seed)
+    for _ in range(options.multistart_count):
+        yield _random_start(problem, rng)
 
 
 class _ScaledProblem:
@@ -471,30 +497,12 @@ def _kkt_report(
     )
 
 
-def solve_lp(problem: Problem) -> Solution:
-    """Globally solve the relaxation without the stability constraint.
+def _lp_optimum(problem: Problem) -> tuple[np.ndarray, float, float, bool]:
+    """The relaxation's optimal vertex by :func:`solve_lp`'s rule, its duals, and uniqueness.
 
-    The relaxation, max p.x subject to sum(x) <= C, v.x <= V and x >= 0
-    with v_k = 1/d_k, has two constraints, so each basis holds at most two
-    loads.  Every basis is enumerated, in this order: the empty vessel;
-    each cargo alone at the deadweight cap, x_i = C; each cargo alone at
-    the volume cap, x_i = V*d_i; each pair i < j with both caps binding.
-    A basis is optimal when its loads and its duals are both feasible.
-    Its duals (lam_C, lam_V) are (0, 0) for the empty vessel, (p_i, 0) or
-    (0, p_i*d_i) for a single cargo, and lam_V = (p_j - p_i)/(v_j - v_i),
-    lam_C = p_i - lam_V*v_i for a pair; they are feasible when lam_C,
-    lam_V >= 0 and nu_k = lam_C + lam_V*v_k - p_k >= 0 for every k.  The
-    multipliers are those duals, and the KKT report evaluates the full
-    problem, flagging whether the vertex also respects the stability
-    margin.
-
-    Tie rule: among the feasible bases whose revenue is within 1e-9
-    relative of the best, the first in the order above whose duals are
-    feasible to 1e-9 of the largest rate wins.  Ties come from equal
-    revenues (the lower-indexed vertex wins), from C*v_i = V (one load at
-    both caps, where the deadweight basis is tried first) and from all-zero
-    rates (the empty vessel wins).  The work is O(n^2), plus O(n) per tied
-    basis.
+    The flag is true when every tied basis sits at the same loads (to 1e-9
+    of the deadweight cap), so that the relaxation's optimal face is that
+    one point.
     """
     p = problem.objective
     v = problem.volume_coeffs
@@ -527,14 +535,49 @@ def solve_lp(problem: Problem) -> Solution:
     nu = lam_c[tied, None] + lam_v[tied, None] * v - p
     violation = -np.minimum(nu.min(axis=1), np.minimum(lam_c[tied], lam_v[tied]))
     # The first tied basis within tolerance, or else the least violating one.
-    b = tied[np.argmin(np.maximum(violation, tol * p.max()))]
+    pick = np.argmin(np.maximum(violation, tol * p.max()))
+    b = tied[pick]
 
-    x = np.zeros(n)
-    x[second[b]] = load_second[b]  # 0, and the same index as first, for a single cargo
-    x[first[b]] = load_first[b]
-    x = np.maximum(x, 0.0)
+    points = np.zeros((tied.size, n))
+    rows = np.arange(tied.size)
+    # A single cargo's second load is 0, at the same index as its first.
+    points[rows, second[tied]] = load_second[tied]
+    points[rows, first[tied]] = load_first[tied]
+    points = np.maximum(points, 0.0)
+    x = points[pick]
     lam_dw = max(float(lam_c[b]), 0.0)
     lam_vol = max(float(lam_v[b]), 0.0)
+    unique = float(np.abs(points - x).max()) <= tol * cap
+    return x, lam_dw, lam_vol, unique
+
+
+def solve_lp(problem: Problem) -> Solution:
+    """Globally solve the relaxation without the stability constraint.
+
+    The relaxation, max p.x subject to sum(x) <= C, v.x <= V and x >= 0
+    with v_k = 1/d_k, has two constraints, so each basis holds at most two
+    loads.  Every basis is enumerated, in this order: the empty vessel;
+    each cargo alone at the deadweight cap, x_i = C; each cargo alone at
+    the volume cap, x_i = V*d_i; each pair i < j with both caps binding.
+    A basis is optimal when its loads and its duals are both feasible.
+    Its duals (lam_C, lam_V) are (0, 0) for the empty vessel, (p_i, 0) or
+    (0, p_i*d_i) for a single cargo, and lam_V = (p_j - p_i)/(v_j - v_i),
+    lam_C = p_i - lam_V*v_i for a pair; they are feasible when lam_C,
+    lam_V >= 0 and nu_k = lam_C + lam_V*v_k - p_k >= 0 for every k.  The
+    multipliers are those duals, and the KKT report evaluates the full
+    problem, flagging whether the vertex also respects the stability
+    margin.
+
+    Tie rule: among the feasible bases whose revenue is within 1e-9
+    relative of the best, the first in the order above whose duals are
+    feasible to 1e-9 of the largest rate wins.  Ties come from equal
+    revenues (the lower-indexed vertex wins), from C*v_i = V (one load at
+    both caps, where the deadweight basis is tried first) and from all-zero
+    rates (the empty vessel wins).  The work is O(n^2), plus O(n) per tied
+    basis.
+    """
+    x, lam_dw, lam_vol, _ = _lp_optimum(problem)
+    v, p = problem.volume_coeffs, problem.objective
     multipliers = (lam_dw, lam_vol, 0.0, np.maximum(lam_dw + lam_vol * v - p, 0.0))
     report = _kkt_report(problem, x, *multipliers, DEFAULT_KKT_TOLERANCE)
     return _solution(problem, x, multipliers, report, SolverStatus.OPTIMAL, 1, 0)
@@ -579,6 +622,39 @@ def _empty_vessel(
     return _solution(problem, x, multipliers, report, status, starts_used, -1)
 
 
+def _kkt_optimum(problem: Problem) -> tuple[float, np.ndarray | None, bool]:
+    """The best candidate KKT point of the full problem: (revenue, loads, complete).
+
+    ``complete`` says that the candidates include every local maximum
+    under a constraint qualification (the active constraint gradients
+    independent, so that the second-order necessary conditions hold), and
+    hence the global one.  When it is false the revenue is -inf, the loads
+    are None, and the reason is logged at DEBUG.
+
+    The relaxation's vertex, when it meets the stability constraint, is
+    globally optimal.  Otherwise a global optimum that left stability slack
+    would be an optimum of the relaxation too, so when that vertex is the
+    relaxation's only optimal point, stability binds at the global optimum
+    and :func:`~shipload.kkt_enumeration.binding_optimum` enumerates the
+    candidates.  An optimal face of more than one point is not enumerated.
+    """
+    x_lp, _, _, unique = _lp_optimum(problem)
+    if _violation(problem, x_lp, _slacks(problem, x_lp)) <= _LP_TOLERANCE:
+        return float(problem.objective @ x_lp), x_lp, True
+    if unique:
+        # Imported here: a process that solves only convex instances, as
+        # most CLI runs do, never compiles or loads it.
+        from .kkt_enumeration import binding_optimum
+
+        value, x, reason = binding_optimum(problem)
+    else:
+        reason = "the relaxation's optimum is not one point"
+    if reason is not None:
+        _log.debug("KKT enumeration incomplete: %s", reason)
+        return -math.inf, None, False
+    return value, x, True
+
+
 def _preferred(problem: Problem, challenger: np.ndarray, incumbent: np.ndarray) -> bool:
     a = float(problem.objective @ challenger)
     b = float(problem.objective @ incumbent)
@@ -592,10 +668,17 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Solution:
 
     A negative right-hand side means the empty vessel already violates the
     stability margin and nothing is feasible.  Otherwise the problem's
-    ``classification`` decides: positive semidefinite gives a convex region
-    and a single deterministic interior start (status Optimal); any other class
-    triggers the seeded multistart, whose best KKT-verified point is
-    returned as LocalOnly.  The oracle module can upgrade LocalOnly results
+    ``classification`` decides.  Positive semidefinite gives a convex
+    region and a single deterministic interior start (status Optimal); the
+    seeded random starts run, until one verifies, only if that start
+    stalls.  Any other class first enumerates the candidate KKT points
+    (``_kkt_optimum``).  When that enumeration is complete, its best point
+    is start 0, and the search ends at the first KKT-verified start that
+    earns its revenue to 1e-9 relative; the random starts follow only if
+    none does.  An enumeration over budget or incomplete leaves the seeded
+    multistart as the only search.  Either way the best KKT-verified point is returned
+    as LocalOnly: the enumeration rests on a constraint qualification, so
+    it is no certificate.  The oracle module can upgrade LocalOnly results
     with brute-force evidence; the solver itself never claims more than it
     can prove.
     """
@@ -607,44 +690,46 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Solution:
 
     scaled = _ScaledProblem(problem, opts.max_iterations)
     best_verified = -math.inf
-
-    def evaluate(starts: list[np.ndarray], offset: int):
-        nonlocal best_verified
-        found = []
-        for k, x0 in enumerate(starts):
-            x, mode, iterations = _local_solve(problem, scaled, x0)
-            if not _feasible(problem, x, opts.feasibility_tolerance):
-                _log.debug(
-                    "start %d rejected: exit mode %d after %d iterations, "
-                    "worst relative violation %.3g",
-                    offset + k, mode, iterations, _violation(problem, x, _slacks(problem, x)),
-                )
-                continue
-            value = float(problem.objective @ x)
-            if value < best_verified:
-                # Once a start is verified only verified starts can be
-                # returned, and this one would lose to it on revenue.
-                continue
-            multipliers = _recover_multipliers(problem, x, opts.feasibility_tolerance)
-            report = _kkt_report(problem, x, *multipliers, opts.kkt_tolerance)
-            if report.satisfied:
-                best_verified = max(best_verified, value)
-            found.append((x, multipliers, report, offset + k))
-        return found
-
     candidates = []
-    starts_used = 0
+
+    def evaluate(x0: np.ndarray, index: int) -> bool:
+        """One start's local solve; whether it is KKT-verified and earns the ceiling."""
+        nonlocal best_verified
+        x, mode, iterations = _local_solve(problem, scaled, x0)
+        if not _feasible(problem, x, opts.feasibility_tolerance):
+            _log.debug(
+                "start %d rejected: exit mode %d after %d iterations, "
+                "worst relative violation %.3g",
+                index, mode, iterations, _violation(problem, x, _slacks(problem, x)),
+            )
+            return False
+        value = float(problem.objective @ x)
+        if value < best_verified:
+            # Once a start is verified only verified starts can be
+            # returned, and this one would lose to it on revenue.
+            return False
+        multipliers = _recover_multipliers(problem, x, opts.feasibility_tolerance)
+        report = _kkt_report(problem, x, *multipliers, opts.kkt_tolerance)
+        candidates.append((x, multipliers, report, index))
+        if not report.satisfied:
+            return False
+        best_verified = max(best_verified, value)
+        return value >= ceiling
+
+    # Start 0, if there is one, then the seeded random starts; a verified
+    # start earning the ceiling ends the search.  Under convexity any KKT
+    # point is globally optimal, so there the first verified start does.
     if convex:
-        candidates += evaluate([_interior_start(problem)], 0)
-        starts_used = 1
-    if not convex or not any(c[2].satisfied for c in candidates):
-        # For a convex instance this branch is a fallback for the rare case
-        # where the deterministic start stalls; convexity still makes any
-        # KKT point found below globally optimal.
-        rng = np.random.default_rng(opts.rng_seed)
-        randoms = [_random_start(problem, rng) for _ in range(opts.multistart_count)]
-        candidates += evaluate(randoms, starts_used)
-        starts_used += len(randoms)
+        seed, ceiling = _interior_start(problem), -math.inf
+    else:
+        value, seed, complete = _kkt_optimum(problem)
+        ceiling = value - _LP_TOLERANCE * max(1.0, abs(value)) if complete else math.inf
+    starts = itertools.chain([] if seed is None else [seed], _random_starts(problem, opts))
+    starts_used = 0
+    for index, x0 in enumerate(starts):
+        starts_used += 1
+        if evaluate(x0, index):
+            break
 
     verified = [c for c in candidates if c[2].satisfied]
     pool = verified if verified else candidates

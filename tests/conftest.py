@@ -11,9 +11,12 @@ from shipload import (
     CargoType,
     Environment,
     LoadingOrder,
+    SolverOptions,
+    SolverStatus,
     StabilityPolicy,
     Vessel,
     assemble_problem,
+    solver,
 )
 
 
@@ -56,10 +59,18 @@ def assemble_case(carrier, market):
     return build
 
 
-def draw_random_problem(rng):
-    """A small random scenario with a feasible empty vessel (rhs >= 0)."""
+def draw_random_problem(
+    rng, sizes=(1, 6), orders=(LoadingOrder.normal(), LoadingOrder.reverse()), room=(0.5, 2.0)
+):
+    """A random scenario with a feasible empty vessel (rhs >= 0).
+
+    The cargo count is drawn from ``range(*sizes)``, the order from
+    ``orders``, and the hold volume is the deadweight stowed at the lowest
+    density times a factor drawn from ``room``; the defaults give small
+    instances of either order.
+    """
     for _ in range(64):
-        n = int(rng.integers(1, 6))
+        n = int(rng.integers(*sizes))
         densities = rng.uniform(0.3, 1.2, size=n)
         rates = rng.uniform(0.0, 10.0, size=n)
         cargoes = tuple(
@@ -70,7 +81,7 @@ def draw_random_problem(rng):
         light = float(rng.uniform(500.0, 20000.0))
         light_kg = float(rng.uniform(0.5, beam / 4.0))
         cap = float(light * rng.uniform(0.5, 3.0))
-        volume = float(cap / densities.min() * rng.uniform(0.5, 2.0))
+        volume = float(cap / densities.min() * rng.uniform(*room))
         rho = float(rng.uniform(0.95, 1.05))
         vessel = Vessel(length, beam, cap, volume, light, light_kg)
         area = beam * length
@@ -78,7 +89,7 @@ def draw_random_problem(rng):
         if mu_cap <= 0.0:
             continue
         mu = float(rng.uniform(0.0, 0.8 * mu_cap))
-        order = (LoadingOrder.normal(), LoadingOrder.reverse())[int(rng.integers(2))]
+        order = orders[int(rng.integers(len(orders)))]
         include_ballast = bool(rng.integers(2))
         problem = assemble_problem(
             vessel, Environment(rho), StabilityPolicy(mu), cargoes, order, include_ballast
@@ -92,6 +103,23 @@ def draw_nonneg_loading(problem, rng):
     """A random nonnegative loading within the deadweight cap."""
     weights = rng.dirichlet(np.full(problem.n, 0.6))
     return weights * problem.deadweight_cap * rng.uniform()
+
+
+def local_trap(problem, seed=17):
+    """The point one SLSQP run reaches from the first random start of ``seed``, as a Solution.
+
+    On the four-cargo reverse case study at mu = 4 this is the KKT point of
+    revenue 197 165.9, a local maximum below the global 226 331.0.
+    ``solve`` does not return it: its first start is the enumerated
+    optimum.
+    """
+    options = SolverOptions()
+    x0 = solver._random_start(problem, np.random.default_rng(seed))
+    scaled = solver._ScaledProblem(problem, options.max_iterations)
+    x, _, _ = solver._local_solve(problem, scaled, x0)
+    multipliers = solver._recover_multipliers(problem, x, options.feasibility_tolerance)
+    report = solver._kkt_report(problem, x, *multipliers, options.kkt_tolerance)
+    return solver._solution(problem, x, multipliers, report, SolverStatus.LOCAL_ONLY, 1, 0)
 
 
 def package_env():

@@ -36,7 +36,7 @@ from shipload import (
     solve_lp,
 )
 
-from conftest import draw_nonneg_loading, draw_random_problem
+from conftest import draw_nonneg_loading, draw_random_problem, local_trap
 
 VESSEL = Vessel(
     length=200.0,
@@ -144,8 +144,18 @@ class TestCriterion3ReverseRows:
         assert cases.case2a.revenue == pytest.approx(182600.0, rel=5e-3)
 
     def test_multistart_width(self, cases):
-        assert cases.case1a.starts_used >= 32
-        assert cases.case2a.starts_used >= 32
+        # The enumerated KKT optimum is start 0 and verifies at once.
+        for solution in (cases.case1a, cases.case2a):
+            assert (solution.starts_used, solution.best_start_index) == (1, 0)
+        # Two cargoes of equal density leave the enumeration incomplete, and
+        # the full seeded multistart runs instead.
+        twin = assemble_problem(
+            VESSEL, Environment(1.0), StabilityPolicy(4.0),
+            MARKET + (CargoType("type5", 0.45, 5.4),), LoadingOrder.reverse(),
+        )
+        widened = solve(twin, SolverOptions())
+        assert widened.starts_used == 32
+        assert widened.revenue == pytest.approx(cases.case1a.revenue, rel=1e-9)
 
     def test_ballast_free_equivalence(self, cases):
         # Ballast is never loaded at these optima, so the 4-type assembly
@@ -338,9 +348,7 @@ class TestCriterion10KktCertification:
             assert kkt_verify(problem, solution, 1e-6).satisfied
 
     def test_adversarial_single_start_is_rejected_by_the_oracle(self, cases):
-        trapped = solve(
-            cases.problem1a_nb, SolverOptions(multistart_count=1, rng_seed=17)
-        )
+        trapped = local_trap(cases.problem1a_nb)
         assert trapped.kkt.satisfied
         assert trapped.revenue == pytest.approx(197165.94, rel=1e-6)
         assert certify(cases.problem1a_nb, trapped, LatticeSpec(250.0)) is False

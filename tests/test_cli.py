@@ -23,7 +23,7 @@ from shipload.cli import (
     scenario_to_json,
 )
 
-from conftest import package_env
+from conftest import local_trap, package_env
 
 
 def run_cli(capsys, *args):
@@ -299,7 +299,9 @@ class TestOracleCommand:
         assert rows["certification.certified"] == "true"
         assert float(rows["certification.lattice_revenue"]) <= float(rows["revenue"]) + 1e-6
 
-    def test_uncertified_local_trap(self, capsys):
+    def test_uncertified_local_trap(self, capsys, monkeypatch):
+        # solve starts at the enumerated optimum, so the command is handed the trap.
+        monkeypatch.setattr(shipload.cli, "solve", lambda problem, options: local_trap(problem))
         code, out, _ = run_cli(
             capsys,
             "oracle",
@@ -307,10 +309,6 @@ class TestOracleCommand:
             "--order",
             "reverse",
             "--no-ballast",
-            "--starts",
-            "1",
-            "--seed",
-            "17",
             "--step",
             "500",
             "--format",
@@ -563,6 +561,20 @@ class TestLazyScipyImport:
             f"assert shipload.cli.main({argv!r} + ['--format', 'json']) == {code}\n"
         )
         assert json.loads(result.stdout)["command"] == argv[0]
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    @pytest.mark.parametrize("order", ["normal", "reverse"])
+    def test_case_study_leaves_numpy_random_unloaded(self, command, order):
+        # Importing numpy.random costs some 5 MB of resident memory; only
+        # the fallback multistart draws random starts.
+        argv = [command, "clarkson3500.json", "--order", order, "--format", "json"]
+        result = self.run(
+            "import shipload.cli\n"
+            f"code = shipload.cli.main({argv!r})\n"
+            "assert code in (0, 2), code\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+        )
+        assert json.loads(result.stdout)["command"] == command
 
     def test_library_solve_and_raw_vector_kkt(self):
         self.run(

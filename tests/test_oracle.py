@@ -6,10 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import draw_nonneg_loading, draw_random_problem
+from conftest import draw_nonneg_loading, draw_random_problem, local_trap
 
 from shipload import (
     CargoType,
+    Definiteness,
     Environment,
     LatticeSpec,
     LoadingOrder,
@@ -24,7 +25,7 @@ from shipload import (
     solve,
     solve_lp,
 )
-from shipload import oracle
+from shipload import oracle, solver
 from shipload.cli import load_bundled_scenario
 from shipload.oracle import certifies
 from shipload.solver import _slacks, _violation
@@ -277,6 +278,23 @@ class TestDifferential:
         with pytest.raises(ValueError, match="NaN"):
             grid_search(assemble_case(4.0), LatticeSpec(5000.0), above=math.nan)
 
+    def test_kkt_optimum_bounds_the_lattice(self):
+        # A complete enumeration holds the global optimum, which no
+        # feasible lattice point can beat.
+        complete = 0
+        for problem, step, _ in TINY_LATTICES:
+            if problem.classification.kind is Definiteness.POSITIVE_SEMIDEFINITE:
+                continue
+            value, x, done = solver._kkt_optimum(problem)
+            if not done:
+                continue
+            complete += 1
+            assert _violation(problem, x, _slacks(problem, x)) <= 1e-9
+            assert value == pytest.approx(float(problem.objective @ x), rel=1e-12)
+            lattice = grid_search(problem, LatticeSpec(step))[1]
+            assert value >= lattice - 1e-9 * max(1.0, abs(lattice))
+        assert complete >= 30
+
     def test_cases_cover_the_hard_classes(self):
         kinds, sizes, dense, ballast = set(), set(), 0, 0
         for problem, _, _ in TINY_LATTICES:
@@ -463,7 +481,7 @@ class TestCertify:
 
     def test_local_trap_rejected(self, assemble_case, monkeypatch):
         problem = assemble_case(4.0, order=LoadingOrder.reverse(), include_ballast=False)
-        trapped = solve(problem, SolverOptions(multistart_count=1, rng_seed=17))
+        trapped = local_trap(problem)
         assert trapped.kkt.satisfied
         # The root bound cannot settle a trap; the search above it decides.
         searches = count_searches(monkeypatch)
@@ -474,7 +492,7 @@ class TestCertify:
     def test_tolerance_must_be_finite_and_nonnegative(self, assemble_case, tolerance):
         # An infinite tolerance certified the trap of test_local_trap_rejected.
         problem = assemble_case(4.0, order=LoadingOrder.reverse(), include_ballast=False)
-        trapped = solve(problem, SolverOptions(multistart_count=1, rng_seed=17))
+        trapped = local_trap(problem)
         with pytest.raises(ValueError, match="tolerance"):
             certify(problem, trapped, LatticeSpec(250.0), tolerance=tolerance)
         with pytest.raises(ValueError, match="tolerance"):

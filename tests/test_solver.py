@@ -1,6 +1,7 @@
 """LP baseline, multistart quadratically constrained solves, and KKT checks."""
 
 import logging
+import math
 import subprocess
 import sys
 
@@ -28,7 +29,22 @@ from shipload import solver
 from shipload.cli import load_bundled_scenario
 from shipload.solver import stability_gradient
 
-from conftest import draw_random_problem, package_env
+from conftest import draw_random_problem, local_trap, package_env
+
+
+@pytest.fixture
+def without_enumeration(monkeypatch):
+    """``solve`` as if the KKT enumeration were over budget: the seeded random starts alone."""
+    monkeypatch.setattr(solver, "_kkt_optimum", lambda problem: (-math.inf, None, False))
+
+
+@pytest.fixture
+def twin(carrier, market):
+    """Reverse mu = 4 plus a cargo of type4's density: the enumeration gives up on it."""
+    return assemble_problem(
+        carrier, Environment(), StabilityPolicy(4.0), market + (CargoType("type5", 0.45, 5.4),),
+        LoadingOrder.reverse(), True,
+    )
 
 
 class TestSolverOptions:
@@ -267,7 +283,8 @@ class TestSolveCaseStudy:
         solution = solve(assemble_case(4.0, order=LoadingOrder.reverse()), SolverOptions())
         assert solution.status is SolverStatus.LOCAL_ONLY
         assert solution.revenue == pytest.approx(226330.97, rel=1e-6)
-        assert solution.starts_used == 32
+        # The enumerated optimum is start 0, and it verifies.
+        assert (solution.starts_used, solution.best_start_index) == (1, 0)
 
     def test_reverse_mu6(self, assemble_case):
         problem = assemble_case(6.0, order=LoadingOrder.reverse())
@@ -293,9 +310,11 @@ class TestStatuses:
         assert solution.revenue == 0.0
         assert np.array_equal(solution.x, np.zeros(5))
 
-    def test_iteration_limit(self, assemble_case):
-        problem = assemble_case(4.0, order=LoadingOrder.reverse())
-        solution = solve(problem, SolverOptions(max_iterations=1))
+    def test_iteration_limit(self, twin):
+        # Equal densities leave the enumeration incomplete, so every start
+        # is a random one cut off after a single iteration.
+        solution = solve(twin, SolverOptions(max_iterations=1))
+        assert solution.starts_used == 32
         assert solution.status is SolverStatus.ITERATION_LIMIT
         assert not solution.kkt.satisfied
 
@@ -419,15 +438,24 @@ class TestProperties:
 
 
 class TestAdversarialSeed:
-    def test_single_start_lands_on_local_trap(self, assemble_case):
+    def test_single_start_lands_on_local_trap(self, assemble_case, without_enumeration):
         problem = assemble_case(4.0, order=LoadingOrder.reverse(), include_ballast=False)
-        solution = solve(problem, SolverOptions(multistart_count=1, rng_seed=17))
-        assert solution.status is SolverStatus.LOCAL_ONLY
-        assert solution.kkt.satisfied
-        assert solution.revenue == pytest.approx(197165.94, rel=1e-6)
+        trap = local_trap(problem)
+        assert kkt_verify(problem, trap.x).satisfied
+        assert trap.revenue == pytest.approx(197165.94, rel=1e-6)
+        # The same lone seeded start, run by solve, stops there too.
+        single = solve(problem, SolverOptions(multistart_count=1, rng_seed=17))
+        assert single.status is SolverStatus.LOCAL_ONLY
+        assert np.array_equal(single.x, trap.x)
         # The full multistart escapes the trap.
         best = solve(problem, SolverOptions())
         assert best.revenue == pytest.approx(226330.97, rel=1e-6)
+
+    def test_enumerated_start_escapes_the_trap(self, assemble_case):
+        problem = assemble_case(4.0, order=LoadingOrder.reverse(), include_ballast=False)
+        solution = solve(problem, SolverOptions(multistart_count=1, rng_seed=17))
+        assert solution.revenue == pytest.approx(226330.97, rel=1e-6)
+        assert (solution.starts_used, solution.best_start_index) == (1, 0)
 
 
 CASE_ROWS = [
@@ -467,8 +495,13 @@ class TestScaledLocalSolve:
 
         monkeypatch.setattr(solver, "_local_solve", recording)
         solution = solve(problem, options)
-        assert len(returned) == solution.starts_used
-        assert len(returned) == (32 if order.kind == "reverse" else 1)
+        assert len(returned) == solution.starts_used == 1
+        if order.kind == "reverse":
+            # The random starts that a fallback would run land feasibly too.
+            scaled = solver._ScaledProblem(problem, options.max_iterations)
+            for x0 in _solve_starts(problem, options)[1]:
+                solver._local_solve(problem, scaled, x0)
+            assert len(returned) == 33
         for x in returned:
             assert solver._feasible(problem, x, options.feasibility_tolerance)
 
@@ -563,40 +596,31 @@ class TestSlsqpKernel:
 
     def test_pick_matches_verifying_every_start(self, assemble_case):
         options = SolverOptions()
-        tol = options.feasibility_tolerance
         for problem in _kernel_instances(assemble_case):
-            scaled = solver._ScaledProblem(problem, options.max_iterations)
-
-            def verify(starts, offset):
-                found = []
-                for k, x0 in enumerate(starts):
-                    x, _, _ = solver._local_solve(problem, scaled, x0)
-                    if solver._feasible(problem, x, tol):
-                        multipliers = solver._recover_multipliers(problem, x, tol)
-                        report = solver._kkt_report(
-                            problem, x, *multipliers, options.kkt_tolerance
-                        )
-                        found.append((x, report.satisfied, offset + k))
-                return found
-
             interior, randoms = _solve_starts(problem, options)
             convex = classify_constraint_matrix(
                 problem.densities, problem.environment.water_density
             ).kind is Definiteness.POSITIVE_SEMIDEFINITE
-            candidates = verify([interior], 0) if convex else []
-            if not any(satisfied for _, satisfied, _ in candidates):
-                candidates += verify(randoms, int(convex))
-            pool = [c for c in candidates if c[1]] or candidates
-            best = pool[0]
-            for candidate in pool[1:]:
-                if solver._preferred(problem, candidate[0], best[0]):
-                    best = candidate
+            # Start 0 and the ceiling, as solve sets them.
+            if convex:
+                starts, ceiling = [interior, *randoms], -math.inf
+            else:
+                value, seed, complete = solver._kkt_optimum(problem)
+                if complete:
+                    starts, ceiling = [seed, *randoms], value - 1e-9 * max(1.0, abs(value))
+                else:
+                    starts, ceiling = randoms, math.inf
+            found, used = _verify_starts(problem, options, starts, ceiling)
+            best = _pick(problem, found)
 
             solution = solve(problem, options)
             assert np.array_equal(solution.x, best[0])
             assert solution.best_start_index == best[2]
+            assert solution.starts_used == used
 
-    def test_kkt_rejected_start_does_not_raise_the_bar(self, assemble_case, monkeypatch):
+    def test_kkt_rejected_start_does_not_raise_the_bar(
+        self, assemble_case, monkeypatch, without_enumeration
+    ):
         problem = assemble_case(4.0, order=LoadingOrder.reverse(), include_ballast=False)
         rng = np.random.default_rng(0)
         drawn = [solver._random_start(problem, rng) for _ in range(167)]
@@ -611,14 +635,179 @@ class TestSlsqpKernel:
         assert solution.kkt.satisfied
 
 
+def _verify_starts(problem, options, starts, ceiling):
+    """Every start of ``starts`` verified, stopping after one that verifies and earns ``ceiling``.
+
+    Returns the feasible returns as (x, KKT satisfied, start index) and the
+    number of starts run.
+    """
+    tol = options.feasibility_tolerance
+    scaled = solver._ScaledProblem(problem, options.max_iterations)
+    found = []
+    for k, x0 in enumerate(starts):
+        x, _, _ = solver._local_solve(problem, scaled, x0)
+        if not solver._feasible(problem, x, tol):
+            continue
+        multipliers = solver._recover_multipliers(problem, x, tol)
+        report = solver._kkt_report(problem, x, *multipliers, options.kkt_tolerance)
+        found.append((x, report.satisfied, k))
+        if report.satisfied and problem.objective @ x >= ceiling:
+            return found, k + 1
+    return found, len(starts)
+
+
+def _pick(problem, found):
+    """``solve``'s choice among feasible returns: the best verified one, else the best of all."""
+    pool = [c for c in found if c[1]] or found
+    best = pool[0]
+    for candidate in pool[1:]:
+        if solver._preferred(problem, candidate[0], best[0]):
+            best = candidate
+    return best
+
+
+class TestKktSeed:
+    """The enumerated KKT optimum as start 0 of the nonconvex search."""
+
+    def test_never_below_the_random_multistart(self):
+        rng = np.random.default_rng(59)
+        options = SolverOptions()
+        reverse = (LoadingOrder.reverse(),)
+        checked = large = 0
+        while checked < 300:
+            # Every fourth draw is a reverse stack of 6 to 12 cargoes, and
+            # every fourth a hold small enough for volume to bind.
+            if checked % 4 == 3:
+                problem = draw_random_problem(rng, sizes=(6, 13), orders=reverse)
+            elif checked % 4 == 1:
+                problem = draw_random_problem(rng, room=(0.3, 0.8))
+            else:
+                problem = draw_random_problem(rng)
+            if problem.classification.kind is Definiteness.POSITIVE_SEMIDEFINITE:
+                continue
+            checked += 1
+            large += problem.n >= 6
+            randoms = _solve_starts(problem, options)[1]
+            found, _ = _verify_starts(problem, options, randoms, math.inf)
+            multistart = float(problem.objective @ _pick(problem, found)[0])
+            floor = multistart - 1e-9 * max(1.0, abs(multistart))
+            assert solve(problem, options).revenue >= floor
+            value, _, complete = solver._kkt_optimum(problem)
+            assert complete and value >= floor
+        assert large >= 75
+
+    def test_equal_densities_keep_the_random_search(self, twin, monkeypatch, caplog):
+        caplog.set_level(logging.DEBUG, logger="shipload.solver")
+        assert solver._kkt_optimum(twin) == (-math.inf, None, False)
+        assert "KKT enumeration incomplete: a singular system on cargoes [0, 1]" in caplog.text
+        solution = solve(twin, SolverOptions())
+        monkeypatch.setattr(solver, "_kkt_optimum", lambda problem: (-math.inf, None, False))
+        self.assert_identical(solution, solve(twin, SolverOptions()))
+
+    @pytest.mark.parametrize("n", [21, 41])
+    def test_large_reverse_stacks_keep_the_random_search(self, n, monkeypatch, caplog):
+        # Lighter cargo pays more, so the relaxation's vertex is unstable.
+        densities = np.random.default_rng(n).uniform(0.35, 0.9, n)
+        cargoes = tuple(CargoType(f"c{i}", d, 12.0 - 8.0 * d) for i, d in enumerate(densities))
+        vessel = Vessel(200.0, 25.0, 45000.0, 120000.0, 15000.0, 2.0)
+        problem = assemble_problem(
+            vessel, Environment(), StabilityPolicy(4.0), cargoes, LoadingOrder.reverse(), False
+        )
+        caplog.set_level(logging.DEBUG, logger="shipload.solver")
+        assert solver._kkt_optimum(problem) == (-math.inf, None, False)
+        assert "KKT enumeration incomplete: over budget" in caplog.text
+        solution = solve(problem, SolverOptions())
+        assert solution.starts_used == 32
+        monkeypatch.setattr(solver, "_kkt_optimum", lambda problem: (-math.inf, None, False))
+        self.assert_identical(solution, solve(problem, SolverOptions()))
+
+    @pytest.mark.parametrize(
+        "order, dense", [("explicit", False), ("reverse", False), ("reverse", True)],
+        ids=["ballast-at-the-bottom", "ballast-on-top", "ballast-in-the-middle"],
+    )
+    def test_ballast_at_water_density(self, carrier, market, order, dense):
+        cargoes = market + ((CargoType("heavy", 1.6, 3.0),) if dense else ())
+        explicit = order == "explicit"
+        stack = LoadingOrder.explicit([3, 2, 1, 0]) if explicit else LoadingOrder.reverse()
+        problem = assemble_problem(
+            carrier, Environment(), StabilityPolicy(4.0), cargoes, stack, True
+        )
+        ballast = problem.ballast_index
+        assert problem.densities[ballast] == 1.0
+        assert ballast == {"explicit": 0, "reverse": problem.n - 1 - dense}[order]
+        self.assert_seed_is_the_optimum(problem)
+
+    def test_ballast_under_a_full_hold(self):
+        # Water-density ballast at the bottom steadies a hold that is full
+        # by volume while mass is to spare: the step D_1 is 0, the
+        # deadweight cap is slack, and the volume row sets the ballast.
+        problem = assemble_problem(
+            Vessel(75.8, 12.1, 15650.0, 31080.0, 5570.0, 2.96), Environment(),
+            StabilityPolicy(0.02), (CargoType("c0", 0.411, 5.45), CargoType("c1", 0.306, 2.39)),
+            LoadingOrder.explicit([1, 0]), True,
+        )
+        assert problem.classification.evidence.diagonal[0] == 0.0
+        self.assert_seed_is_the_optimum(problem)
+        _, x, _ = solver._kkt_optimum(problem)
+        deadweight, volume, _ = solver._slacks(problem, x)
+        assert x[problem.ballast_index] > 3000.0
+        assert deadweight > 800.0 and abs(volume) <= 1e-9 * problem.volume_cap
+
+    def test_zero_rates(self, carrier, market):
+        zero = tuple(CargoType(c.label, c.density, 0.0) for c in market)
+        problem = assemble_problem(
+            carrier, Environment(), StabilityPolicy(4.0), zero, LoadingOrder.reverse(), True
+        )
+        value, x, complete = solver._kkt_optimum(problem)
+        assert (value, complete) == (0.0, True) and not x.any()
+        solution = solve(problem, SolverOptions())
+        assert (solution.revenue, solution.starts_used, solution.best_start_index) == (0.0, 1, 0)
+
+    @pytest.mark.parametrize("volume", [20000.0, 30000.0, 40000.0], ids=["volume", "both", "mass"])
+    def test_single_cargo(self, volume):
+        # Denser than water, so the lone cargo's matrix is negative; at
+        # V = 30 000 m3 it fills both caps at once, C * v = V.
+        vessel = Vessel(200.0, 25.0, 45000.0, volume, 15000.0, 2.0)
+        problem = assemble_problem(
+            vessel, Environment(), StabilityPolicy(4.0), (CargoType("ore", 1.5, 3.0),),
+            LoadingOrder.normal(), False,
+        )
+        assert problem.classification.kind is Definiteness.NEGATIVE_SEMIDEFINITE
+        self.assert_seed_is_the_optimum(problem)
+
+    @staticmethod
+    def assert_seed_is_the_optimum(problem):
+        """A complete enumeration whose optimum is also the best of the 32 random starts."""
+        options = SolverOptions()
+        value, x, complete = solver._kkt_optimum(problem)
+        assert complete
+        assert solver._feasible(problem, x, 1e-9)
+        found, _ = _verify_starts(problem, options, _solve_starts(problem, options)[1], math.inf)
+        multistart = float(problem.objective @ _pick(problem, found)[0])
+        assert value == pytest.approx(multistart, rel=1e-9, abs=1e-9)
+        solution = solve(problem, options)
+        assert (solution.starts_used, solution.best_start_index) == (1, 0)
+        assert solution.revenue == pytest.approx(value, rel=1e-9, abs=1e-9)
+
+    @staticmethod
+    def assert_identical(solution, reference):
+        assert np.array_equal(solution.x, reference.x)
+        assert solution.revenue == reference.revenue
+        assert solution.starts_used == reference.starts_used
+        assert solution.best_start_index == reference.best_start_index
+
+
 class TestRejectedStarts:
     """Every start that fails the feasibility filter leaves a DEBUG record."""
 
     @staticmethod
     def rejections(caplog):
-        return [r.args for r in caplog.records if r.name == "shipload.solver"]
+        return [
+            r.args for r in caplog.records
+            if r.name == "shipload.solver" and r.msg.startswith("start ")
+        ]
 
-    def test_diverging_start_is_logged(self, caplog):
+    def test_diverging_start_is_logged(self, caplog, without_enumeration):
         rng = np.random.default_rng(1)
         for _ in range(25):
             problem = draw_random_problem(rng)
@@ -631,8 +820,7 @@ class TestRejectedStarts:
         assert (index, mode, iterations) == (4, 8, 65)
         assert violation > 1e12
 
-    def test_nan_start_is_logged(self, assemble_case, monkeypatch, caplog):
-        problem = assemble_case(4.0, order=LoadingOrder.reverse())
+    def test_nan_start_is_logged(self, twin, monkeypatch, caplog):
         random_start = solver._random_start
         drawn = []
 
@@ -643,7 +831,7 @@ class TestRejectedStarts:
 
         monkeypatch.setattr(solver, "_random_start", one_nan_start)
         caplog.set_level(logging.DEBUG, logger="shipload.solver")
-        solution = solve(problem, SolverOptions(multistart_count=3))
+        solution = solve(twin, SolverOptions(multistart_count=3))
         assert solution.kkt.satisfied
         ((index, mode, iterations, violation),) = self.rejections(caplog)
         assert (index, mode, iterations) == (1, 4, 1)
