@@ -25,8 +25,9 @@ that when the deadweight cap binds row 1 only gives c, and y_1 = sum(x)
 = C.  The volume row dv.y = V then gives w.  In y the stability constraint
 is s y'Dy + b y_1 <= r, and x_i = y_i - y_(i+1).  Degenerate rows:
 
-* D_i = 0 for i > 1 means two cargoes of equal density: y_i is free and
-  t = 0 solves row i, a continuum, so the enumeration gives up.
+* D_i = 0 for i > 1 means two cargoes of equal density that are not
+  neighbours in the stack (neighbours are merged, see below): y_i is free
+  and t = 0 solves row i, a continuum, so the enumeration gives up.
 * D_1 = 0, the bottom cargo at water density, with the deadweight cap
   slack turns row 1 into b/(2s) + w v_1 = t p_1.  With the volume cap
   slack as well no t solves it when p_1 = 0 (ballast), and the system is
@@ -35,20 +36,48 @@ is s y'Dy + b y_1 <= r, and x_i = y_i - y_(i+1).  Degenerate rows:
 * A volume row whose coefficient of w vanishes is skipped when no t
   solves it, and the enumeration gives up otherwise.
 
-Second-order necessity, under a constraint qualification, makes A_SS
-positive semidefinite on a subspace whose codimension is the number of
-binding constraints, so A_SS has at most that many negative eigenvalues.
-By Sylvester's law of inertia the signs of D count them, which rules out
-patterns support by support.  With at most three binding constraints and
-Cauchy interlacing, |S| <= K = 3 + #{k : D_k >= 0} for the problem's own
-congruent diagonal.  An instance with more than ``SYSTEM_BUDGET`` systems,
-four per support of at most K loads, is not enumerated.
+Two cargoes that are neighbours in the stack and have equal density have
+identical rows in A and equal v, so moving mass from the one with the
+lower rate to the other changes no constraint and loses no revenue: some
+optimum leaves it empty.  Each run of such neighbours therefore keeps
+only its best rate (the lowest in the stack on a tie), and everything
+below works on the merged stack, whose congruent diagonal D is the
+problem's without the zero steps inside the runs.
+
+The constraint qualification assumed throughout is that the gradients of
+the binding constraints are independent at the global optima, so that
+each is a KKT point and the second-order necessary conditions hold there.
+Then A_SS is positive semidefinite on a subspace whose codimension is the
+number of binding constraints, so A_SS has at most that many negative
+eigenvalues.  By Sylvester's law of inertia the signs of D count them,
+which rules out patterns support by support.
+
+The largest support is K = 3 + #{k >= 2 : D_k >= 0}, from an edge
+argument (Hillestad & Jacobsen, "Linear programs with an additional
+reverse convex constraint", Appl. Math. Optim. 6, 1980: such a program
+attains its optimum on an edge of the polytope).  Fix y_1, the total
+mass, and every y_k with k >= 2 and D_k >= 0 at their values at a global
+optimum; call the number of fixed coordinates m.  Each stability term
+left free has D_k < 0 and is concave, so on that slice the feasible set
+is the polytope {x >= 0, sum(x) = y_1, the fixed suffix sums, v.x <= V}
+less an open convex set, and the linear revenue attains its maximum over
+the slice on an edge of that polytope.  A point of an edge meets n - 1
+independent constraints with equality: the m equalities, the volume cap
+if it binds, and x_i = 0 for the rest, so it loads at most m + 1
+cargoes, or m + 2 = K with the volume cap binding.  Whatever the sign
+of D_1, some global optimum therefore loads at most K cargoes, and
+exactly K only with the volume cap binding, so supports of exactly K
+cargoes are solved only in the two patterns that bind it.  When K
+exceeds the number of cargoes, every support is solved in every
+pattern.  An instance with more than ``SYSTEM_BUDGET`` systems is not
+enumerated.
 
 The supports go in batches of ``CHUNK``, in the scaled units x / C,
 c / (C a), w max(v) / (C a) and t max(p) / (C a) with a = max|A|, so that
 the tests against zero read O(1) numbers.  Supports of every size share
-one batch layout: a support of k < K cargoes fills its other slots with a
-dummy cargo whose steps are zero, so that its y stays 0.
+one batch, in order of size and then lexicographically: a support of
+k < K cargoes fills its other slots with a dummy cargo whose steps are
+zero, so that its y stays 0.
 """
 
 from __future__ import annotations
@@ -61,11 +90,13 @@ import numpy as np
 from .model import Problem
 from .quadratic_analysis import SIGN_TOLERANCE
 
-# Most linear systems, four constraint patterns per support, that one
-# enumeration solves.
-SYSTEM_BUDGET = 20_000
-# Supports per batch, which keeps every temporary of a batch to a few KB.
-CHUNK = 16
+# Most linear systems that one enumeration solves: four constraint
+# patterns per support, two for a support of exactly K cargoes.  Reverse
+# stacks of up to 43 cargoes fit; 41 cargoes count 24 768 systems, at
+# about 1.4 us each.
+SYSTEM_BUDGET = 30_000
+# Supports per batch.  At n = 41, 512 ran faster than 256, 1024 or 2048.
+CHUNK = 512
 # Scaled steps of the generator, and coefficients of w in the volume row,
 # at most this large count as zero.
 ZERO_TOLERANCE = 1e-10
@@ -91,11 +122,14 @@ def binding_optimum(problem: Problem) -> tuple[float, np.ndarray | None, str | N
     evidence = problem.classification.evidence
     # A = generator[min(i, j)], so a = max|A| scales it and its diagonal.
     a = float(np.abs(evidence.generator).max()) or 1.0
-    largest = min(n, 3 + int(np.count_nonzero(evidence.diagonal >= -SIGN_TOLERANCE * a)))
-    systems = 4 * sum(math.comb(n, k) for k in range(largest + 1))
+    kept, diagonal = _merge_twins(evidence.diagonal / a, problem.objective)
+    largest, full_needs_volume = _support_rule(diagonal)
+    systems = 4 * sum(math.comb(len(kept), k) for k in range(largest + 1))
+    if full_needs_volume:
+        systems -= 2 * math.comb(len(kept), largest)
     if systems > SYSTEM_BUDGET:
         return -math.inf, None, (
-            f"over budget, {systems} systems for supports of up to {largest} of {n} cargoes"
+            f"over budget, {systems} systems for supports of up to {largest} of {len(kept)} cargoes"
         )
 
     cap, r = problem.deadweight_cap, problem.rhs
@@ -115,18 +149,8 @@ def binding_optimum(problem: Problem) -> tuple[float, np.ndarray | None, str | N
             evidence.generator / a,
         )
     )
-    supports = itertools.chain.from_iterable(
-        itertools.combinations(range(n), k) for k in range(1, largest + 1)
-    )
     best_value, best_x = 0.0, np.zeros(n + 1)
-    while batch := list(itertools.islice(supports, CHUNK)):
-        # Masks are 0/1 floats: integer and boolean arithmetic would page in
-        # NumPy loops that nothing else on the solve path uses.
-        chunk = np.full((len(batch), largest), n)
-        real = np.zeros((len(batch), largest))
-        for row, mask, support in zip(chunk, real, batch):
-            row[: len(support)] = support
-            mask[: len(support)] = 1.0
+    for chunk, real in _batches(kept, largest, n):
         steps = generator[chunk]
         steps[:, 1:] -= generator[chunk[:, :-1]]
         steps *= real
@@ -134,6 +158,9 @@ def binding_optimum(problem: Problem) -> tuple[float, np.ndarray | None, str | N
         negative = np.where(steps < -SIGN_TOLERANCE, 1.0, 0.0).sum(axis=1)
         allowed = negative <= _BINDING[:, None]
         allowed[3] &= (real[:, 1] > 0.0) if largest > 1 else False
+        if full_needs_volume:
+            # Patterns 0 and 1 leave the volume cap slack.
+            allowed[:2] &= real[:, -1] == 0.0
         pattern, item = np.nonzero(allowed)
         if not item.size:
             continue
@@ -152,7 +179,8 @@ def binding_optimum(problem: Problem) -> tuple[float, np.ndarray | None, str | N
         solved[dw, 0] = 0.0
         flat = np.where(np.abs(d) <= ZERO_TOLERANCE, solved, 0.0)
         if flat[:, 1:].max(initial=0.0) > 0.0:
-            # Equal densities: y_i is free, and t = 0 solves row i.
+            # Equal densities apart in the stack: y_i is free, and t = 0
+            # solves row i.
             k = int(flat[:, 1:].max(axis=1).argmax())
             return -math.inf, None, _continuum(support[k], n)
         # D_1 = 0 (water density at the bottom) with the deadweight cap
@@ -223,6 +251,70 @@ def binding_optimum(problem: Problem) -> tuple[float, np.ndarray | None, str | N
             best_x[support[k]] = cap * np.maximum(z[root, k], 0.0)
             best_value = float(problem.objective @ best_x[:n])
     return best_value, best_x[:n], None
+
+
+def _merge_twins(steps: np.ndarray, rates: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The cargoes left when each run of equal-density neighbours keeps its best rate.
+
+    ``steps`` is the scaled congruent diagonal; a step of at most
+    ``ZERO_TOLERANCE`` joins a cargo to the run below it.  Of the cargoes
+    that tie for the best rate, the lowest stays.  Returns them with the
+    congruent diagonal of the merged stack: ``steps`` without the joins.
+    """
+    kept, starts = [0], [0]
+    for i in range(1, rates.size):
+        if abs(steps[i]) > ZERO_TOLERANCE:
+            kept.append(i)
+            starts.append(i)
+        elif rates[i] > rates[kept[-1]]:
+            kept[-1] = i
+    return kept, steps[starts]
+
+
+def _support_rule(diagonal: np.ndarray) -> tuple[int, bool]:
+    """(K, whether a support of exactly K cargoes needs the volume cap binding).
+
+    ``diagonal`` is the scaled congruent diagonal of the stack that is
+    enumerated, and K = 3 + #{k >= 2 : D_k >= 0}.  When that exceeds the
+    number of cargoes, K is that number and every pattern stays.
+    """
+    largest = 3 + int(np.count_nonzero(diagonal[1:] >= -SIGN_TOLERANCE))
+    if largest > diagonal.size:
+        return diagonal.size, False
+    return largest, True
+
+
+def _batches(kept: list[int], largest: int, n: int):
+    """The supports of 1 to ``largest`` of the ``kept`` cargoes, ``CHUNK`` to a batch.
+
+    Yields (cargo indices, 0/1 mask of the real slots), each of shape
+    (supports, largest), in order of size and then lexicographically; the
+    free slots hold the dummy cargo n.  No batch has more rows than there
+    are supports.
+    """
+    left = sum(math.comb(len(kept), k) for k in range(1, largest + 1))
+    sizes = ((k, itertools.combinations(kept, k)) for k in range(1, largest + 1))
+    size, supports = next(sizes)
+    while left:
+        rows = min(CHUNK, left)
+        chunk = np.full((rows, largest), n, dtype=np.intp)
+        # A 0/1 float mask: integer and boolean arithmetic would page in
+        # NumPy loops that nothing else on the solve path uses.
+        real = np.zeros((rows, largest))
+        filled = 0
+        while True:
+            flat = np.fromiter(
+                itertools.chain.from_iterable(itertools.islice(supports, rows - filled)), np.intp
+            )
+            count = flat.size // size
+            chunk[filled : filled + count, :size] = flat.reshape(count, size)
+            real[filled : filled + count, :size] = 1.0
+            filled += count
+            if filled == rows:
+                break
+            size, supports = next(sizes)
+        left -= rows
+        yield chunk, real
 
 
 def _continuum(support: np.ndarray, n: int) -> str:

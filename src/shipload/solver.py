@@ -10,9 +10,10 @@ land on stationary points that are not global optima.  The strategy here:
   valid,
 * otherwise enumerate the candidate KKT points in closed form, support by
   support, and start one local solve from the best of them; when that
-  enumeration is over budget or cannot finish, or its start does not
-  verify at its revenue, run local solves from seeded pseudo-random
-  feasible starts.  The best point that passes KKT verification wins.
+  enumeration is over budget (reverse stacks of 44 or more cargoes) or
+  cannot finish, or its start does not verify at its revenue, run local
+  solves from seeded pseudo-random feasible starts.  The best point that
+  passes KKT verification wins.
 
 This module is the one home of the constraint rules: the slacks and their
 scales, the feasibility test (worst relative violation at most the
@@ -625,11 +626,13 @@ def _empty_vessel(
 def _kkt_optimum(problem: Problem) -> tuple[float, np.ndarray | None, bool]:
     """The best candidate KKT point of the full problem: (revenue, loads, complete).
 
-    ``complete`` says that the candidates include every local maximum
-    under a constraint qualification (the active constraint gradients
-    independent, so that the second-order necessary conditions hold), and
-    hence the global one.  When it is false the revenue is -inf, the loads
-    are None, and the reason is logged at DEBUG.
+    ``complete`` says that the candidates include a global maximum under
+    a constraint qualification (the active constraint gradients
+    independent, so that the second-order necessary conditions hold).
+    They need not include every local maximum: the enumeration skips
+    supports that an edge argument shows no global optimum needs.  When
+    it is false the revenue is -inf, the loads are None, and the reason is
+    logged at DEBUG.
 
     The relaxation's vertex, when it meets the stability constraint, is
     globally optimal.  Otherwise a global optimum that left stability slack
@@ -675,12 +678,14 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Solution:
     (``_kkt_optimum``).  When that enumeration is complete, its best point
     is start 0, and the search ends at the first KKT-verified start that
     earns its revenue to 1e-9 relative; the random starts follow only if
-    none does.  An enumeration over budget or incomplete leaves the seeded
-    multistart as the only search.  Either way the best KKT-verified point is returned
-    as LocalOnly: the enumeration rests on a constraint qualification, so
-    it is no certificate.  The oracle module can upgrade LocalOnly results
-    with brute-force evidence; the solver itself never claims more than it
-    can prove.
+    none does.  An enumeration over budget (reverse stacks of 44 or more
+    cargoes) or incomplete (equal densities apart in the stack, a tied
+    relaxation) leaves the seeded multistart as the only search.  Either
+    way the best KKT-verified point is returned as LocalOnly: the
+    enumeration rests on a constraint qualification, so it is no
+    certificate.  The oracle module can upgrade LocalOnly results with
+    brute-force evidence; the solver itself never claims more than it can
+    prove.
     """
     opts = options if options is not None else SolverOptions()
     if problem.rhs < 0:

@@ -65,9 +65,10 @@ def draw_random_problem(
     """A random scenario with a feasible empty vessel (rhs >= 0).
 
     The cargo count is drawn from ``range(*sizes)``, the order from
-    ``orders``, and the hold volume is the deadweight stowed at the lowest
-    density times a factor drawn from ``room``; the defaults give small
-    instances of either order.
+    ``orders``, where ``"explicit"`` stands for a random permutation, and
+    the hold volume is the deadweight stowed at the lowest density times a
+    factor drawn from ``room``; the defaults give small instances of either
+    order.
     """
     for _ in range(64):
         n = int(rng.integers(*sizes))
@@ -90,6 +91,8 @@ def draw_random_problem(
             continue
         mu = float(rng.uniform(0.0, 0.8 * mu_cap))
         order = orders[int(rng.integers(len(orders)))]
+        if order == "explicit":
+            order = LoadingOrder.explicit(rng.permutation(n).tolist())
         include_ballast = bool(rng.integers(2))
         problem = assemble_problem(
             vessel, Environment(rho), StabilityPolicy(mu), cargoes, order, include_ballast
@@ -97,6 +100,16 @@ def draw_random_problem(
         if problem.rhs >= 0.0:
             return problem
     raise AssertionError("could not draw a feasible random scenario")
+
+
+def large_reverse_stack(n):
+    """A reverse stack of ``n`` cargoes; lighter ones pay more, so the relaxation's vertex is unstable."""
+    densities = np.random.default_rng(n).uniform(0.35, 0.9, n).tolist()
+    cargoes = tuple(CargoType(f"c{i}", d, 12.0 - 8.0 * d) for i, d in enumerate(densities))
+    return assemble_problem(
+        Vessel(200.0, 25.0, 45000.0, 120000.0, 15000.0, 2.0), Environment(), StabilityPolicy(4.0),
+        cargoes, LoadingOrder.reverse(), False,
+    )
 
 
 def draw_nonneg_loading(problem, rng):

@@ -147,13 +147,22 @@ class TestCriterion3ReverseRows:
         # The enumerated KKT optimum is start 0 and verifies at once.
         for solution in (cases.case1a, cases.case2a):
             assert (solution.starts_used, solution.best_start_index) == (1, 0)
-        # Two cargoes of equal density leave the enumeration incomplete, and
-        # the full seeded multistart runs instead.
+        # A cargo of type4's density and a lower rate is merged into type4,
+        # and the enumeration still settles the row with one start.
         twin = assemble_problem(
             VESSEL, Environment(1.0), StabilityPolicy(4.0),
             MARKET + (CargoType("type5", 0.45, 5.4),), LoadingOrder.reverse(),
         )
-        widened = solve(twin, SolverOptions())
+        merged = solve(twin, SolverOptions())
+        assert (merged.starts_used, merged.best_start_index) == (1, 0)
+        assert merged.revenue == pytest.approx(cases.case1a.revenue, rel=1e-9)
+        # An exact copy of type4 ties the relaxation, which leaves the
+        # enumeration incomplete, and the full seeded multistart runs.
+        copy = assemble_problem(
+            VESSEL, Environment(1.0), StabilityPolicy(4.0),
+            MARKET + (CargoType("type5", 0.45, 5.5),), LoadingOrder.reverse(),
+        )
+        widened = solve(copy, SolverOptions())
         assert widened.starts_used == 32
         assert widened.revenue == pytest.approx(cases.case1a.revenue, rel=1e-9)
 

@@ -29,7 +29,7 @@ from shipload import solver
 from shipload.cli import load_bundled_scenario
 from shipload.solver import stability_gradient
 
-from conftest import draw_random_problem, local_trap, package_env
+from conftest import draw_random_problem, large_reverse_stack, local_trap, package_env
 
 
 @pytest.fixture
@@ -40,9 +40,12 @@ def without_enumeration(monkeypatch):
 
 @pytest.fixture
 def twin(carrier, market):
-    """Reverse mu = 4 plus a cargo of type4's density: the enumeration gives up on it."""
+    """Reverse mu = 4 plus a copy of type4: the relaxation's optimum is a segment.
+
+    The enumeration gives up on it, so ``solve`` runs the random starts.
+    """
     return assemble_problem(
-        carrier, Environment(), StabilityPolicy(4.0), market + (CargoType("type5", 0.45, 5.4),),
+        carrier, Environment(), StabilityPolicy(4.0), market + (CargoType("type5", 0.45, 5.5),),
         LoadingOrder.reverse(), True,
     )
 
@@ -311,8 +314,8 @@ class TestStatuses:
         assert np.array_equal(solution.x, np.zeros(5))
 
     def test_iteration_limit(self, twin):
-        # Equal densities leave the enumeration incomplete, so every start
-        # is a random one cut off after a single iteration.
+        # A tied relaxation leaves the enumeration incomplete, so every
+        # start is a random one cut off after a single iteration.
         solution = solve(twin, SolverOptions(max_iterations=1))
         assert solution.starts_used == 32
         assert solution.status is SolverStatus.ITERATION_LIMIT
@@ -696,30 +699,59 @@ class TestKktSeed:
             assert complete and value >= floor
         assert large >= 75
 
-    def test_equal_densities_keep_the_random_search(self, twin, monkeypatch, caplog):
-        caplog.set_level(logging.DEBUG, logger="shipload.solver")
-        assert solver._kkt_optimum(twin) == (-math.inf, None, False)
-        assert "KKT enumeration incomplete: a singular system on cargoes [0, 1]" in caplog.text
-        solution = solve(twin, SolverOptions())
-        monkeypatch.setattr(solver, "_kkt_optimum", lambda problem: (-math.inf, None, False))
-        self.assert_identical(solution, solve(twin, SolverOptions()))
+    @pytest.mark.parametrize(
+        "twin_of, rate", [(3, 5.4), (3, 5.6), (1, 5.0)], ids=["lower", "higher", "tie"]
+    )
+    def test_equal_densities_are_enumerated(self, carrier, market, twin_of, rate, monkeypatch):
+        # type5 sits next to a cargo of its density in the stack: the
+        # enumeration keeps the better rate of the two, on a tie the lower
+        # cargo.  A copy of type2 leaves the relaxation's vertex unique.
+        density = market[twin_of].density
+        problem = assemble_problem(
+            carrier, Environment(), StabilityPolicy(4.0),
+            market + (CargoType("type5", density, rate),), LoadingOrder.reverse(), True,
+        )
+        below = problem.labels.index(market[twin_of].label)
+        assert problem.labels[below + 1] == "type5"
+        self.assert_enumerated(problem, monkeypatch)
 
     @pytest.mark.parametrize("n", [21, 41])
-    def test_large_reverse_stacks_keep_the_random_search(self, n, monkeypatch, caplog):
-        # Lighter cargo pays more, so the relaxation's vertex is unstable.
-        densities = np.random.default_rng(n).uniform(0.35, 0.9, n)
-        cargoes = tuple(CargoType(f"c{i}", d, 12.0 - 8.0 * d) for i, d in enumerate(densities))
-        vessel = Vessel(200.0, 25.0, 45000.0, 120000.0, 15000.0, 2.0)
-        problem = assemble_problem(
-            vessel, Environment(), StabilityPolicy(4.0), cargoes, LoadingOrder.reverse(), False
-        )
+    def test_large_reverse_stacks_are_enumerated(self, n, monkeypatch):
+        forced = self.assert_enumerated(large_reverse_stack(n), monkeypatch)
+        assert forced.starts_used == 32
+
+    def test_over_budget_reverse_stack_keeps_the_random_search(self, monkeypatch, caplog):
+        # The smallest reverse stack over the budget: 30 452 systems.
+        problem = large_reverse_stack(44)
         caplog.set_level(logging.DEBUG, logger="shipload.solver")
         assert solver._kkt_optimum(problem) == (-math.inf, None, False)
-        assert "KKT enumeration incomplete: over budget" in caplog.text
+        assert "KKT enumeration incomplete: over budget, 30452 systems" in caplog.text
         solution = solve(problem, SolverOptions())
         assert solution.starts_used == 32
         monkeypatch.setattr(solver, "_kkt_optimum", lambda problem: (-math.inf, None, False))
         self.assert_identical(solution, solve(problem, SolverOptions()))
+
+    def test_large_reverse_stacks_leave_numpy_random_unloaded(self):
+        # Importing numpy.random costs some 5 MB of resident memory; only
+        # the fallback multistart draws random starts.  The child builds
+        # the same stacks from their cargo lists.
+        stacks = [large_reverse_stack(n).cargoes for n in (21, 41)]
+        code = (
+            "import sys\n"
+            "from shipload import *\n"
+            f"for cargoes in {stacks!r}:\n"
+            "    problem = assemble_problem(\n"
+            "        Vessel(200.0, 25.0, 45000.0, 120000.0, 15000.0, 2.0), Environment(),\n"
+            "        StabilityPolicy(4.0), cargoes, LoadingOrder.reverse(), False,\n"
+            "    )\n"
+            "    assert solve(problem).starts_used == 1\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=120, env=package_env(),
+        )
+        assert result.returncode == 0, result.stderr
 
     @pytest.mark.parametrize(
         "order, dense", [("explicit", False), ("reverse", False), ("reverse", True)],
@@ -788,6 +820,22 @@ class TestKktSeed:
         solution = solve(problem, options)
         assert (solution.starts_used, solution.best_start_index) == (1, 0)
         assert solution.revenue == pytest.approx(value, rel=1e-9, abs=1e-9)
+
+    @staticmethod
+    def assert_enumerated(problem, monkeypatch):
+        """A complete enumeration and one start, no worse than the random search alone.
+
+        Returns the random search's solution.
+        """
+        value, _, complete = solver._kkt_optimum(problem)
+        solution = solve(problem, SolverOptions())
+        monkeypatch.setattr(solver, "_kkt_optimum", lambda problem: (-math.inf, None, False))
+        forced = solve(problem, SolverOptions())
+        floor = forced.revenue - 1e-9 * abs(forced.revenue)
+        assert complete and value >= floor
+        assert (solution.starts_used, solution.best_start_index) == (1, 0)
+        assert solution.revenue >= floor
+        return forced
 
     @staticmethod
     def assert_identical(solution, reference):
