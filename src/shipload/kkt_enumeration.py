@@ -35,6 +35,11 @@ is s y'Dy + b y_1 <= r, and x_i = y_i - y_(i+1).  Degenerate rows:
   volume cap binding, row 1 gives w and the volume row gives y_1.
 * A volume row whose coefficient of w vanishes is skipped when no t
   solves it, and the enumeration gives up otherwise.
+* A system along whose line the stability constraint does not depend on
+  t (a2 and a1 at most ``ZERO_TOLERANCE`` max(1, |r|) in the units
+  below), such as one cargo held at both caps, has no roots: the roots
+  that rounding gives it lie far along a direction that solves nothing.
+  Its t = 0 candidate stays.
 
 Two cargoes that are neighbours in the stack and have equal density have
 identical rows in A and equal v, so moving mass from the one with the
@@ -78,12 +83,19 @@ the tests against zero read O(1) numbers.  Supports of every size share
 one batch, in order of size and then lexicographically: a support of
 k < K cargoes fills its other slots with a dummy cargo whose steps are
 zero, so that its y stays 0.
+
+A root t > 0 carries the multipliers of its point: lam_S = 1 / (2 s t),
+lam_C = (c - b / (2 s)) / t and lam_V = w / t, which
+:func:`binding_optimum` returns for its winner.  :func:`support_points`
+solves the same rows for one support in scalar arithmetic; the solver's
+support exchange for convex instances calls it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,147 +122,346 @@ _VOLUME_ON = np.array([False, False, True, True])
 _BINDING = np.array([1.0, 2.0, 2.0, 3.0])
 
 
-def binding_optimum(problem: Problem) -> tuple[float, np.ndarray | None, str | None]:
+class Units(NamedTuple):
+    """A problem in the enumeration's scaled units.
+
+    Loads are x / C, so that y_1 = 1 is the deadweight cap; ``slack_dw``
+    is c with that cap slack, b / (2 s C a), and ``room`` the volume cap
+    V / (C max(v)).  In y the stability constraint reads
+    qa y'Dy + qb y_1 <= r.  ``v``, ``p`` and ``generator`` are divided by
+    their largest entries, and each has one more entry, 0, for the dummy
+    cargo n that pads a batch.
+    """
+
+    n: int
+    cap: float
+    a: float
+    rate: float
+    volume: float
+    quad_scale: float
+    slack_dw: float
+    room: float
+    qa: float
+    qb: float
+    r: float
+    consistency_tol: float
+    v: np.ndarray
+    p: np.ndarray
+    generator: np.ndarray
+
+
+def scaled_units(problem: Problem) -> Units:
+    """The enumeration's scaled units of ``problem``; a = max|A| scales A and its diagonal."""
+    generator = problem.classification.evidence.generator
+    a = float(np.abs(generator).max()) or 1.0
+    cap = problem.deadweight_cap
+    rate = float(problem.objective.max()) or 1.0
+    volume = float(problem.volume_coeffs.max())
+    slack_dw = problem.linear_coeff / (2.0 * problem.quad_scale * cap * a)
+    room = problem.volume_cap / (cap * volume)
+    padded = np.zeros((3, problem.n + 1))
+    padded[0, :-1] = problem.volume_coeffs / volume
+    padded[1, :-1] = problem.objective / rate
+    padded[2, :-1] = generator / a
+    return Units(
+        n=problem.n,
+        cap=cap,
+        a=a,
+        rate=rate,
+        volume=volume,
+        quad_scale=problem.quad_scale,
+        slack_dw=slack_dw,
+        room=room,
+        qa=problem.quad_scale * cap * cap * a,
+        qb=problem.linear_coeff * cap,
+        r=problem.rhs,
+        consistency_tol=TOLERANCE * max(1.0, abs(slack_dw), room),
+        v=padded[0],
+        p=padded[1],
+        generator=padded[2],
+    )
+
+
+def _multipliers(units: Units, t: float, c: float, w: float) -> tuple[float, float, float]:
+    """(lam_C, lam_V, lam_S) of a scaled root t > 0 with its c and w.
+
+    Unscaled, lam_S = 1 / (2 s t), lam_C = (c - b / (2 s)) / t and
+    lam_V = w / t.
+    """
+    return (
+        (c - units.slack_dw) * units.rate / t,
+        w * units.rate / (units.volume * t),
+        units.rate / (2.0 * units.quad_scale * t * units.cap * units.a),
+    )
+
+
+def binding_optimum(
+    problem: Problem,
+) -> tuple[float, np.ndarray | None, tuple[float, float, float] | None, str | None]:
     """The best feasible candidate with stability binding, or the empty vessel.
 
-    Returns (revenue, loads, None) when the enumeration finished, and
-    (-inf, None, reason) when it gave up.  A candidate counts when x >= 0
-    meets every constraint to ``TOLERANCE`` relative.  The empty vessel is
-    feasible because the caller has checked r >= 0.
+    Returns (revenue, loads, multipliers, None) when the enumeration
+    finished, and (-inf, None, None, reason) when it gave up.  A candidate
+    counts when x >= 0 meets every constraint to ``TOLERANCE`` relative.
+    The empty vessel is feasible because the caller has checked r >= 0.
+    The multipliers are (lam_C, lam_V, lam_S) of the winning root t > 0,
+    (0, 0, 0) for the empty vessel, and None when the winner has t <= 0,
+    where no finite stability multiplier exists.
     """
     n = problem.n
-    evidence = problem.classification.evidence
-    # A = generator[min(i, j)], so a = max|A| scales it and its diagonal.
-    a = float(np.abs(evidence.generator).max()) or 1.0
-    kept, diagonal = _merge_twins(evidence.diagonal / a, problem.objective)
+    units = scaled_units(problem)
+    steps = problem.classification.evidence.diagonal / units.a
+    kept, diagonal = _merge_twins(steps, problem.objective)
     largest, full_needs_volume = _support_rule(diagonal)
     systems = 4 * sum(math.comb(len(kept), k) for k in range(largest + 1))
     if full_needs_volume:
         systems -= 2 * math.comb(len(kept), largest)
     if systems > SYSTEM_BUDGET:
-        return -math.inf, None, (
+        return -math.inf, None, None, (
             f"over budget, {systems} systems for supports of up to {largest} of {len(kept)} cargoes"
         )
 
-    cap, r = problem.deadweight_cap, problem.rhs
-    rate = float(problem.objective.max()) or 1.0
-    slack_dw = problem.linear_coeff / (2.0 * problem.quad_scale * cap * a)
-    room = problem.volume_cap / (cap * problem.volume_coeffs.max())
-    # The stability constraint in y: qa y'Dy + qb y_1 <= r.
-    qa = problem.quad_scale * cap * cap * a
-    qb = problem.linear_coeff * cap
-    consistency_tol = TOLERANCE * max(1.0, abs(slack_dw), room)
-    # Index n is the dummy cargo.
-    v, p, generator = (
-        np.append(data, 0.0)
-        for data in (
-            problem.volume_coeffs / problem.volume_coeffs.max(),
-            problem.objective / rate,
-            evidence.generator / a,
-        )
-    )
-    best_value, best_x = 0.0, np.zeros(n + 1)
+    best_value, best_x, best_multipliers = 0.0, np.zeros(n + 1), (0.0, 0.0, 0.0)
     for chunk, real in _batches(kept, largest, n):
-        steps = generator[chunk]
-        steps[:, 1:] -= generator[chunk[:, :-1]]
-        steps *= real
-        # More negative steps than binding constraints rule a pattern out.
-        negative = np.where(steps < -SIGN_TOLERANCE, 1.0, 0.0).sum(axis=1)
-        allowed = negative <= _BINDING[:, None]
-        allowed[3] &= (real[:, 1] > 0.0) if largest > 1 else False
-        if full_needs_volume:
-            # Patterns 0 and 1 leave the volume cap slack.
-            allowed[:2] &= real[:, -1] == 0.0
-        pattern, item = np.nonzero(allowed)
-        if not item.size:
+        rows = _batch_rows(units, chunk, real, largest, full_needs_volume)
+        if isinstance(rows, str):
+            return -math.inf, None, None, rows
+        if rows is None:
             continue
-        support, real, d = chunk[item], real[item], steps[item]
-        dw, vol = _DEADWEIGHT_ON[pattern], _VOLUME_ON[pattern]
-        dv, dp = v[support], p[support]
-        dv[:, 1:] -= v[support[:, :-1]]
-        dp[:, 1:] -= p[support[:, :-1]]
-        dv *= real
-        dp *= real
-
-        # Row i of D y + c e_1 + w dv = t dp gives y_i, except the first
-        # row when the deadweight cap binds (y_1 = 1 there, and the row only
-        # gives c) and rows with D_i = 0.
-        solved = real.copy()
-        solved[dw, 0] = 0.0
-        flat = np.where(np.abs(d) <= ZERO_TOLERANCE, solved, 0.0)
-        if flat[:, 1:].max(initial=0.0) > 0.0:
-            # Equal densities apart in the stack: y_i is free, and t = 0
-            # solves row i.
-            k = int(flat[:, 1:].max(axis=1).argmax())
-            return -math.inf, None, _continuum(support[k], n)
-        # D_1 = 0 (water density at the bottom) with the deadweight cap
-        # slack: row 1 reads slack_dw + w v_1 = t p_1.  With the volume cap
-        # slack too, w = 0, and only a zero rate leaves no t.
-        bottom = flat[:, 0] > 0.0
-        stuck = bottom & ~vol
-        if np.any(stuck & ((np.abs(dp[:, 0]) > TOLERANCE) | (abs(slack_dw) <= consistency_tol))):
-            k = int(np.where(stuck, 1.0, 0.0).argmax())
-            return -math.inf, None, _continuum(support[k], n)
-        keep = ~stuck
-        solved -= flat
-        safe = np.where(solved > 0.0, d, 1.0)
-        u = np.where(solved > 0.0, dp / safe, 0.0)
-        f = np.where(solved > 0.0, dv / safe, 0.0)
-        # y = base + t u - w f, with w = w0 + t w1.
-        base = np.zeros_like(d)
-        base[:, 0] = np.where(dw, 1.0, np.where(bottom, 0.0, -slack_dw / safe[:, 0]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # The volume row: dv . y = room.
-            den = (dv * f).sum(axis=1)
-            num0 = (dv * base).sum(axis=1) - room
-            num1 = (dv * u).sum(axis=1)
-            normal = vol & ~bottom
-            degenerate = normal & (np.abs(den) <= ZERO_TOLERANCE)
-            solvable = (np.abs(num1) > TOLERANCE) | (np.abs(num0) <= consistency_tol)
-            if np.any(degenerate & solvable):
-                k = int(np.where(degenerate, 1.0, 0.0).argmax())
-                return -math.inf, None, _continuum(support[k], n)
-            keep &= ~degenerate
-            w0 = np.where(normal, num0 / den, 0.0)
-            w1 = np.where(normal, num1 / den, 0.0)
-            # With D_1 = 0 row 1 gives w, and the volume row gives y_1.
-            w0 = np.where(bottom, -slack_dw / dv[:, 0], w0)
-            w1 = np.where(bottom, dp[:, 0] / dv[:, 0], w1)
-            y0 = base - w0[:, None] * f
-            y1 = u - w1[:, None] * f
-            v_1 = np.where(bottom, dv[:, 0], 1.0)
-            y0[:, 0] = np.where(bottom, (room - (dv * y0).sum(axis=1)) / v_1, y0[:, 0])
-            y1[:, 0] = np.where(bottom, -(dv * y1).sum(axis=1) / v_1, y1[:, 0])
-
-            # The stability constraint along the line, minus r: a2 t^2 + a1 t + a0.
-            a2 = qa * (d * y1 * y1).sum(axis=1)
-            a1 = 2.0 * qa * (d * y0 * y1).sum(axis=1) + qb * y1[:, 0]
-            a0 = qa * (d * y0 * y0).sum(axis=1) + qb * y0[:, 0] - r
-            disc = a1 * a1 - 4.0 * a2 * a0
-            # A tangent root may come out a rounding error below zero.
-            disc[(disc < 0.0) & (disc >= -1e-12 * (a1 * a1 + np.abs(4.0 * a2 * a0)))] = 0.0
-            half = -0.5 * (a1 + np.where(a1 < 0.0, -1.0, 1.0) * np.sqrt(disc))
-            t = np.zeros((3, half.size))
-            t[1] = half / a2
-            t[2] = a0 / half
-            y = y0 + t[:, :, None] * y1  # (t = 0 and the two roots, systems, slots)
-            z = y.copy()
-            z[:, :, :-1] -= y[:, :, 1:]
-            excess = (a2 * t + a1) * t + a0
-            ok = (
-                keep
-                & (z.min(axis=2) >= -TOLERANCE)
-                & (y[:, :, 0] <= 1.0 + TOLERANCE)
-                & ((y * dv).sum(axis=2) <= room * (1.0 + TOLERANCE))
-                & (excess <= TOLERANCE * max(1.0, abs(r)))
-            )
-            value = np.where(ok, (y * dp).sum(axis=2), -np.inf)
-        root, k = divmod(int(value.argmax()), value.shape[1])
-        if value[root, k] * rate * cap > best_value:
+        root, k = divmod(int(rows.value.argmax()), rows.value.shape[1])
+        if rows.value[root, k] * units.rate * units.cap > best_value:
             best_x = np.zeros(n + 1)
-            best_x[support[k]] = cap * np.maximum(z[root, k], 0.0)
+            best_x[rows.support[k]] = units.cap * np.maximum(rows.z[root, k], 0.0)
             best_value = float(problem.objective @ best_x[:n])
-    return best_value, best_x[:n], None
+            t = float(rows.t[root, k])
+            best_multipliers = None
+            if t > 0.0:
+                w = float(rows.w0[k] + t * rows.w1[k])
+                c = units.slack_dw
+                if _DEADWEIGHT_ON[rows.pattern[k]]:
+                    # Row 1 with y_1 = 1 gives c.
+                    c = float(t * rows.dp[k, 0] - rows.d[k, 0] - w * rows.dv[k, 0])
+                best_multipliers = _multipliers(units, t, c, w)
+    return best_value, best_x[:n], best_multipliers, None
+
+
+class _Rows(NamedTuple):
+    """The systems of one batch and their candidates.
+
+    Per system: its support, its pattern, whether its two roots solve it
+    (``rooted``), its steps and w = w0 + t w1.  Per candidate, indexed
+    (t = 0 and the two roots, system): t, z = x / C and the scaled
+    revenue, -inf where the candidate fails a check.
+    """
+
+    support: np.ndarray
+    pattern: np.ndarray
+    rooted: np.ndarray
+    d: np.ndarray
+    dv: np.ndarray
+    dp: np.ndarray
+    w0: np.ndarray
+    w1: np.ndarray
+    t: np.ndarray
+    z: np.ndarray
+    value: np.ndarray
+
+
+def _batch_rows(
+    units: Units, chunk: np.ndarray, real: np.ndarray, largest: int, full_needs_volume: bool
+) -> _Rows | str | None:
+    """Every allowed system of one batch solved, None when none is allowed.
+
+    Returns the reason instead when a system has a continuum of solutions.
+    """
+    v, p, generator = units.v, units.p, units.generator
+    slack_dw, room, consistency_tol = units.slack_dw, units.room, units.consistency_tol
+    qa, qb, r = units.qa, units.qb, units.r
+    steps = generator[chunk]
+    steps[:, 1:] -= generator[chunk[:, :-1]]
+    steps *= real
+    # More negative steps than binding constraints rule a pattern out.
+    negative = np.where(steps < -SIGN_TOLERANCE, 1.0, 0.0).sum(axis=1)
+    allowed = negative <= _BINDING[:, None]
+    allowed[3] &= (real[:, 1] > 0.0) if largest > 1 else False
+    if full_needs_volume:
+        # Patterns 0 and 1 leave the volume cap slack.
+        allowed[:2] &= real[:, -1] == 0.0
+    pattern, item = np.nonzero(allowed)
+    if not item.size:
+        return None
+    support, real, d = chunk[item], real[item], steps[item]
+    dw, vol = _DEADWEIGHT_ON[pattern], _VOLUME_ON[pattern]
+    dv, dp = v[support], p[support]
+    dv[:, 1:] -= v[support[:, :-1]]
+    dp[:, 1:] -= p[support[:, :-1]]
+    dv *= real
+    dp *= real
+
+    # Row i of D y + c e_1 + w dv = t dp gives y_i, except the first
+    # row when the deadweight cap binds (y_1 = 1 there, and the row only
+    # gives c) and rows with D_i = 0.
+    solved = real.copy()
+    solved[dw, 0] = 0.0
+    flat = np.where(np.abs(d) <= ZERO_TOLERANCE, solved, 0.0)
+    if flat[:, 1:].max(initial=0.0) > 0.0:
+        # Equal densities apart in the stack: y_i is free, and t = 0
+        # solves row i.
+        k = int(flat[:, 1:].max(axis=1).argmax())
+        return _continuum(support[k], units.n)
+    # D_1 = 0 (water density at the bottom) with the deadweight cap
+    # slack: row 1 reads slack_dw + w v_1 = t p_1.  With the volume cap
+    # slack too, w = 0, and only a zero rate leaves no t.
+    bottom = flat[:, 0] > 0.0
+    stuck = bottom & ~vol
+    if np.any(stuck & ((np.abs(dp[:, 0]) > TOLERANCE) | (abs(slack_dw) <= consistency_tol))):
+        k = int(np.where(stuck, 1.0, 0.0).argmax())
+        return _continuum(support[k], units.n)
+    keep = ~stuck
+    solved -= flat
+    safe = np.where(solved > 0.0, d, 1.0)
+    u = np.where(solved > 0.0, dp / safe, 0.0)
+    f = np.where(solved > 0.0, dv / safe, 0.0)
+    # y = base + t u - w f, with w = w0 + t w1.
+    base = np.zeros_like(d)
+    base[:, 0] = np.where(dw, 1.0, np.where(bottom, 0.0, -slack_dw / safe[:, 0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # The volume row: dv . y = room.
+        den = (dv * f).sum(axis=1)
+        num0 = (dv * base).sum(axis=1) - room
+        num1 = (dv * u).sum(axis=1)
+        normal = vol & ~bottom
+        degenerate = normal & (np.abs(den) <= ZERO_TOLERANCE)
+        solvable = (np.abs(num1) > TOLERANCE) | (np.abs(num0) <= consistency_tol)
+        if np.any(degenerate & solvable):
+            k = int(np.where(degenerate, 1.0, 0.0).argmax())
+            return _continuum(support[k], units.n)
+        keep &= ~degenerate
+        w0 = np.where(normal, num0 / den, 0.0)
+        w1 = np.where(normal, num1 / den, 0.0)
+        # With D_1 = 0 row 1 gives w, and the volume row gives y_1.
+        w0 = np.where(bottom, -slack_dw / dv[:, 0], w0)
+        w1 = np.where(bottom, dp[:, 0] / dv[:, 0], w1)
+        y0 = base - w0[:, None] * f
+        y1 = u - w1[:, None] * f
+        v_1 = np.where(bottom, dv[:, 0], 1.0)
+        y0[:, 0] = np.where(bottom, (room - (dv * y0).sum(axis=1)) / v_1, y0[:, 0])
+        y1[:, 0] = np.where(bottom, -(dv * y1).sum(axis=1) / v_1, y1[:, 0])
+
+        # The stability constraint along the line, minus r: a2 t^2 + a1 t + a0.
+        a2 = qa * (d * y1 * y1).sum(axis=1)
+        a1 = 2.0 * qa * (d * y0 * y1).sum(axis=1) + qb * y1[:, 0]
+        a0 = qa * (d * y0 * y0).sum(axis=1) + qb * y0[:, 0] - r
+        disc = a1 * a1 - 4.0 * a2 * a0
+        # A tangent root may come out a rounding error below zero.
+        disc[(disc < 0.0) & (disc >= -1e-12 * (a1 * a1 + np.abs(4.0 * a2 * a0)))] = 0.0
+        half = -0.5 * (a1 + np.where(a1 < 0.0, -1.0, 1.0) * np.sqrt(disc))
+        t = np.zeros((3, half.size))
+        t[1] = half / a2
+        t[2] = a0 / half
+        y = y0 + t[:, :, None] * y1  # (t = 0 and the two roots, systems, slots)
+        z = y.copy()
+        z[:, :, :-1] -= y[:, :, 1:]
+        excess = (a2 * t + a1) * t + a0
+        ok = (
+            (z.min(axis=2) >= -TOLERANCE)
+            & (y[:, :, 0] <= 1.0 + TOLERANCE)
+            & ((y * dv).sum(axis=2) <= room * (1.0 + TOLERANCE))
+            & (excess <= TOLERANCE * max(1.0, abs(r)))
+        )
+        # Where stability does not depend on t its roots are rounding
+        # errors: far along a direction that solves nothing.
+        rooted = keep & (np.maximum(np.abs(a2), np.abs(a1)) > ZERO_TOLERANCE * max(1.0, abs(r)))
+        ok[0] &= keep
+        ok[1:] &= rooted
+        value = np.where(ok, (y * dp).sum(axis=2), -np.inf)
+    return _Rows(support, pattern, rooted, d, dv, dp, w0, w1, t, z, value)
+
+
+def support_points(
+    units: Units, support: list[int]
+) -> list[tuple[np.ndarray, float, float, float]]:
+    """The points of one support where stationarity meets the stability boundary with t > 0.
+
+    ``support`` lists cargo indices in stacking order.  Solves the rows
+    that :func:`binding_optimum` solves, D y + c e_1 + w dv = t dp, for
+    each of the four patterns of the caps, one support at a time and in
+    scalar arithmetic: neighbours of equal density in the support are
+    merged first (:func:`_merge_twins`), and a pattern is skipped where
+    the batch rows would give up or skip (D_1 = 0 with both caps slack,
+    a volume row without w) and where the stability quadratic does not
+    depend on t.  Returns (loads, lam_C, lam_V, lam_S) for every root
+    t > 0, whether or not the loads are feasible.
+    """
+    g = units.generator[support]
+    steps = g.copy()
+    steps[1:] -= g[:-1]
+    positions, merged = _merge_twins(steps, units.p[support])
+    cargoes = [support[i] for i in positions]
+    d = merged.tolist()
+    v = units.v[cargoes].tolist()
+    p = units.p[cargoes].tolist()
+    k = len(cargoes)
+    dv = [v[0]] + [v[i] - v[i - 1] for i in range(1, k)]
+    dp = [p[0]] + [p[i] - p[i - 1] for i in range(1, k)]
+    slack_dw, room, qa, qb, r = units.slack_dw, units.room, units.qa, units.qb, units.r
+    flat_tol = ZERO_TOLERANCE * max(1.0, abs(r))
+
+    points = []
+    for dw, vol in zip(_DEADWEIGHT_ON.tolist(), _VOLUME_ON.tolist()):
+        bottom = not dw and abs(d[0]) <= ZERO_TOLERANCE
+        if bottom and not vol:
+            continue
+        # y = base + t u - w f on the rows that give y_i.
+        base, u, f = [0.0] * k, [0.0] * k, [0.0] * k
+        for i in range(1, k):
+            u[i], f[i] = dp[i] / d[i], dv[i] / d[i]
+        if dw:
+            base[0] = 1.0
+        elif not bottom:
+            base[0], u[0], f[0] = -slack_dw / d[0], dp[0] / d[0], dv[0] / d[0]
+        # w = w0 + t w1.
+        if bottom:
+            # Row 1 gives w, and the volume row gives y_1 below.
+            w0, w1 = -slack_dw / dv[0], dp[0] / dv[0]
+        elif vol:
+            den = sum(a * b for a, b in zip(dv, f))
+            if abs(den) <= ZERO_TOLERANCE:
+                continue
+            w0 = (sum(a * b for a, b in zip(dv, base)) - room) / den
+            w1 = sum(a * b for a, b in zip(dv, u)) / den
+        else:
+            w0 = w1 = 0.0
+        y0 = [b - w0 * c for b, c in zip(base, f)]
+        y1 = [b - w1 * c for b, c in zip(u, f)]
+        if bottom:
+            y0[0] = (room - sum(a * b for a, b in zip(dv[1:], y0[1:]))) / dv[0]
+            y1[0] = -sum(a * b for a, b in zip(dv[1:], y1[1:])) / dv[0]
+        a2 = qa * sum(di * b * b for di, b in zip(d, y1))
+        a1 = 2.0 * qa * sum(di * b * c for di, b, c in zip(d, y0, y1)) + qb * y1[0]
+        a0 = qa * sum(di * b * b for di, b in zip(d, y0)) + qb * y0[0] - r
+        if max(abs(a2), abs(a1)) <= flat_tol:
+            # Stability does not depend on t: no root, or all of them.
+            continue
+        disc = a1 * a1 - 4.0 * a2 * a0
+        if disc < 0.0:
+            if disc < -1e-12 * (a1 * a1 + abs(4.0 * a2 * a0)):
+                continue
+            disc = 0.0
+        half = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1))
+        roots = {half / a2} if a2 != 0.0 else set()
+        if half != 0.0:
+            roots.add(a0 / half)
+        for t in sorted(roots):
+            if not (t > 0.0 and math.isfinite(t)):
+                continue
+            y = [b + t * c for b, c in zip(y0, y1)] + [0.0]
+            w = w0 + t * w1
+            c = t * dp[0] - d[0] - w * dv[0] if dw else slack_dw
+            x = np.zeros(units.n)
+            x[cargoes] = [units.cap * (y[i] - y[i + 1]) for i in range(k)]
+            points.append((x, *_multipliers(units, t, c, w)))
+    return points
 
 
 def _merge_twins(steps: np.ndarray, rates: np.ndarray) -> tuple[list[int], np.ndarray]:

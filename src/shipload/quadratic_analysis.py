@@ -5,8 +5,9 @@ congruent to a diagonal matrix whose entries are consecutive differences of
 the generating vector.  Congruence preserves eigenvalue sign counts, which
 means the diagonal alone classifies A as positive semidefinite, negative
 semidefinite, or indefinite in O(n) time.  The classification drives solver
-dispatch: a semidefinite-plus case gives a convex feasible region where one
-local solve is globally valid, anything mixed forces a multistart search.
+dispatch: a semidefinite-plus case gives a convex feasible region where any
+KKT point is globally optimal, anything else needs the enumeration of the
+candidate KKT points or a multistart search.
 """
 
 from __future__ import annotations

@@ -6,14 +6,20 @@ land on stationary points that are not global optima.  The strategy here:
 
 * read the constraint matrix's class, which the problem computed once when
   it was built; a positive-semidefinite matrix makes the feasible region
-  convex, and a single local solve from an interior point is globally
-  valid,
+  convex, and any KKT point is globally optimal.  A support exchange finds
+  one in closed form: the relaxation's vertex when it is stable, else the
+  points where stationarity on a support meets the stability boundary,
+  the support growing by the cargo whose price is most negative,
 * otherwise enumerate the candidate KKT points in closed form, support by
-  support, and start one local solve from the best of them; when that
-  enumeration is over budget (reverse stacks of 44 or more cargoes) or
-  cannot finish, or its start does not verify at its revenue, run local
-  solves from seeded pseudo-random feasible starts.  The best point that
-  passes KKT verification wins.
+  support; the best of them comes with its own multipliers,
+* either way that point is start 0.  When it passes the feasibility filter
+  and the KKT report with its closed-form multipliers it is returned as it
+  is, with no local solve.  Else a local solve runs from it (from an
+  interior point on a convex instance); when the enumeration is over
+  budget (reverse stacks of 44 or more cargoes) or cannot finish, or
+  start 0 does not verify at its revenue, local solves run from seeded
+  pseudo-random feasible starts.  The best point that passes KKT
+  verification wins.
 
 This module is the one home of the constraint rules: the slacks and their
 scales, the feasibility test (worst relative violation at most the
@@ -37,24 +43,25 @@ ray onto the boundary in closed form.
 The method is otherwise treated as a black box: a returned point counts
 only if it is feasible and passes the KKT report.  A start whose
 return fails the feasibility filter is logged at DEBUG on the
-``shipload.solver`` logger.  Lagrange multipliers are recovered from the
-active set by nonnegative least squares, since the local method does not
-expose duals; a start whose revenue is already below a verified one
-skips that recovery and the KKT report, because it can no longer be
-returned.
+``shipload.solver`` logger.  Lagrange multipliers of a local solve's
+point are recovered from the active set by nonnegative least squares,
+since the local method does not expose duals; a start whose revenue is
+already below a verified one skips that recovery and the KKT report,
+because it can no longer be returned.
 
 The LP relaxation is solved by enumerating the bases of its
 two-constraint polytope in NumPy.  Nothing here imports the
 ``scipy.optimize`` package, whose import costs most of a CLI process: the
 compiled extension that holds both the SLSQP kernel and the Lawson-Hanson
 NNLS routine is loaded straight from SciPy's package directory on first
-use and registered under its own module name, so a later
-``import scipy.optimize`` shares it.
+use, which a closed-form answer never reaches, and registered under its
+own module name, so a later ``import scipy.optimize`` shares it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import importlib.machinery
 import importlib.util
 import itertools
@@ -93,6 +100,10 @@ _KERNEL_MODULE = "scipy.optimize._slsqplib"
 # of the stability test of its vertex in _kkt_optimum, and of the revenue
 # that ends solve's search.
 _LP_TOLERANCE = 1e-9
+# Most steps of the convex support exchange are 2 n plus this many; an
+# exchange that has not stopped by then hands the instance to the local
+# solve.  The measured answers took at most 3.
+_EXCHANGE_EXTRA_STEPS = 6
 
 
 def _slsqplib():
@@ -141,9 +152,10 @@ class SolverOptions:
     """Knobs for :func:`solve`; defaults reproduce the reported results.
 
     ``multistart_count`` and ``rng_seed`` drive the seeded random starts,
-    which run only as a fallback: after a stalled interior start on a
-    convex instance, or on a nonconvex one whose KKT enumeration is over
-    budget, incomplete or not confirmed by its own start.
+    which run only as a fallback: on a convex instance whose closed-form
+    point and interior start both fail to verify, or on a nonconvex one
+    whose KKT enumeration is over budget, incomplete or not confirmed by
+    its own start.  ``max_iterations`` bounds each local solve.
     """
 
     multistart_count: int = 32
@@ -196,12 +208,15 @@ class Solution:
     ``kkt.satisfied`` tells whether the LP vertex happens to solve the
     quadratically constrained problem as well.
 
-    ``starts_used`` counts the local solves that ran, and
-    ``best_start_index`` is the position of the winning one in the order
-    they ran (-1 when none returned a feasible point).  Start 0 is the
-    interior start of a convex instance or the enumerated KKT optimum of a
-    nonconvex one; the seeded random starts follow it, or come first when
-    there is no such start.
+    ``starts_used`` counts the starts that ran, and ``best_start_index``
+    is the position of the winning one in the order they ran (-1 when
+    none returned a feasible point).  Start 0 is the closed-form KKT point:
+    the support exchange's on a convex instance, the enumerated optimum on
+    a nonconvex one.  When it verifies it is the answer, with
+    ``starts_used == 1`` and no local solve; otherwise start 0 is a local
+    solve from it (from an interior point on a convex instance), and the
+    seeded random starts follow it, or come first when there is no such
+    start.
     """
 
     x: np.ndarray
@@ -498,37 +513,55 @@ def _kkt_report(
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _bases(n: int) -> tuple[np.ndarray, ...]:
+    """The pairs i < j (``np.triu_indices(n, 1)``), then the first and second cargo of every basis.
+
+    The bases are in :func:`solve_lp`'s order; a single cargo's second is
+    itself, and the empty vessel's are 0.  Read-only, built once per n.
+    """
+    i, j = np.triu_indices(n, 1)
+    cargo = np.arange(n)
+    arrays = (i, j, np.concatenate([[0], cargo, cargo, i]), np.concatenate([[0], cargo, cargo, j]))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def _lp_optimum(problem: Problem) -> tuple[np.ndarray, float, float, bool]:
     """The relaxation's optimal vertex by :func:`solve_lp`'s rule, its duals, and uniqueness.
 
     The flag is true when every tied basis sits at the same loads (to 1e-9
-    of the deadweight cap), so that the relaxation's optimal face is that
-    one point.
+    of the deadweight cap) once the loads of each run of equal-density
+    neighbours in the stack are summed.  Such neighbours are
+    interchangeable in every constraint, so the relaxation's optimal face
+    then meets each constraint as that one vertex does.
     """
     p = problem.objective
     v = problem.volume_coeffs
     cap, room = problem.deadweight_cap, problem.volume_cap
     n = problem.n
-    cargo = np.arange(n)
     nothing = np.zeros(n)
-    i, j = np.triu_indices(n, 1)
+    i, j, first, second = _bases(n)
+    p_i, p_j, v_i, v_j = p[i], p[j], v[i], v[j]
+    volume_loads = room * problem.densities
     with np.errstate(divide="ignore", invalid="ignore"):
         # Equal densities give infinite or NaN loads, which fail the checks below.
-        pair_lam_v = (p[j] - p[i]) / (v[j] - v[i])
-        pair_i = (room - v[j] * cap) / (v[i] - v[j])
-        pair_j = (v[i] * cap - room) / (v[i] - v[j])
-    first = np.concatenate([[0], cargo, cargo, i])
-    second = np.concatenate([[0], cargo, cargo, j])
-    load_first = np.concatenate([[0.0], np.full(n, cap), room * problem.densities, pair_i])
+        pair_lam_v = (p_j - p_i) / (v_j - v_i)
+        pair_i = (room - v_j * cap) / (v_i - v_j)
+        pair_j = (v_i * cap - room) / (v_i - v_j)
+        # A zero rate times an infinite load is NaN too.
+        pair_revenue = p_i * pair_i + p_j * pair_j
+    load_first = np.concatenate([[0.0], np.full(n, cap), volume_loads, pair_i])
     load_second = np.concatenate([[0.0], nothing, nothing, pair_j])
-    lam_c = np.concatenate([[0.0], p, nothing, p[i] - pair_lam_v * v[i]])
+    lam_c = np.concatenate([[0.0], p, nothing, p_i - pair_lam_v * v_i])
     lam_v = np.concatenate([[0.0], nothing, p * problem.densities, pair_lam_v])
     # A single cargo must fit the other cap; a pair binds both by construction.
     feasible = np.concatenate(
-        [[True], v * cap <= room, room * problem.densities <= cap, (pair_i >= 0) & (pair_j >= 0)]
+        [[True], v * cap <= room, volume_loads <= cap, (pair_i >= 0) & (pair_j >= 0)]
     )
-    with np.errstate(invalid="ignore"):  # a zero rate times an infinite load
-        revenue = np.where(feasible, p[first] * load_first + p[second] * load_second, -np.inf)
+    revenue = np.concatenate([[0.0], p * cap, p * volume_loads, pair_revenue])
+    revenue[~feasible] = -np.inf
 
     tol = _LP_TOLERANCE
     best = revenue.max()  # the empty vessel is always feasible, so best >= 0
@@ -548,7 +581,12 @@ def _lp_optimum(problem: Problem) -> tuple[np.ndarray, float, float, bool]:
     x = points[pick]
     lam_dw = max(float(lam_c[b]), 0.0)
     lam_vol = max(float(lam_v[b]), 0.0)
-    unique = float(np.abs(points - x).max()) <= tol * cap
+    if tied.size > 1:
+        # Sum each run of equal densities into its first column.
+        d = problem.densities
+        runs = np.flatnonzero(np.concatenate([[True], d[1:] != d[:-1]]))
+        points = np.add.reduceat(points, runs, axis=1)
+    unique = float(np.abs(points - points[pick]).max()) <= tol * cap
     return x, lam_dw, lam_vol, unique
 
 
@@ -578,8 +616,7 @@ def solve_lp(problem: Problem) -> Solution:
     basis.
     """
     x, lam_dw, lam_vol, _ = _lp_optimum(problem)
-    v, p = problem.volume_coeffs, problem.objective
-    multipliers = (lam_dw, lam_vol, 0.0, np.maximum(lam_dw + lam_vol * v - p, 0.0))
+    multipliers = _closed_form_multipliers(problem, x, (lam_dw, lam_vol, 0.0))
     report = _kkt_report(problem, x, *multipliers, DEFAULT_KKT_TOLERANCE)
     return _solution(problem, x, multipliers, report, SolverStatus.OPTIMAL, 1, 0)
 
@@ -623,39 +660,123 @@ def _empty_vessel(
     return _solution(problem, x, multipliers, report, status, starts_used, -1)
 
 
-def _kkt_optimum(problem: Problem) -> tuple[float, np.ndarray | None, bool]:
-    """The best candidate KKT point of the full problem: (revenue, loads, complete).
+def _kkt_optimum(
+    problem: Problem,
+) -> tuple[float, np.ndarray | None, bool, tuple[float, float, float] | None]:
+    """The best candidate KKT point of the full problem: (revenue, loads, complete, multipliers).
 
     ``complete`` says that the candidates include a global maximum under
     a constraint qualification (the active constraint gradients
     independent, so that the second-order necessary conditions hold).
     They need not include every local maximum: the enumeration skips
     supports that an edge argument shows no global optimum needs.  When
-    it is false the revenue is -inf, the loads are None, and the reason is
-    logged at DEBUG.
+    it is false the revenue is -inf, the loads and multipliers are None,
+    and the reason is logged at DEBUG.  The multipliers (lam_C, lam_V,
+    lam_S) are the point's own in closed form, or None when it has none
+    with finite lam_S.
 
     The relaxation's vertex, when it meets the stability constraint, is
-    globally optimal.  Otherwise a global optimum that left stability slack
-    would be an optimum of the relaxation too, so when that vertex is the
-    relaxation's only optimal point, stability binds at the global optimum
-    and :func:`~shipload.kkt_enumeration.binding_optimum` enumerates the
+    globally optimal, with its LP duals and lam_S = 0.  Otherwise a global
+    optimum that left stability slack would be an optimum of the
+    relaxation too, so when that vertex is the relaxation's only optimal
+    point (up to moving mass between equal-density neighbours), stability
+    binds at the global optimum and
+    :func:`~shipload.kkt_enumeration.binding_optimum` enumerates the
     candidates.  An optimal face of more than one point is not enumerated.
     """
-    x_lp, _, _, unique = _lp_optimum(problem)
+    x_lp, lam_dw, lam_vol, unique = _lp_optimum(problem)
     if _violation(problem, x_lp, _slacks(problem, x_lp)) <= _LP_TOLERANCE:
-        return float(problem.objective @ x_lp), x_lp, True
+        return float(problem.objective @ x_lp), x_lp, True, (lam_dw, lam_vol, 0.0)
     if unique:
-        # Imported here: a process that solves only convex instances, as
-        # most CLI runs do, never compiles or loads it.
+        # Imported here: a process that never meets an unstable
+        # relaxation never compiles or loads it.
         from .kkt_enumeration import binding_optimum
 
-        value, x, reason = binding_optimum(problem)
+        value, x, multipliers, reason = binding_optimum(problem)
     else:
         reason = "the relaxation's optimum is not one point"
     if reason is not None:
         _log.debug("KKT enumeration incomplete: %s", reason)
-        return -math.inf, None, False
-    return value, x, True
+        return -math.inf, None, False, None
+    return value, x, True, multipliers
+
+
+def _convex_exchange(
+    problem: Problem, feasibility_tolerance: float, kkt_tolerance: float
+) -> tuple[np.ndarray, tuple[float, float, float]] | None:
+    """A KKT point of a convex instance with its multipliers (lam_C, lam_V, lam_S), or None.
+
+    The relaxation's vertex answers with its LP duals when it is stable.
+    Otherwise stability binds, and a support exchange starts from the
+    vertex's support of at most two cargoes.  Each step solves the
+    support in closed form (:func:`~shipload.kkt_enumeration.support_points`)
+    and keeps its best valid point: loads at least -``feasibility_tolerance``
+    times the deadweight cap, lam_C and lam_V at least -``kkt_tolerance``
+    times max(1, max p), and both caps met to ``feasibility_tolerance``
+    relative.  A support without one gives way to the
+    best of its subsets that drop one cargo.  The cargoes outside the
+    support are then priced, nu_j = lam_C + lam_V v_j + lam_S g_j - p_j
+    with g the stability gradient; when none is below -``kkt_tolerance``
+    times max(1, max p) the point is a KKT point, and under convexity a
+    global optimum.  Else the most negative joins the support.  None when
+    no support has a valid point or after 2 n + ``_EXCHANGE_EXTRA_STEPS``
+    steps.
+    """
+    x, lam_dw, lam_vol, _ = _lp_optimum(problem)
+    if _violation(problem, x, _slacks(problem, x)) <= _LP_TOLERANCE:
+        return x, (lam_dw, lam_vol, 0.0)
+    from .kkt_enumeration import scaled_units, support_points
+
+    units = scaled_units(problem)
+    p, v = problem.objective, problem.volume_coeffs
+    cap, room = problem.deadweight_cap, problem.volume_cap
+    price_tol = kkt_tolerance * max(1.0, float(p.max()))
+    over = 1.0 + feasibility_tolerance
+
+    def best_point(support):
+        # The points lie on the stability boundary; solve checks the answer's feasibility.
+        best = None
+        for loads, lam_c, lam_v, lam_s in support_points(units, support):
+            if loads.min() < -feasibility_tolerance * cap or min(lam_c, lam_v) < -price_tol:
+                continue
+            loads = np.maximum(loads, 0.0)
+            if loads.sum() > cap * over or v @ loads > room * over:
+                continue
+            if best is None or p @ loads > p @ best[0]:
+                best = (loads, (lam_c, lam_v, lam_s))
+        return best
+
+    support = np.flatnonzero(x).tolist()
+    for _ in range(2 * problem.n + _EXCHANGE_EXTRA_STEPS):
+        point = best_point(support)
+        if point is None:
+            smaller = [support[:k] + support[k + 1:] for k in range(len(support))]
+            found = [(best_point(s), s) for s in smaller if s]
+            found = [(q, s) for q, s in found if q is not None]
+            if not found:
+                return None
+            point, support = max(found, key=lambda item: p @ item[0][0])
+        x, (lam_c, lam_v, lam_s) = point
+        nu = lam_c + lam_v * v + lam_s * stability_gradient(problem, x) - p
+        nu[support] = math.inf
+        j = int(nu.argmin())
+        if nu[j] >= -price_tol:
+            return point
+        support = sorted(support + [j])
+    return None
+
+
+def _closed_form_multipliers(
+    problem: Problem, x: np.ndarray, lams: tuple[float, float, float]
+) -> tuple[float, float, float, np.ndarray]:
+    """(lam_C, lam_V, lam_S, nu) with nu = max(lam_C + lam_V v + lam_S g - p, 0).
+
+    g is the stability gradient at ``x``; with ``lams`` the point's own
+    multipliers nu prices the cargoes, and is 0 on the loaded ones.
+    """
+    lam_dw, lam_vol, lam_stab = lams
+    nu = lam_dw + lam_vol * problem.volume_coeffs + lam_stab * stability_gradient(problem, x)
+    return lam_dw, lam_vol, lam_stab, np.maximum(nu - problem.objective, 0.0)
 
 
 def _preferred(problem: Problem, challenger: np.ndarray, incumbent: np.ndarray) -> bool:
@@ -671,27 +792,51 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Solution:
 
     A negative right-hand side means the empty vessel already violates the
     stability margin and nothing is feasible.  Otherwise the problem's
-    ``classification`` decides.  Positive semidefinite gives a convex
-    region and a single deterministic interior start (status Optimal); the
-    seeded random starts run, until one verifies, only if that start
-    stalls.  Any other class first enumerates the candidate KKT points
-    (``_kkt_optimum``).  When that enumeration is complete, its best point
-    is start 0, and the search ends at the first KKT-verified start that
-    earns its revenue to 1e-9 relative; the random starts follow only if
-    none does.  An enumeration over budget (reverse stacks of 44 or more
-    cargoes) or incomplete (equal densities apart in the stack, a tied
-    relaxation) leaves the seeded multistart as the only search.  Either
-    way the best KKT-verified point is returned as LocalOnly: the
-    enumeration rests on a constraint qualification, so it is no
-    certificate.  The oracle module can upgrade LocalOnly results with
-    brute-force evidence; the solver itself never claims more than it can
-    prove.
+    ``classification`` decides how start 0 is found in closed form.
+    Positive semidefinite gives a convex region, where the support
+    exchange (``_convex_exchange``) finds a KKT point, which is a global
+    optimum (status Optimal).  Any other class enumerates the candidate
+    KKT points (``_kkt_optimum``) and takes the best.  Start 0 comes with
+    closed-form multipliers, and when it passes the feasibility filter and
+    the KKT report at the options' tolerances it is returned as it is:
+    one start, no local solve.
+
+    Otherwise the local search runs.  On a convex instance one local solve
+    from a deterministic interior start; the seeded random starts run,
+    until one verifies, only if that start stalls.  On any other, a local
+    solve from the enumerated point, and the search ends at the first
+    KKT-verified start that earns its revenue to 1e-9 relative; the
+    random starts follow only if none does.  An enumeration over budget
+    (reverse stacks of 44 or more cargoes) or incomplete (equal densities
+    apart in the stack, a relaxation tied at distinct points) leaves the
+    seeded multistart as the only search.  A nonconvex answer is
+    LocalOnly however it was found: the enumeration rests on a constraint
+    qualification, so it is no certificate.  The oracle module can upgrade
+    LocalOnly results with brute-force evidence; the solver itself never
+    claims more than it can prove.
     """
     opts = options if options is not None else SolverOptions()
     if problem.rhs < 0:
         return _empty_vessel(problem, opts.kkt_tolerance, SolverStatus.INFEASIBLE, 0)
 
     convex = problem.classification.kind is Definiteness.POSITIVE_SEMIDEFINITE
+    status = SolverStatus.OPTIMAL if convex else SolverStatus.LOCAL_ONLY
+
+    # Start 0 in closed form: the support exchange's KKT point of a convex
+    # instance, or the enumerated optimum of any other.  It needs no local
+    # solve when it passes the checks that every start's return passes.
+    if convex:
+        closed = _convex_exchange(problem, opts.feasibility_tolerance, opts.kkt_tolerance)
+    else:
+        value, seed, complete, lams = _kkt_optimum(problem)
+        closed = None if lams is None else (seed, lams)
+    if closed is not None:
+        x, lams = closed
+        multipliers = _closed_form_multipliers(problem, x, lams)
+        report = _kkt_report(problem, x, *multipliers, opts.kkt_tolerance)
+        # The report's primal feasibility is the violation that _feasible tests.
+        if report.satisfied and report.primal_feasibility <= opts.feasibility_tolerance:
+            return _solution(problem, x, multipliers, report, status, 1, 0)
 
     scaled = _ScaledProblem(problem, opts.max_iterations)
     best_verified = -math.inf
@@ -721,13 +866,14 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Solution:
         best_verified = max(best_verified, value)
         return value >= ceiling
 
-    # Start 0, if there is one, then the seeded random starts; a verified
-    # start earning the ceiling ends the search.  Under convexity any KKT
-    # point is globally optimal, so there the first verified start does.
+    # The local search: a local solve from start 0 (from an interior point
+    # on a convex instance), if there is one, then the seeded random
+    # starts; a verified start earning the ceiling ends it.  Under
+    # convexity any KKT point is globally optimal, so there the first
+    # verified start does.
     if convex:
         seed, ceiling = _interior_start(problem), -math.inf
     else:
-        value, seed, complete = _kkt_optimum(problem)
         ceiling = value - _LP_TOLERANCE * max(1.0, abs(value)) if complete else math.inf
     starts = itertools.chain([] if seed is None else [seed], _random_starts(problem, opts))
     starts_used = 0
@@ -748,9 +894,7 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Solution:
     for candidate in pool[1:]:
         if _preferred(problem, candidate[0], best[0]):
             best = candidate
-    if verified:
-        status = SolverStatus.OPTIMAL if convex else SolverStatus.LOCAL_ONLY
-    else:
+    if not verified:
         status = SolverStatus.ITERATION_LIMIT
     x, multipliers, report, index = best
     return _solution(problem, x, multipliers, report, status, starts_used, index)

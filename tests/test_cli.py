@@ -556,9 +556,12 @@ class TestLazyScipyImport:
         ids=["lp", "solve-normal", "solve-reverse", "oracle", "sensitivity-reverse"],
     )
     def test_command_leaves_scipy_optimize_unloaded(self, argv, code):
+        # The case-study solves answer in closed form, so SciPy's compiled
+        # SLSQP/NNLS extension, some 2.5 MB resident, stays unloaded too.
         result = self.run(
             "import shipload.cli\n"
             f"assert shipload.cli.main({argv!r} + ['--format', 'json']) == {code}\n"
+            "assert 'scipy.optimize._slsqplib' not in sys.modules, '_slsqplib was loaded'\n"
         )
         assert json.loads(result.stdout)["command"] == argv[0]
 

@@ -285,7 +285,7 @@ class TestDifferential:
         for problem, step, _ in TINY_LATTICES:
             if problem.classification.kind is Definiteness.POSITIVE_SEMIDEFINITE:
                 continue
-            value, x, done = solver._kkt_optimum(problem)
+            value, x, done, _ = solver._kkt_optimum(problem)
             if not done:
                 continue
             complete += 1

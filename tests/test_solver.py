@@ -5,6 +5,8 @@ import math
 import subprocess
 import sys
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -35,14 +37,29 @@ from conftest import draw_random_problem, large_reverse_stack, local_trap, packa
 @pytest.fixture
 def without_enumeration(monkeypatch):
     """``solve`` as if the KKT enumeration were over budget: the seeded random starts alone."""
-    monkeypatch.setattr(solver, "_kkt_optimum", lambda problem: (-math.inf, None, False))
+    monkeypatch.setattr(solver, "_kkt_optimum", lambda problem: (-math.inf, None, False, None))
+
+
+def _force_local_solve(monkeypatch):
+    """Make ``solve`` run start 0 as a local solve: the convex exchange stalls,
+    and the enumerated optimum comes without multipliers, so it only seeds the local solve."""
+    kkt_optimum = solver._kkt_optimum
+    monkeypatch.setattr(solver, "_convex_exchange", lambda *args: None)
+    monkeypatch.setattr(solver, "_kkt_optimum", lambda problem: (*kkt_optimum(problem)[:3], None))
+
+
+@pytest.fixture
+def without_closed_form(monkeypatch):
+    """``solve`` as if no closed-form point verified: start 0 is a local solve, as before."""
+    _force_local_solve(monkeypatch)
 
 
 @pytest.fixture
 def twin(carrier, market):
     """Reverse mu = 4 plus a copy of type4: the relaxation's optimum is a segment.
 
-    The enumeration gives up on it, so ``solve`` runs the random starts.
+    The segment moves mass between the copies, which are neighbours in the
+    stack, so the enumeration merges them and settles the row.
     """
     return assemble_problem(
         carrier, Environment(), StabilityPolicy(4.0), market + (CargoType("type5", 0.45, 5.5),),
@@ -313,9 +330,9 @@ class TestStatuses:
         assert solution.revenue == 0.0
         assert np.array_equal(solution.x, np.zeros(5))
 
-    def test_iteration_limit(self, twin):
-        # A tied relaxation leaves the enumeration incomplete, so every
-        # start is a random one cut off after a single iteration.
+    def test_iteration_limit(self, twin, without_enumeration):
+        # Without the enumeration every start is a random one, cut off
+        # after a single iteration.
         solution = solve(twin, SolverOptions(max_iterations=1))
         assert solution.starts_used == 32
         assert solution.status is SolverStatus.ITERATION_LIMIT
@@ -485,7 +502,9 @@ class TestScaledLocalSolve:
             assert solution.starts_used == 1
 
     @pytest.mark.parametrize("order, mu", CASE_ROWS)
-    def test_every_case_study_start_is_feasible(self, assemble_case, monkeypatch, order, mu):
+    def test_every_case_study_start_is_feasible(
+        self, assemble_case, monkeypatch, without_closed_form, order, mu
+    ):
         problem = assemble_case(mu, order=order)
         options = SolverOptions()
         returned = []
@@ -597,7 +616,7 @@ class TestSlsqpKernel:
                 assert np.array_equal(x, ref_x)
                 assert (mode, iterations) == (ref_mode, ref_iterations)
 
-    def test_pick_matches_verifying_every_start(self, assemble_case):
+    def test_pick_matches_verifying_every_start(self, assemble_case, without_closed_form):
         options = SolverOptions()
         for problem in _kernel_instances(assemble_case):
             interior, randoms = _solve_starts(problem, options)
@@ -608,7 +627,7 @@ class TestSlsqpKernel:
             if convex:
                 starts, ceiling = [interior, *randoms], -math.inf
             else:
-                value, seed, complete = solver._kkt_optimum(problem)
+                value, seed, complete, _ = solver._kkt_optimum(problem)
                 if complete:
                     starts, ceiling = [seed, *randoms], value - 1e-9 * max(1.0, abs(value))
                 else:
@@ -695,7 +714,7 @@ class TestKktSeed:
             multistart = float(problem.objective @ _pick(problem, found)[0])
             floor = multistart - 1e-9 * max(1.0, abs(multistart))
             assert solve(problem, options).revenue >= floor
-            value, _, complete = solver._kkt_optimum(problem)
+            value, _, complete, _ = solver._kkt_optimum(problem)
             assert complete and value >= floor
         assert large >= 75
 
@@ -724,11 +743,11 @@ class TestKktSeed:
         # The smallest reverse stack over the budget: 30 452 systems.
         problem = large_reverse_stack(44)
         caplog.set_level(logging.DEBUG, logger="shipload.solver")
-        assert solver._kkt_optimum(problem) == (-math.inf, None, False)
+        assert solver._kkt_optimum(problem) == (-math.inf, None, False, None)
         assert "KKT enumeration incomplete: over budget, 30452 systems" in caplog.text
         solution = solve(problem, SolverOptions())
         assert solution.starts_used == 32
-        monkeypatch.setattr(solver, "_kkt_optimum", lambda problem: (-math.inf, None, False))
+        monkeypatch.setattr(solver, "_kkt_optimum", lambda problem: (-math.inf, None, False, None))
         self.assert_identical(solution, solve(problem, SolverOptions()))
 
     def test_large_reverse_stacks_leave_numpy_random_unloaded(self):
@@ -780,7 +799,7 @@ class TestKktSeed:
         )
         assert problem.classification.evidence.diagonal[0] == 0.0
         self.assert_seed_is_the_optimum(problem)
-        _, x, _ = solver._kkt_optimum(problem)
+        _, x, _, _ = solver._kkt_optimum(problem)
         deadweight, volume, _ = solver._slacks(problem, x)
         assert x[problem.ballast_index] > 3000.0
         assert deadweight > 800.0 and abs(volume) <= 1e-9 * problem.volume_cap
@@ -790,7 +809,7 @@ class TestKktSeed:
         problem = assemble_problem(
             carrier, Environment(), StabilityPolicy(4.0), zero, LoadingOrder.reverse(), True
         )
-        value, x, complete = solver._kkt_optimum(problem)
+        value, x, complete, _ = solver._kkt_optimum(problem)
         assert (value, complete) == (0.0, True) and not x.any()
         solution = solve(problem, SolverOptions())
         assert (solution.revenue, solution.starts_used, solution.best_start_index) == (0.0, 1, 0)
@@ -811,7 +830,7 @@ class TestKktSeed:
     def assert_seed_is_the_optimum(problem):
         """A complete enumeration whose optimum is also the best of the 32 random starts."""
         options = SolverOptions()
-        value, x, complete = solver._kkt_optimum(problem)
+        value, x, complete, _ = solver._kkt_optimum(problem)
         assert complete
         assert solver._feasible(problem, x, 1e-9)
         found, _ = _verify_starts(problem, options, _solve_starts(problem, options)[1], math.inf)
@@ -827,9 +846,9 @@ class TestKktSeed:
 
         Returns the random search's solution.
         """
-        value, _, complete = solver._kkt_optimum(problem)
+        value, _, complete, _ = solver._kkt_optimum(problem)
         solution = solve(problem, SolverOptions())
-        monkeypatch.setattr(solver, "_kkt_optimum", lambda problem: (-math.inf, None, False))
+        monkeypatch.setattr(solver, "_kkt_optimum", lambda problem: (-math.inf, None, False, None))
         forced = solve(problem, SolverOptions())
         floor = forced.revenue - 1e-9 * abs(forced.revenue)
         assert complete and value >= floor
@@ -843,6 +862,115 @@ class TestKktSeed:
         assert solution.revenue == reference.revenue
         assert solution.starts_used == reference.starts_used
         assert solution.best_start_index == reference.best_start_index
+
+
+def _draw(seed, index, sizes=(2, 13)):
+    """Draw ``index`` (from 0) of ``draw_random_problem``, every order, generator ``seed``."""
+    rng = np.random.default_rng(seed)
+    orders = (LoadingOrder.normal(), LoadingOrder.reverse(), "explicit")
+    for _ in range(index + 1):
+        problem = draw_random_problem(rng, sizes=sizes, orders=orders)
+    return problem
+
+
+def _count_local_solves(monkeypatch):
+    """A list that grows by one entry per local solve."""
+    calls = []
+    local_solve = solver._local_solve
+    monkeypatch.setattr(solver, "_local_solve", lambda *args: calls.append(1) or local_solve(*args))
+    return calls
+
+
+def _no_local_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a local solve ran")
+
+    monkeypatch.setattr(solver, "_local_solve", refuse)
+
+
+class TestClosedForm:
+    """Start 0 in closed form: returned without a local solve when it verifies."""
+
+    @pytest.mark.parametrize("order, mu", CASE_ROWS)
+    def test_case_rows_need_no_local_solve(self, assemble_case, monkeypatch, order, mu):
+        problem = assemble_case(mu, order=order)
+        _no_local_solve(monkeypatch)
+        solution = solve(problem)
+        assert (solution.starts_used, solution.best_start_index) == (1, 0)
+        assert solution.kkt.satisfied
+        convex = order.kind == "normal"
+        assert solution.status is (SolverStatus.OPTIMAL if convex else SolverStatus.LOCAL_ONLY)
+
+    def test_enumerated_point_is_kept(self):
+        # Three cargoes, light at the bottom.  One SLSQP iteration from the
+        # enumerated point reached a point of 134 197.36 that failed the KKT
+        # check, and the random starts then returned 91 369.92.
+        problem = _draw(19, 82)
+        assert problem.n == 3
+        solution = solve(problem)
+        assert solution.revenue >= 135321.396 * (1.0 - 1e-9)
+        assert (solution.starts_used, solution.best_start_index) == (1, 0)
+        assert solution.kkt.satisfied
+
+    def test_enumerated_point_verifies_in_one_start(self):
+        # Twelve cargoes; the local solve from the enumerated point failed
+        # the KKT check, and 18 random starts followed.
+        problem = _draw(20, 294)
+        assert problem.n == 12
+        assert solve(problem).starts_used == 1
+
+    def test_neighbouring_twins_are_enumerated(self, twin, assemble_case, monkeypatch):
+        _no_local_solve(monkeypatch)
+        solution = solve(twin)
+        assert (solution.starts_used, solution.best_start_index) == (1, 0)
+        reference = solve(assemble_case(4.0, order=LoadingOrder.reverse()))
+        assert solution.revenue == pytest.approx(reference.revenue, rel=1e-12)
+
+    def test_stalled_exchange_hands_over_to_the_local_solve(self, assemble_case, monkeypatch):
+        problem = assemble_case(4.0)
+        closed = solve(problem)
+        assert solver._convex_exchange(problem, 1e-8, 1e-6) is not None
+        # One step: the vertex's support {type4} alone does not price out.
+        monkeypatch.setattr(solver, "_EXCHANGE_EXTRA_STEPS", 1 - 2 * problem.n)
+        assert solver._convex_exchange(problem, 1e-8, 1e-6) is None
+        calls = _count_local_solves(monkeypatch)
+        solution = solve(problem)
+        assert calls == [1]
+        assert (solution.status, solution.starts_used) == (SolverStatus.OPTIMAL, 1)
+        assert solution.revenue == pytest.approx(closed.revenue, rel=1e-9)
+
+    def test_exchange_without_a_valid_point_hands_over(self, assemble_case, monkeypatch):
+        from shipload import kkt_enumeration
+
+        problem = assemble_case(4.0)
+        monkeypatch.setattr(kkt_enumeration, "support_points", lambda units, support: [])
+        assert solver._convex_exchange(problem, 1e-8, 1e-6) is None
+        solution = solve(problem)
+        assert solution.status is SolverStatus.OPTIMAL and solution.kkt.satisfied
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.sampled_from([(1, 6), (2, 13), (6, 13)]),
+        order=st.sampled_from(["normal", "reverse", "explicit"]),
+        room=st.sampled_from([(0.3, 0.8), (0.5, 2.0)]),
+    )
+    def test_never_below_the_local_solve(self, seed, sizes, order, room):
+        """Never below a local solve from start 0, and verified whenever no local solve ran."""
+        orders = {"normal": LoadingOrder.normal(), "reverse": LoadingOrder.reverse()}
+        problem = draw_random_problem(
+            np.random.default_rng(seed), sizes=sizes, orders=(orders.get(order, order),), room=room
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _count_local_solves(patch)
+            solution = solve(problem)
+        with pytest.MonkeyPatch.context() as patch:
+            _force_local_solve(patch)
+            forced = solve(problem)
+        assert solution.revenue >= forced.revenue - 1e-9 * max(1.0, abs(forced.revenue))
+        if not calls:
+            assert (solution.starts_used, solution.best_start_index) == (1, 0)
+            assert solution.kkt.satisfied
 
 
 class TestRejectedStarts:
@@ -868,7 +996,7 @@ class TestRejectedStarts:
         assert (index, mode, iterations) == (4, 8, 65)
         assert violation > 1e12
 
-    def test_nan_start_is_logged(self, twin, monkeypatch, caplog):
+    def test_nan_start_is_logged(self, twin, monkeypatch, caplog, without_enumeration):
         random_start = solver._random_start
         drawn = []
 
@@ -930,7 +1058,7 @@ class TestRateUnits:
 class TestKernelLoader:
     """SciPy's compiled SLSQP/NNLS extension, loaded without ``scipy.optimize``."""
 
-    def test_nnls_matches_public_wrapper(self, assemble_case, monkeypatch):
+    def test_nnls_matches_public_wrapper(self, assemble_case, monkeypatch, without_closed_form):
         from scipy.optimize import nnls
 
         kernel = solver._slsqplib()
