@@ -1,9 +1,10 @@
 """Command line interface: JSON scenario files in, loading reports out.
 
 A scenario file pins the vessel and the cargo market; stability margin,
-loading order, ballast, and solver knobs can be set in the file or
-overridden by flags.  Results go to standard output in a text table, CSV,
-or JSON; progress notes and errors go to standard error.  Exit codes: 0
+loading order and ballast can be set in the file or overridden by flags,
+and the solver's two tolerances in the file.  Results go to standard
+output in a text table, CSV, or JSON; progress notes and errors go to
+standard error.  Exit codes: 0
 for a globally valid (or lattice-certified) result, 2 for a result that is
 only locally verified, 3 for an infeasible scenario, 1 for input errors.
 """
@@ -94,8 +95,7 @@ _VESSEL_FIELDS = (
     "light_kg",
 )
 _CARGO_FIELDS = ("label", "density", "freight_rate")
-_SOLVER_INT_FIELDS = ("multistart_count", "rng_seed", "max_iterations")
-_SOLVER_FLOAT_FIELDS = ("feasibility_tolerance", "kkt_tolerance")
+_SOLVER_FIELDS = ("feasibility_tolerance", "kkt_tolerance")
 
 
 def _reject_unknown(obj: dict, allowed, path: str) -> None:
@@ -199,17 +199,8 @@ def _parse_solver(doc: dict) -> SolverOptions:
     obj = doc["solver"]
     if not isinstance(obj, dict):
         raise ScenarioError("solver must be an object")
-    _reject_unknown(obj, set(_SOLVER_INT_FIELDS) | set(_SOLVER_FLOAT_FIELDS), "solver")
-    kwargs = {}
-    for name in _SOLVER_INT_FIELDS:
-        if name in obj:
-            value = obj[name]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ScenarioError(f"solver.{name} must be an integer")
-            kwargs[name] = value
-    for name in _SOLVER_FLOAT_FIELDS:
-        if name in obj:
-            kwargs[name] = _get_number(obj, name, "solver")
+    _reject_unknown(obj, set(_SOLVER_FIELDS), "solver")
+    kwargs = {name: _get_number(obj, name, "solver") for name in _SOLVER_FIELDS if name in obj}
     try:
         return SolverOptions(**kwargs)
     except ValueError as err:
@@ -292,13 +283,7 @@ def scenario_to_json(scenario: Scenario) -> str:
             }
             for c in scenario.cargoes
         ],
-        "solver": {
-            "multistart_count": scenario.solver.multistart_count,
-            "rng_seed": scenario.solver.rng_seed,
-            "feasibility_tolerance": scenario.solver.feasibility_tolerance,
-            "kkt_tolerance": scenario.solver.kkt_tolerance,
-            "max_iterations": scenario.solver.max_iterations,
-        },
+        "solver": {name: getattr(scenario.solver, name) for name in _SOLVER_FIELDS},
     }
     if scenario.mu is not None:
         doc["mu"] = scenario.mu
@@ -367,16 +352,6 @@ def _apply_flags(scenario: Scenario, args: argparse.Namespace) -> Scenario:
         )
     if getattr(args, "no_ballast", False):
         changes["include_ballast"] = False
-    solver_changes = {}
-    if getattr(args, "seed", None) is not None:
-        solver_changes["rng_seed"] = args.seed
-    if getattr(args, "starts", None) is not None:
-        solver_changes["multistart_count"] = args.starts
-    if solver_changes:
-        try:
-            changes["solver"] = dataclasses.replace(scenario.solver, **solver_changes)
-        except ValueError as err:
-            raise ScenarioError(str(err)) from None
     return dataclasses.replace(scenario, **changes) if changes else scenario
 
 
@@ -396,14 +371,6 @@ def _build_parser() -> _Parser:
             "--no-ballast",
             action="store_true",
             help="do not add the zero-rate ballast type",
-        )
-        sub.add_argument(
-            "--seed", type=int, default=None, help="RNG seed of the fallback random multistart"
-        )
-        sub.add_argument(
-            "--starts", type=int, default=None,
-            help="number of random starts, run when the KKT enumeration cannot settle a "
-            "nonconvex instance",
         )
         sub.add_argument(
             "--format",
@@ -544,7 +511,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
 
     if args.command == "solve":
         problem = _problem_from(scenario)
-        _log.info("solving %s with up to %s starts", name, scenario.solver.multistart_count)
+        _log.info("solving %s", name)
         solution = solve(problem, scenario.solver)
         report = _solution_report("solve", name, scenario, problem, solution)
         return report, _exit_code(solution.status, certified=None)

@@ -8,11 +8,12 @@ stationarity on the support S of x reads
 where t = 0 keeps the abnormal points.  The deadweight row is c = b/(2s)
 when that cap is slack and 1.x_S = C when it binds; the volume row is
 w = 0 or v_S.x_S = V.  For each support and each of these four patterns
-the system in (x_S, c, w) is affine in t, and the binding stability
-constraint turns it into a quadratic in t with at most two roots.  Each
-root and t = 0 give a candidate; the empty vessel is one too.  A single
-cargo binding both caps is not solved: the deadweight row alone pins that
-load, so the deadweight pattern yields the same point.
+the solutions in (x_S, c, w, t) form a line, and the binding stability
+constraint is a quadratic along it with at most two roots.  Each root
+gives a candidate, and so does the point at t = 0 of a line along which
+t moves; the empty vessel is one too.  A single cargo binding both caps
+is not solved: the deadweight row alone pins that load, so the
+deadweight pattern yields the same point.
 
 No elimination is needed.  A_SS is min-index like A, A_SS = L diag(D) L'
 with L the lower triangular matrix of ones and D the steps of the
@@ -23,23 +24,24 @@ generator along S, so in the suffix sums y = L'x_S stationarity reads
 with dv and dp the steps of v and p along S.  Row i gives y_i, except
 that when the deadweight cap binds row 1 only gives c, and y_1 = sum(x)
 = C.  The volume row dv.y = V then gives w.  In y the stability constraint
-is s y'Dy + b y_1 <= r, and x_i = y_i - y_(i+1).  Degenerate rows:
+is s y'Dy + b y_1 <= r, and x_i = y_i - y_(i+1).  On most systems t moves
+along the line; on two kinds a row fixes t and another unknown moves:
 
-* D_i = 0 for i > 1 means two cargoes of equal density that are not
-  neighbours in the stack (neighbours are merged, see below): y_i is free
-  and t = 0 solves row i, a continuum, so the enumeration gives up.
-* D_1 = 0, the bottom cargo at water density, with the deadweight cap
-  slack turns row 1 into b/(2s) + w v_1 = t p_1.  With the volume cap
-  slack as well no t solves it when p_1 = 0 (ballast), and the system is
-  skipped; otherwise y_1 is free and the enumeration gives up.  With the
-  volume cap binding, row 1 gives w and the volume row gives y_1.
-* A volume row whose coefficient of w vanishes is skipped when no t
-  solves it, and the enumeration gives up otherwise.
-* A system along whose line the stability constraint does not depend on
-  t (a2 and a1 at most ``ZERO_TOLERANCE`` max(1, |r|) in the units
-  below), such as one cargo held at both caps, has no roots: the roots
-  that rounding gives it lie far along a direction that solves nothing.
-  Its t = 0 candidate stays.
+* D_1 = 0, the bottom cargo at water density, with both caps slack:
+  row 1 reads b/(2s) = t p_1, so t = b/(2 s p_1), the other rows give
+  y_2, ..., and y_1 moves; stability is linear in it.  With the volume
+  cap binding instead, row 1 gives w and the volume row gives y_1.
+* A volume row whose coefficient of w vanishes fixes t, and w moves.
+
+Three kinds of system are skipped, and none holds a candidate that no
+other system holds.  D_i = 0 for i > 1 means two cargoes of equal density
+adjacent in the support: moving mass between them changes no constraint
+and changes revenue linearly, so the better end of that segment, a
+smaller support, is as good.  A zero-rate bottom cargo at water density
+with both caps slack leaves no t, or leaves t and y_1 both free with
+revenue blind to y_1, whose ends have a smaller support or one more
+binding cap.  A volume row with neither w nor t solves nothing or
+leaves a plane, an exact coincidence of the data.
 
 Two cargoes that are neighbours in the stack and have equal density have
 identical rows in A and equal v, so moving mass from the one with the
@@ -49,13 +51,13 @@ only its best rate (the lowest in the stack on a tie), and everything
 below works on the merged stack, whose congruent diagonal D is the
 problem's without the zero steps inside the runs.
 
-The constraint qualification assumed throughout is that the gradients of
-the binding constraints are independent at the global optima, so that
-each is a KKT point and the second-order necessary conditions hold there.
-Then A_SS is positive semidefinite on a subspace whose codimension is the
-number of binding constraints, so A_SS has at most that many negative
-eigenvalues.  By Sylvester's law of inertia the signs of D count them,
-which rules out patterns support by support.
+No constraint qualification is assumed.  Fritz-John multipliers exist
+at every local maximum, and the stability multiplier can be taken
+positive: were it 0 with the objective's multiplier positive, the point
+would be an optimum of the relaxation, which the caller has ruled out by
+finding no stable point on the relaxation's optimal face; were both 0,
+the rows 1 and v, both positive, would force the point to be the empty
+vessel.  Dividing by that multiplier gives the rows above.
 
 The largest support is K = 3 + #{k >= 2 : D_k >= 0}, from an edge
 argument (Hillestad & Jacobsen, "Linear programs with an additional
@@ -74,8 +76,24 @@ of D_1, some global optimum therefore loads at most K cargoes, and
 exactly K only with the volume cap binding, so supports of exactly K
 cargoes are solved only in the two patterns that bind it.  When K
 exceeds the number of cargoes, every support is solved in every
-pattern.  An instance with more than ``SYSTEM_BUDGET`` systems is not
-enumerated.
+pattern.
+
+So the candidates hold a global optimum, except where one of these
+steps loses it:
+
+* truncation: when the supports of up to K cargoes need more than
+  ``SYSTEM_BUDGET`` systems, only the supports of up to the largest size
+  that fits are solved, in all four patterns;
+* the tangent-root clamp: a discriminant below -1e-12 relative counts as
+  no root, so a tangent root that rounding pushes further below is lost;
+* the candidate tolerance: a point that rounding leaves more than
+  ``TOLERANCE`` relative outside a constraint, or below zero, is dropped;
+* flat systems: where stability does not depend on the moving unknown
+  (a2 and a1 at most ``ZERO_TOLERANCE`` max(1, |r|) in the units below)
+  the roots that rounding gives are far along a direction that solves
+  nothing, and are dropped; in exact arithmetic such a line is stable
+  throughout or nowhere, and a stable one ends where a load reaches 0 or
+  a cap binds, at a smaller support or one more binding cap.
 
 The supports go in batches of ``CHUNK``, in the scaled units x / C,
 c / (C a), w max(v) / (C a) and t max(p) / (C a) with a = max|A|, so that
@@ -87,8 +105,8 @@ zero, so that its y stays 0.
 A root t > 0 carries the multipliers of its point: lam_S = 1 / (2 s t),
 lam_C = (c - b / (2 s)) / t and lam_V = w / t, which
 :func:`binding_optimum` returns for its winner.  :func:`support_points`
-solves the same rows for one support in scalar arithmetic; the solver's
-support exchange for convex instances calls it.
+solves the lines along which t moves for one support in scalar
+arithmetic; the solver's support exchange calls it.
 """
 
 from __future__ import annotations
@@ -105,7 +123,7 @@ from .quadratic_analysis import SIGN_TOLERANCE
 # Most linear systems that one enumeration solves: four constraint
 # patterns per support, two for a support of exactly K cargoes.  Reverse
 # stacks of up to 43 cargoes fit; 41 cargoes count 24 768 systems, at
-# about 1.4 us each.
+# about 1.4 us each.  A larger enumeration is truncated to smaller supports.
 SYSTEM_BUDGET = 30_000
 # Supports per batch.  At n = 41, 512 ran faster than 256, 1024 or 2048.
 CHUNK = 512
@@ -115,11 +133,9 @@ ZERO_TOLERANCE = 1e-10
 # Relative slack of the candidates' constraints and consistency tests.
 TOLERANCE = 1e-9
 
-# (deadweight binds, volume binds) of the four patterns, and the number of
-# binding constraints of each, stability included.
+# (deadweight binds, volume binds) of the four patterns.
 _DEADWEIGHT_ON = np.array([False, True, False, True])
 _VOLUME_ON = np.array([False, False, True, True])
-_BINDING = np.array([1.0, 2.0, 2.0, 3.0])
 
 
 class Units(NamedTuple):
@@ -144,7 +160,6 @@ class Units(NamedTuple):
     qa: float
     qb: float
     r: float
-    consistency_tol: float
     v: np.ndarray
     p: np.ndarray
     generator: np.ndarray
@@ -175,7 +190,6 @@ def scaled_units(problem: Problem) -> Units:
         qa=problem.quad_scale * cap * cap * a,
         qb=problem.linear_coeff * cap,
         r=problem.rhs,
-        consistency_tol=TOLERANCE * max(1.0, abs(slack_dw), room),
         v=padded[0],
         p=padded[1],
         generator=padded[2],
@@ -197,37 +211,38 @@ def _multipliers(units: Units, t: float, c: float, w: float) -> tuple[float, flo
 
 def binding_optimum(
     problem: Problem,
-) -> tuple[float, np.ndarray | None, tuple[float, float, float] | None, str | None]:
+) -> tuple[float, np.ndarray, tuple[float, float, float] | None, str | None]:
     """The best feasible candidate with stability binding, or the empty vessel.
 
-    Returns (revenue, loads, multipliers, None) when the enumeration
-    finished, and (-inf, None, None, reason) when it gave up.  A candidate
-    counts when x >= 0 meets every constraint to ``TOLERANCE`` relative.
-    The empty vessel is feasible because the caller has checked r >= 0.
-    The multipliers are (lam_C, lam_V, lam_S) of the winning root t > 0,
-    (0, 0, 0) for the empty vessel, and None when the winner has t <= 0,
-    where no finite stability multiplier exists.
+    Returns (revenue, loads, multipliers, reason), where ``reason`` is
+    None when the enumeration was complete and says how it was truncated
+    otherwise.  A candidate counts when x >= 0 meets every constraint to
+    ``TOLERANCE`` relative.  The empty vessel is feasible because the
+    caller has checked r >= 0.  The multipliers are (lam_C, lam_V, lam_S)
+    of the winning root t > 0, (0, 0, 0) for the empty vessel, and None
+    when the winner has t <= 0, where no finite stability multiplier
+    exists.
     """
     n = problem.n
     units = scaled_units(problem)
     steps = problem.classification.evidence.diagonal / units.a
     kept, diagonal = _merge_twins(steps, problem.objective)
     largest, full_needs_volume = _support_rule(diagonal)
-    systems = 4 * sum(math.comb(len(kept), k) for k in range(largest + 1))
-    if full_needs_volume:
-        systems -= 2 * math.comb(len(kept), largest)
+    systems = _systems(len(kept), largest, full_needs_volume)
+    reason = None
     if systems > SYSTEM_BUDGET:
-        return -math.inf, None, None, (
-            f"over budget, {systems} systems for supports of up to {largest} of {len(kept)} cargoes"
+        fit = 1
+        while fit + 1 < largest and _systems(len(kept), fit + 1, False) <= SYSTEM_BUDGET:
+            fit += 1
+        reason = (
+            f"over budget, {systems} systems for supports of up to {largest} of {len(kept)} "
+            f"cargoes; supports of up to {fit} solved"
         )
+        largest, full_needs_volume = fit, False
 
     best_value, best_x, best_multipliers = 0.0, np.zeros(n + 1), (0.0, 0.0, 0.0)
     for chunk, real in _batches(kept, largest, n):
         rows = _batch_rows(units, chunk, real, largest, full_needs_volume)
-        if isinstance(rows, str):
-            return -math.inf, None, None, rows
-        if rows is None:
-            continue
         root, k = divmod(int(rows.value.argmax()), rows.value.shape[1])
         if rows.value[root, k] * units.rate * units.cap > best_value:
             best_x = np.zeros(n + 1)
@@ -236,32 +251,41 @@ def binding_optimum(
             t = float(rows.t[root, k])
             best_multipliers = None
             if t > 0.0:
-                w = float(rows.w0[k] + t * rows.w1[k])
+                w = float(rows.w0[k] + rows.s[root, k] * rows.w1[k])
                 c = units.slack_dw
                 if _DEADWEIGHT_ON[rows.pattern[k]]:
                     # Row 1 with y_1 = 1 gives c.
                     c = float(t * rows.dp[k, 0] - rows.d[k, 0] - w * rows.dv[k, 0])
                 best_multipliers = _multipliers(units, t, c, w)
-    return best_value, best_x[:n], best_multipliers, None
+    return best_value, best_x[:n], best_multipliers, reason
+
+
+def _systems(cargoes: int, largest: int, full_needs_volume: bool) -> int:
+    """Systems of the supports of up to ``largest`` of ``cargoes``, the empty one included."""
+    systems = 4 * sum(math.comb(cargoes, k) for k in range(largest + 1))
+    return systems - 2 * math.comb(cargoes, largest) if full_needs_volume else systems
 
 
 class _Rows(NamedTuple):
     """The systems of one batch and their candidates.
 
     Per system: its support, its pattern, whether its two roots solve it
-    (``rooted``), its steps and w = w0 + t w1.  Per candidate, indexed
-    (t = 0 and the two roots, system): t, z = x / C and the scaled
+    (``rooted``), whether a row fixes t (``fixed``), its steps and
+    w = w0 + s w1 along its line.  Per candidate, indexed (the line's base
+    point and its two roots, system): s, t, z = x / C and the scaled
     revenue, -inf where the candidate fails a check.
     """
 
     support: np.ndarray
     pattern: np.ndarray
     rooted: np.ndarray
+    fixed: np.ndarray
     d: np.ndarray
     dv: np.ndarray
     dp: np.ndarray
     w0: np.ndarray
     w1: np.ndarray
+    s: np.ndarray
     t: np.ndarray
     z: np.ndarray
     value: np.ndarray
@@ -269,27 +293,24 @@ class _Rows(NamedTuple):
 
 def _batch_rows(
     units: Units, chunk: np.ndarray, real: np.ndarray, largest: int, full_needs_volume: bool
-) -> _Rows | str | None:
-    """Every allowed system of one batch solved, None when none is allowed.
+) -> _Rows:
+    """Every allowed system of one batch, solved.
 
-    Returns the reason instead when a system has a continuum of solutions.
+    Every support allows pattern 2, the volume cap alone binding, so no
+    batch is empty.
     """
     v, p, generator = units.v, units.p, units.generator
-    slack_dw, room, consistency_tol = units.slack_dw, units.room, units.consistency_tol
+    slack_dw, room = units.slack_dw, units.room
     qa, qb, r = units.qa, units.qb, units.r
     steps = generator[chunk]
     steps[:, 1:] -= generator[chunk[:, :-1]]
     steps *= real
-    # More negative steps than binding constraints rule a pattern out.
-    negative = np.where(steps < -SIGN_TOLERANCE, 1.0, 0.0).sum(axis=1)
-    allowed = negative <= _BINDING[:, None]
+    allowed = np.ones((4, chunk.shape[0]), dtype=bool)
     allowed[3] &= (real[:, 1] > 0.0) if largest > 1 else False
     if full_needs_volume:
         # Patterns 0 and 1 leave the volume cap slack.
         allowed[:2] &= real[:, -1] == 0.0
     pattern, item = np.nonzero(allowed)
-    if not item.size:
-        return None
     support, real, d = chunk[item], real[item], steps[item]
     dw, vol = _DEADWEIGHT_ON[pattern], _VOLUME_ON[pattern]
     dv, dp = v[support], p[support]
@@ -304,20 +325,11 @@ def _batch_rows(
     solved = real.copy()
     solved[dw, 0] = 0.0
     flat = np.where(np.abs(d) <= ZERO_TOLERANCE, solved, 0.0)
-    if flat[:, 1:].max(initial=0.0) > 0.0:
-        # Equal densities apart in the stack: y_i is free, and t = 0
-        # solves row i.
-        k = int(flat[:, 1:].max(axis=1).argmax())
-        return _continuum(support[k], units.n)
-    # D_1 = 0 (water density at the bottom) with the deadweight cap
-    # slack: row 1 reads slack_dw + w v_1 = t p_1.  With the volume cap
-    # slack too, w = 0, and only a zero rate leaves no t.
+    # D_i = 0 for i > 1, equal densities adjacent in the support: skipped.
+    keep = flat[:, 1:].sum(axis=1) == 0.0
+    # D_1 = 0 (water density at the bottom) with the deadweight cap slack:
+    # row 1 reads slack_dw + w v_1 = t p_1.
     bottom = flat[:, 0] > 0.0
-    stuck = bottom & ~vol
-    if np.any(stuck & ((np.abs(dp[:, 0]) > TOLERANCE) | (abs(slack_dw) <= consistency_tol))):
-        k = int(np.where(stuck, 1.0, 0.0).argmax())
-        return _continuum(support[k], units.n)
-    keep = ~stuck
     solved -= flat
     safe = np.where(solved > 0.0, d, 1.0)
     u = np.where(solved > 0.0, dp / safe, 0.0)
@@ -331,24 +343,41 @@ def _batch_rows(
         num0 = (dv * base).sum(axis=1) - room
         num1 = (dv * u).sum(axis=1)
         normal = vol & ~bottom
-        degenerate = normal & (np.abs(den) <= ZERO_TOLERANCE)
-        solvable = (np.abs(num1) > TOLERANCE) | (np.abs(num0) <= consistency_tol)
-        if np.any(degenerate & solvable):
-            k = int(np.where(degenerate, 1.0, 0.0).argmax())
-            return _continuum(support[k], units.n)
-        keep &= ~degenerate
-        w0 = np.where(normal, num0 / den, 0.0)
-        w1 = np.where(normal, num1 / den, 0.0)
-        # With D_1 = 0 row 1 gives w, and the volume row gives y_1.
-        w0 = np.where(bottom, -slack_dw / dv[:, 0], w0)
-        w1 = np.where(bottom, dp[:, 0] / dv[:, 0], w1)
+        # A volume row without w fixes t, num0 + t num1 = 0, and w moves.
+        free_w = normal & (np.abs(den) <= ZERO_TOLERANCE)
+        # Both caps slack over water density: row 1 fixes t, and y_1 moves.
+        free_y = bottom & ~vol
+        fixed = free_w | free_y
+        gives_w = normal & ~free_w
+        w0 = np.where(gives_w, num0 / den, 0.0)
+        w1 = np.where(gives_w, num1 / den, 0.0)
+        # With D_1 = 0 and the volume cap binding row 1 gives w, and the
+        # volume row gives y_1.
+        pinned = bottom & vol
+        w0 = np.where(pinned, -slack_dw / dv[:, 0], w0)
+        w1 = np.where(pinned, dp[:, 0] / dv[:, 0], w1)
         y0 = base - w0[:, None] * f
         y1 = u - w1[:, None] * f
-        v_1 = np.where(bottom, dv[:, 0], 1.0)
-        y0[:, 0] = np.where(bottom, (room - (dv * y0).sum(axis=1)) / v_1, y0[:, 0])
-        y1[:, 0] = np.where(bottom, -(dv * y1).sum(axis=1) / v_1, y1[:, 0])
+        v_1 = np.where(pinned, dv[:, 0], 1.0)
+        y0[:, 0] = np.where(pinned, (room - (dv * y0).sum(axis=1)) / v_1, y0[:, 0])
+        y1[:, 0] = np.where(pinned, -(dv * y1).sum(axis=1) / v_1, y1[:, 0])
 
-        # The stability constraint along the line, minus r: a2 t^2 + a1 t + a0.
+        # Every system is a line (y, w, t) = (y0, w0, 0) + s (y1, w1, 1),
+        # along which t = s moves, except where a row fixes t: there the
+        # line passes through the fixed t and moves y_1 or w alone.  Most
+        # batches have no such row and skip this.
+        t_fixed = None
+        if np.count_nonzero(fixed):
+            keep &= ~free_w | (np.abs(num1) > TOLERANCE)
+            keep &= ~free_y | (dp[:, 0] > TOLERANCE)
+            t_fixed = np.where(free_y, slack_dw / dp[:, 0], np.where(free_w, -num0 / num1, 0.0))
+            y0 = y0 + t_fixed[:, None] * y1
+            y1 = np.where(free_w[:, None], -f, y1)
+            y1[free_y] = 0.0
+            y1[free_y, 0] = 1.0
+            w1 = np.where(free_w, 1.0, w1)
+
+        # The stability constraint along the line, minus r: a2 s^2 + a1 s + a0.
         a2 = qa * (d * y1 * y1).sum(axis=1)
         a1 = 2.0 * qa * (d * y0 * y1).sum(axis=1) + qb * y1[:, 0]
         a0 = qa * (d * y0 * y0).sum(axis=1) + qb * y0[:, 0] - r
@@ -356,26 +385,28 @@ def _batch_rows(
         # A tangent root may come out a rounding error below zero.
         disc[(disc < 0.0) & (disc >= -1e-12 * (a1 * a1 + np.abs(4.0 * a2 * a0)))] = 0.0
         half = -0.5 * (a1 + np.where(a1 < 0.0, -1.0, 1.0) * np.sqrt(disc))
-        t = np.zeros((3, half.size))
-        t[1] = half / a2
-        t[2] = a0 / half
-        y = y0 + t[:, :, None] * y1  # (t = 0 and the two roots, systems, slots)
+        s = np.zeros((3, half.size))
+        s[1] = half / a2
+        s[2] = a0 / half
+        y = y0 + s[:, :, None] * y1  # (the base point and the two roots, systems, slots)
+        t = s if t_fixed is None else np.where(fixed, t_fixed, s)
         z = y.copy()
         z[:, :, :-1] -= y[:, :, 1:]
-        excess = (a2 * t + a1) * t + a0
+        excess = (a2 * s + a1) * s + a0
         ok = (
             (z.min(axis=2) >= -TOLERANCE)
             & (y[:, :, 0] <= 1.0 + TOLERANCE)
             & ((y * dv).sum(axis=2) <= room * (1.0 + TOLERANCE))
             & (excess <= TOLERANCE * max(1.0, abs(r)))
         )
-        # Where stability does not depend on t its roots are rounding
+        # Where stability does not depend on s its roots are rounding
         # errors: far along a direction that solves nothing.
         rooted = keep & (np.maximum(np.abs(a2), np.abs(a1)) > ZERO_TOLERANCE * max(1.0, abs(r)))
-        ok[0] &= keep
+        # The base point is the abnormal one, t = 0, only where t moves.
+        ok[0] &= keep & ~fixed
         ok[1:] &= rooted
         value = np.where(ok, (y * dp).sum(axis=2), -np.inf)
-    return _Rows(support, pattern, rooted, d, dv, dp, w0, w1, t, z, value)
+    return _Rows(support, pattern, rooted, fixed, d, dv, dp, w0, w1, s, t, z, value)
 
 
 def support_points(
@@ -388,10 +419,10 @@ def support_points(
     each of the four patterns of the caps, one support at a time and in
     scalar arithmetic: neighbours of equal density in the support are
     merged first (:func:`_merge_twins`), and a pattern is skipped where
-    the batch rows would give up or skip (D_1 = 0 with both caps slack,
-    a volume row without w) and where the stability quadratic does not
-    depend on t.  Returns (loads, lam_C, lam_V, lam_S) for every root
-    t > 0, whether or not the loads are feasible.
+    a row fixes t (D_1 = 0 with both caps slack, a volume row without w),
+    which only the batch rows solve, and where the stability quadratic
+    does not depend on t.  Returns (loads, lam_C, lam_V, lam_S) for every
+    root t > 0, whether or not the loads are feasible.
     """
     g = units.generator[support]
     steps = g.copy()
@@ -527,7 +558,3 @@ def _batches(kept: list[int], largest: int, n: int):
         left -= rows
         yield chunk, real
 
-
-def _continuum(support: np.ndarray, n: int) -> str:
-    cargoes = [int(i) for i in support if i < n]
-    return f"a singular system on cargoes {cargoes} has a continuum of solutions"

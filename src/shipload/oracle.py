@@ -1,7 +1,7 @@
 """Lattice search for global-optimality evidence.
 
-Local solves on an indefinite quadratic constraint can stop at stationary
-points that are not global optima.  This module finds the best loading on
+On an indefinite quadratic constraint a KKT point need not be a global
+optimum, and a truncated enumeration need not find one.  This module finds the best loading on
 a regular lattice inside the feasible set.  Any continuous optimum beats
 the lattice optimum by at most the objective's Lipschitz constant times the
 lattice resolution, so a solver result that matches or exceeds the lattice

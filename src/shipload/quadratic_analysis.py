@@ -7,7 +7,7 @@ means the diagonal alone classifies A as positive semidefinite, negative
 semidefinite, or indefinite in O(n) time.  The classification drives solver
 dispatch: a semidefinite-plus case gives a convex feasible region where any
 KKT point is globally optimal, anything else needs the enumeration of the
-candidate KKT points or a multistart search.
+candidate KKT points.
 """
 
 from __future__ import annotations

@@ -1,25 +1,25 @@
 """LP baseline and quadratically constrained solver with KKT certification.
 
 The full problem has a linear objective, two linear constraints, and one
-quadratic constraint whose matrix may be indefinite, so local methods can
-land on stationary points that are not global optima.  The strategy here:
+quadratic constraint whose matrix may be indefinite, so a KKT point need
+not be a global optimum.  Every answer is found in closed form:
 
-* read the constraint matrix's class, which the problem computed once when
-  it was built; a positive-semidefinite matrix makes the feasible region
-  convex, and any KKT point is globally optimal.  A support exchange finds
-  one in closed form: the relaxation's vertex when it is stable, else the
-  points where stationarity on a support meets the stability boundary,
-  the support growing by the cargo whose price is most negative,
-* otherwise enumerate the candidate KKT points in closed form, support by
-  support; the best of them comes with its own multipliers,
-* either way that point is start 0.  When it passes the feasibility filter
-  and the KKT report with its closed-form multipliers it is returned as it
-  is, with no local solve.  Else a local solve runs from it (from an
-  interior point on a convex instance); when the enumeration is over
-  budget (reverse stacks of 44 or more cargoes) or cannot finish, or
-  start 0 does not verify at its revenue, local solves run from seeded
-  pseudo-random feasible starts.  The best point that passes KKT
-  verification wins.
+* the relaxation without the stability constraint is solved by
+  enumerating the bases of its two-constraint polytope; a point of its
+  optimal face that meets the stability constraint is a global optimum,
+  with the LP duals as its multipliers,
+* else, on a positive-semidefinite matrix, whose region is convex so that
+  any KKT point is globally optimal, a support exchange from the
+  relaxation's vertex: the points where stationarity on a support meets
+  the stability boundary, the support growing by the cargo whose price is
+  most negative,
+* else, or when that exchange finds no KKT point, the candidate KKT points
+  are enumerated support by support
+  (:mod:`~shipload.kkt_enumeration`), and the same exchange grows the
+  best of them.
+
+The answer is the best of these points that passes the feasibility filter
+and the KKT report with its closed-form multipliers.
 
 This module is the one home of the constraint rules: the slacks and their
 scales, the feasibility test (worst relative violation at most the
@@ -27,35 +27,13 @@ tolerance) and the active set (|slack| at most ten times the tolerance
 times max(1, scale)), which both multiplier recovery and the CLI's binding
 flags read.
 
-The local method is sequential quadratic programming with analytic
-gradients: SciPy's compiled SLSQP kernel (Kraft 1988), driven by a short
-loop here that is iterate for iterate the same as
-``scipy.optimize.minimize(method="SLSQP")`` without its per-call Python
-layers.  It runs in scaled coordinates z = x / deadweight_cap, with the
-objective divided by deadweight_cap * max|p| and each constraint divided by
-the scale that the feasibility and KKT checks measure it against, so the
-method sees O(1) numbers whatever the units of mass and money.  The scaled
-data and the kernel's work arrays are built once per solve.  The three
-constraints go in as one vector constraint.  A returned point that
-overshoots the stability boundary by rounding is pulled back along its
-ray onto the boundary in closed form.
-
-The method is otherwise treated as a black box: a returned point counts
-only if it is feasible and passes the KKT report.  A start whose
-return fails the feasibility filter is logged at DEBUG on the
-``shipload.solver`` logger.  Lagrange multipliers of a local solve's
-point are recovered from the active set by nonnegative least squares,
-since the local method does not expose duals; a start whose revenue is
-already below a verified one skips that recovery and the KKT report,
-because it can no longer be returned.
-
-The LP relaxation is solved by enumerating the bases of its
-two-constraint polytope in NumPy.  Nothing here imports the
-``scipy.optimize`` package, whose import costs most of a CLI process: the
-compiled extension that holds both the SLSQP kernel and the Lawson-Hanson
-NNLS routine is loaded straight from SciPy's package directory on first
-use, which a closed-form answer never reaches, and registered under its
-own module name, so a later ``import scipy.optimize`` shares it.
+Lagrange multipliers of a raw loading, which comes with none, are
+recovered from its active set by nonnegative least squares.  Nothing here
+imports the ``scipy.optimize`` package, whose import costs most of a CLI
+process: the compiled extension that holds the Lawson-Hanson NNLS routine
+is loaded straight from SciPy's package directory on first use, which a
+closed-form answer never reaches, and registered under its own module
+name, so a later ``import scipy.optimize`` shares it.
 """
 
 from __future__ import annotations
@@ -64,7 +42,6 @@ import enum
 import functools
 import importlib.machinery
 import importlib.util
-import itertools
 import logging
 import math
 import os
@@ -97,17 +74,16 @@ DEFAULT_FEASIBILITY_TOLERANCE = 1e-8
 
 _KERNEL_MODULE = "scipy.optimize._slsqplib"
 # Relative slack of solve_lp's revenue and dual tests (see its tie rule),
-# of the stability test of its vertex in _kkt_optimum, and of the revenue
-# that ends solve's search.
+# of the distinctness of its tied vertices, and of the stability test of
+# the relaxation's optimal face in solve.
 _LP_TOLERANCE = 1e-9
-# Most steps of the convex support exchange are 2 n plus this many; an
-# exchange that has not stopped by then hands the instance to the local
-# solve.  The measured answers took at most 3.
+# Most steps of the support exchange are 2 n plus this many.  The measured
+# convex answers took at most 3.
 _EXCHANGE_EXTRA_STEPS = 6
 
 
 def _slsqplib():
-    """SciPy's compiled ``slsqp``/``nnls`` extension, without importing ``scipy.optimize``.
+    """SciPy's compiled extension that holds the NNLS routine, without importing ``scipy.optimize``.
 
     The extension file is found through the ``scipy`` package's import
     spec, which does not import SciPy, and loaded on its own.  It is
@@ -136,7 +112,7 @@ def _slsqplib():
                 return module
     raise ImportError(
         f"{_KERNEL_MODULE} not found: shipload needs SciPy >= 1.16, whose compiled "
-        "SLSQP and NNLS routines it calls"
+        "NNLS routine it calls"
     )
 
 
@@ -149,34 +125,22 @@ class SolverStatus(enum.Enum):
 
 @dataclass
 class SolverOptions:
-    """Knobs for :func:`solve`; defaults reproduce the reported results.
+    """Tolerances of :func:`solve`; the defaults reproduce the reported results.
 
-    ``multistart_count`` and ``rng_seed`` drive the seeded random starts,
-    which run only as a fallback: on a convex instance whose closed-form
-    point and interior start both fail to verify, or on a nonconvex one
-    whose KKT enumeration is over budget, incomplete or not confirmed by
-    its own start.  ``max_iterations`` bounds each local solve.
+    A point counts as feasible when its worst relative violation is at
+    most ``feasibility_tolerance``, and as a KKT point when its report
+    passes at ``kkt_tolerance``.
     """
 
-    multistart_count: int = 32
-    rng_seed: int = 0
     feasibility_tolerance: float = DEFAULT_FEASIBILITY_TOLERANCE
     kkt_tolerance: float = DEFAULT_KKT_TOLERANCE
-    max_iterations: int = 500
 
     def __post_init__(self) -> None:
-        if int(self.multistart_count) < 1:
-            raise ValueError("multistart_count must be at least 1")
-        self.multistart_count = int(self.multistart_count)
-        self.rng_seed = int(self.rng_seed)
         for name in ("feasibility_tolerance", "kkt_tolerance"):
             value = getattr(self, name)
             # An infinite tolerance would accept every point as feasible and KKT.
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite")
-        if int(self.max_iterations) < 1:
-            raise ValueError("max_iterations must be at least 1")
-        self.max_iterations = int(self.max_iterations)
 
 
 @dataclass(frozen=True)
@@ -208,15 +172,9 @@ class Solution:
     ``kkt.satisfied`` tells whether the LP vertex happens to solve the
     quadratically constrained problem as well.
 
-    ``starts_used`` counts the starts that ran, and ``best_start_index``
-    is the position of the winning one in the order they ran (-1 when
-    none returned a feasible point).  Start 0 is the closed-form KKT point:
-    the support exchange's on a convex instance, the enumerated optimum on
-    a nonconvex one.  When it verifies it is the answer, with
-    ``starts_used == 1`` and no local solve; otherwise start 0 is a local
-    solve from it (from an interior point on a convex instance), and the
-    seeded random starts follow it, or come first when there is no such
-    start.
+    ``starts_used`` and ``best_start_index`` are 1 and 0 for a closed-form
+    answer, and 0 and -1 for the empty vessel that :func:`solve` returns
+    when no candidate is feasible or nothing is.
     """
 
     x: np.ndarray
@@ -247,7 +205,7 @@ def _constraint_scales(problem: Problem) -> tuple[float, float, float]:
     """Deadweight, volume and stability scales, in the order of ``_slacks``.
 
     A slack divided by its scale is the relative violation that the
-    feasibility test, the KKT report and the local solve all work with.
+    feasibility test and the KKT report work with.
     """
     return problem.deadweight_cap, problem.volume_cap, max(1.0, abs(problem.rhs))
 
@@ -287,151 +245,6 @@ def active_set(
         abs(stab) <= threshold * max(1.0, abs(problem.rhs)),
         np.abs(x) <= threshold * mass_scale,
     )
-
-
-def _scale_into_stability(problem: Problem, x: np.ndarray, safety: float = 0.9) -> np.ndarray:
-    """Shrink ``x`` toward the origin until the stability constraint holds.
-
-    Along the ray t*x the constraint's left side is qa*t^2 + qb*t, so the
-    largest feasible scale t is the up-crossing root of qa*t^2 + qb*t - r,
-    written without cancellation for either sign of qb.  The result is
-    ``safety * t * x``: starts keep a margin inside the region, a solver
-    return pulled back onto the boundary uses ``safety = 1``.  The origin
-    is feasible whenever rhs >= 0, which callers have already checked.
-    """
-    qa = problem.quad_scale * float(x @ problem.quad_matrix @ x)
-    qb = problem.linear_coeff * float(x.sum())
-    r = problem.rhs
-    if qa + qb <= r:
-        return x
-    # Infeasible at t = 1 with r >= 0: qb < 0 forces qa > -qb > 0, and
-    # qa < 0 forces qb > r; either way the root lies in [0, 1).
-    root = math.sqrt(max(qb * qb + 4.0 * qa * r, 0.0))
-    if qb < 0:
-        t = (root - qb) / (2.0 * qa)
-    else:
-        t = 2.0 * r / (qb + root) if qb + root > 0 else 0.0
-    return x * (safety * t)
-
-
-def _cap_to_volume(problem: Problem, x: np.ndarray) -> np.ndarray:
-    used = float(problem.volume_coeffs @ x)
-    if used > problem.volume_cap:
-        return x * (0.95 * problem.volume_cap / used)
-    return x
-
-
-def _interior_start(problem: Problem) -> np.ndarray:
-    x = np.full(problem.n, 0.5 * problem.deadweight_cap / problem.n)
-    return _scale_into_stability(problem, _cap_to_volume(problem, x))
-
-
-def _random_start(problem: Problem, rng: np.random.Generator) -> np.ndarray:
-    # Dirichlet weights with concentration below 1 bias the draw toward
-    # faces of the simplex, so starts land near distinct active sets and
-    # the multistart actually explores different basins.
-    weights = rng.dirichlet(np.full(problem.n, 0.4))
-    x = weights * (problem.deadweight_cap * rng.uniform())
-    return _scale_into_stability(problem, _cap_to_volume(problem, x))
-
-
-def _random_starts(problem: Problem, options: SolverOptions):
-    """The seeded random starts; the generator, and ``numpy.random``, load on the first draw."""
-    rng = np.random.default_rng(options.rng_seed)
-    for _ in range(options.multistart_count):
-        yield _random_start(problem, rng)
-
-
-class _ScaledProblem:
-    """The problem as SLSQP sees it, in z = x / deadweight_cap, and the kernel's work arrays.
-
-    Built once per :func:`solve` and shared by its starts; ``_local_solve``
-    resets the work arrays before each one.  The cost is -p / max|p|, and
-    the three constraints are divided by their ``_constraint_scales``:
-    linear rows sum(x), v.x and b*sum(x) plus the quadratic s*x'Ax.
-    """
-
-    def __init__(self, problem: Problem, max_iterations: int) -> None:
-        self.kernel = _slsqplib().slsqp
-        self.max_iterations = max_iterations
-        n = problem.n
-        cap = problem.deadweight_cap
-        scales = np.array(_constraint_scales(problem))
-        rate = float(np.abs(problem.objective).max(initial=0.0)) or 1.0
-        self.cap = cap
-        self.cost = -problem.objective / rate
-        ones = np.ones(n)
-        linear = np.vstack([ones, problem.volume_coeffs, problem.linear_coeff * ones])
-        linear *= (cap / scales)[:, None]
-        self.linear = linear
-        self.neg_linear = -linear
-        self.quad = problem.quad_matrix * (problem.quad_scale * cap * cap / scales[2])
-        self.limits = np.array([cap, problem.volume_cap, problem.rhs]) / scales
-        # Work arrays sized as scipy.optimize's SLSQP driver sizes them for
-        # m = 3 inequality constraints and no equalities.
-        m = 3
-        self.lower = np.zeros(n)
-        self.upper = np.full(n, np.nan)  # NaN: no upper bound
-        self.slack = np.zeros(m)
-        self.jacobian = np.zeros((m, n), order="F")
-        self.mult = np.zeros(m + 2 * n + 2)
-        self.buffer = np.zeros(n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28)
-        self.indices = np.zeros(m + 2 * n + 2, dtype=np.int32)
-
-    def eval_slack(self, z: np.ndarray) -> None:
-        np.subtract(self.limits, self.linear @ z, out=self.slack)
-        self.slack[2] -= z @ self.quad @ z
-
-    def eval_jacobian(self, z: np.ndarray) -> None:
-        self.jacobian[...] = self.neg_linear
-        self.jacobian[2] -= 2.0 * (self.quad @ z)
-
-
-def _local_solve(
-    problem: Problem, scaled: _ScaledProblem, x0: np.ndarray
-) -> tuple[np.ndarray, int, int]:
-    """One SLSQP run from ``x0``; returns the loads, the exit mode and the iteration count.
-
-    Drives the compiled kernel exactly as ``scipy.optimize.minimize``
-    does for this problem (ftol 1e-12, lower bounds 0, no upper bounds),
-    so the iterates are the same, without its per-call Python layers.
-    The kernel asks for the objective and constraint values (mode 1) or
-    their gradients (mode -1); any other mode ends the run.
-    """
-    s = scaled
-    z = np.clip(x0 / s.cap, 0.0, np.inf)
-    for work in (s.mult, s.buffer, s.indices):
-        work.fill(0)
-    acc = 1e-12
-    state = {
-        "acc": acc, "alpha": 0.0, "f0": 0.0, "gs": 0.0,
-        "h1": 0.0, "h2": 0.0, "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0,
-        "tol": 10.0 * acc, "exact": 0, "inconsistent": 0, "reset": 0,
-        "iter": 0, "itermax": s.max_iterations, "line": 0,
-        "m": 3, "meq": 0, "mode": 0, "n": problem.n,
-    }
-    objective = float(s.cost @ z)
-    s.eval_slack(z)
-    s.eval_jacobian(z)
-    while True:
-        s.kernel(
-            state, objective, s.cost, s.jacobian, s.slack, z, s.mult, s.lower, s.upper,
-            s.buffer, s.indices,
-        )
-        mode = state["mode"]
-        if mode == 1:
-            objective = float(s.cost @ z)
-            s.eval_slack(z)
-        elif mode == -1:
-            s.eval_jacobian(z)
-        else:
-            break
-    # The exit mode is not trusted: the method sometimes reports a line
-    # search failure while sitting on the optimum.  Feasibility and KKT
-    # checks on the returned point decide whether it counts; a point just
-    # outside the stability boundary is first pulled back onto it.
-    x = _scale_into_stability(problem, np.maximum(z, 0.0) * s.cap, safety=1.0)
-    return x, mode, state["iter"]
 
 
 def _recover_multipliers(
@@ -528,14 +341,15 @@ def _bases(n: int) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _lp_optimum(problem: Problem) -> tuple[np.ndarray, float, float, bool]:
-    """The relaxation's optimal vertex by :func:`solve_lp`'s rule, its duals, and uniqueness.
+def _lp_optimum(problem: Problem) -> tuple[np.ndarray, float, float]:
+    """The relaxation's optimal face by :func:`solve_lp`'s rule, and the duals of its pick.
 
-    The flag is true when every tied basis sits at the same loads (to 1e-9
-    of the deadweight cap) once the loads of each run of equal-density
-    neighbours in the stack are summed.  Such neighbours are
-    interchangeable in every constraint, so the relaxation's optimal face
-    then meets each constraint as that one vertex does.
+    The face is given by its tied vertices, one row each: the picked one
+    first, then every tied vertex that differs from those before it by
+    more than 1e-9 of the deadweight cap once the loads of each run of
+    equal-density neighbours in the stack are summed.  Such neighbours
+    are interchangeable in every constraint, so vertices that differ only
+    between them meet each constraint alike.
     """
     p = problem.objective
     v = problem.volume_coeffs
@@ -578,16 +392,18 @@ def _lp_optimum(problem: Problem) -> tuple[np.ndarray, float, float, bool]:
     points[rows, second[tied]] = load_second[tied]
     points[rows, first[tied]] = load_first[tied]
     points = np.maximum(points, 0.0)
-    x = points[pick]
     lam_dw = max(float(lam_c[b]), 0.0)
     lam_vol = max(float(lam_v[b]), 0.0)
+    face = [pick]
     if tied.size > 1:
         # Sum each run of equal densities into its first column.
         d = problem.densities
         runs = np.flatnonzero(np.concatenate([[True], d[1:] != d[:-1]]))
-        points = np.add.reduceat(points, runs, axis=1)
-    unique = float(np.abs(points - points[pick]).max()) <= tol * cap
-    return x, lam_dw, lam_vol, unique
+        summed = np.add.reduceat(points, runs, axis=1)
+        for k in range(tied.size):
+            if np.abs(summed[face] - summed[k]).max(axis=1).min() > tol * cap:
+                face.append(k)
+    return points[face], lam_dw, lam_vol
 
 
 def solve_lp(problem: Problem) -> Solution:
@@ -615,7 +431,8 @@ def solve_lp(problem: Problem) -> Solution:
     rates (the empty vessel wins).  The work is O(n^2), plus O(n) per tied
     basis.
     """
-    x, lam_dw, lam_vol, _ = _lp_optimum(problem)
+    face, lam_dw, lam_vol = _lp_optimum(problem)
+    x = face[0]
     multipliers = _closed_form_multipliers(problem, x, (lam_dw, lam_vol, 0.0))
     report = _kkt_report(problem, x, *multipliers, DEFAULT_KKT_TOLERANCE)
     return _solution(problem, x, multipliers, report, SolverStatus.OPTIMAL, 1, 0)
@@ -650,94 +467,109 @@ def _solution(
     )
 
 
-def _empty_vessel(
-    problem: Problem, tolerance: float, status: SolverStatus, starts_used: int
-) -> Solution:
-    """The zero loading with zero multipliers, for when no start gives a feasible point."""
+def _empty_vessel(problem: Problem, tolerance: float, status: SolverStatus) -> Solution:
+    """The zero loading with zero multipliers, for when nothing feasible is found."""
     x = np.zeros(problem.n)
     multipliers = (0.0, 0.0, 0.0, np.zeros(problem.n))
     report = _kkt_report(problem, x, *multipliers, tolerance)
-    return _solution(problem, x, multipliers, report, status, starts_used, -1)
+    return _solution(problem, x, multipliers, report, status, 0, -1)
+
+
+def _stable_point(problem: Problem, face: np.ndarray) -> np.ndarray | None:
+    """A point of the relaxation's optimal face that meets the stability constraint, or None.
+
+    Each tied vertex is tried, then, when the face is a segment a + theta
+    (b - a), the point of it where the constraint's left side is least:
+    along the segment that side is a quadratic in theta.  A face of more
+    than two vertices is searched only at its vertices.  Such a point is
+    a global optimum, with the picked vertex's LP duals and lam_S = 0 as
+    its multipliers, since any optimal dual prices every optimal point.
+    """
+    for x in face:
+        if _violation(problem, x, _slacks(problem, x)) <= _LP_TOLERANCE:
+            return x
+    if len(face) == 2:
+        a, b = face
+        step = b - a
+        curvature = problem.quad_scale * float(step @ problem.quad_matrix @ step)
+        slope = float(stability_gradient(problem, a) @ step)
+        if curvature > 0.0:
+            x = a + min(max(-slope / (2.0 * curvature), 0.0), 1.0) * step
+            if _violation(problem, x, _slacks(problem, x)) <= _LP_TOLERANCE:
+                return x
+    return None
 
 
 def _kkt_optimum(
-    problem: Problem,
-) -> tuple[float, np.ndarray | None, bool, tuple[float, float, float] | None]:
-    """The best candidate KKT point of the full problem: (revenue, loads, complete, multipliers).
+    problem: Problem, face_searched: bool
+) -> tuple[float, np.ndarray, bool, tuple[float, float, float] | None]:
+    """The best candidate KKT point with stability binding: (revenue, loads, complete, multipliers).
 
-    ``complete`` says that the candidates include a global maximum under
-    a constraint qualification (the active constraint gradients
-    independent, so that the second-order necessary conditions hold).
-    They need not include every local maximum: the enumeration skips
-    supports that an edge argument shows no global optimum needs.  When
-    it is false the revenue is -inf, the loads and multipliers are None,
-    and the reason is logged at DEBUG.  The multipliers (lam_C, lam_V,
-    lam_S) are the point's own in closed form, or None when it has none
-    with finite lam_S.
-
-    The relaxation's vertex, when it meets the stability constraint, is
-    globally optimal, with its LP duals and lam_S = 0.  Otherwise a global
+    For when no point of the relaxation's optimal face is stable: a global
     optimum that left stability slack would be an optimum of the
-    relaxation too, so when that vertex is the relaxation's only optimal
-    point (up to moving mass between equal-density neighbours), stability
-    binds at the global optimum and
+    relaxation too, so stability binds at every global optimum, and
     :func:`~shipload.kkt_enumeration.binding_optimum` enumerates the
-    candidates.  An optimal face of more than one point is not enumerated.
+    candidates.  ``face_searched`` says that the whole face was searched,
+    which :func:`_stable_point` does for a vertex or a segment.
+    ``complete`` says that the candidates include a global maximum: the
+    face was searched and the enumeration was not truncated.  Either
+    shortfall is logged at DEBUG.  The multipliers (lam_C, lam_V, lam_S)
+    are the point's own in closed form, or None when it has none with
+    finite lam_S.
     """
-    x_lp, lam_dw, lam_vol, unique = _lp_optimum(problem)
-    if _violation(problem, x_lp, _slacks(problem, x_lp)) <= _LP_TOLERANCE:
-        return float(problem.objective @ x_lp), x_lp, True, (lam_dw, lam_vol, 0.0)
-    if unique:
-        # Imported here: a process that never meets an unstable
-        # relaxation never compiles or loads it.
-        from .kkt_enumeration import binding_optimum
+    # Imported here: a process that never meets an unstable relaxation
+    # never compiles or loads it.
+    from .kkt_enumeration import binding_optimum
 
-        value, x, multipliers, reason = binding_optimum(problem)
-    else:
-        reason = "the relaxation's optimum is not one point"
+    value, x, multipliers, reason = binding_optimum(problem)
+    if reason is None and not face_searched:
+        reason = "the relaxation's optimal face has more than two vertices"
     if reason is not None:
         _log.debug("KKT enumeration incomplete: %s", reason)
-        return -math.inf, None, False, None
-    return value, x, True, multipliers
+    return value, x, reason is None, multipliers
 
 
-def _convex_exchange(
-    problem: Problem, feasibility_tolerance: float, kkt_tolerance: float
-) -> tuple[np.ndarray, tuple[float, float, float]] | None:
-    """A KKT point of a convex instance with its multipliers (lam_C, lam_V, lam_S), or None.
+def _exchange(
+    problem: Problem,
+    options: SolverOptions,
+    support: list[int],
+    start: tuple[np.ndarray, tuple[float, float, float]] | None = None,
+) -> list[tuple[np.ndarray, tuple[float, float, float, np.ndarray]]]:
+    """The points of a support exchange, each with its multipliers (lam_C, lam_V, lam_S, nu).
 
-    The relaxation's vertex answers with its LP duals when it is stable.
-    Otherwise stability binds, and a support exchange starts from the
-    vertex's support of at most two cargoes.  Each step solves the
-    support in closed form (:func:`~shipload.kkt_enumeration.support_points`)
-    and keeps its best valid point: loads at least -``feasibility_tolerance``
-    times the deadweight cap, lam_C and lam_V at least -``kkt_tolerance``
-    times max(1, max p), and both caps met to ``feasibility_tolerance``
-    relative.  A support without one gives way to the
-    best of its subsets that drop one cargo.  The cargoes outside the
-    support are then priced, nu_j = lam_C + lam_V v_j + lam_S g_j - p_j
-    with g the stability gradient; when none is below -``kkt_tolerance``
-    times max(1, max p) the point is a KKT point, and under convexity a
-    global optimum.  Else the most negative joins the support.  None when
-    no support has a valid point or after 2 n + ``_EXCHANGE_EXTRA_STEPS``
-    steps.
+    The exchange starts from ``start``, loads on ``support`` with their
+    (lam_C, lam_V, lam_S), or, when that is None, from the best valid
+    point of ``support``.  Each step solves a support in closed form
+    (:func:`~shipload.kkt_enumeration.support_points`) and keeps its best
+    valid point: loads at least -``feasibility_tolerance`` times the
+    deadweight cap, lam_C and lam_V at least -``kkt_tolerance`` times
+    max(1, max p), and both caps met to ``feasibility_tolerance``
+    relative.  A support without one gives way to the best of its subsets
+    that drop one cargo.  The cargoes outside the support are then priced,
+    nu_j = lam_C + lam_V v_j + lam_S g_j - p_j with g the stability
+    gradient; when none is below -``kkt_tolerance`` times max(1, max p)
+    the point is a KKT point and the exchange stops.  Else the most
+    negative joins the support.  It stops too when no support has a valid
+    point, and after 2 n + ``_EXCHANGE_EXTRA_STEPS`` steps.  Under
+    convexity its last point is then a global optimum; otherwise a step
+    can lose revenue, so every point is returned.  Each point's nu is
+    max(nu_j, 0).
     """
-    x, lam_dw, lam_vol, _ = _lp_optimum(problem)
-    if _violation(problem, x, _slacks(problem, x)) <= _LP_TOLERANCE:
-        return x, (lam_dw, lam_vol, 0.0)
     from .kkt_enumeration import scaled_units, support_points
 
-    units = scaled_units(problem)
+    # Built for the first support solved: a start that prices out needs none.
+    units = functools.cache(lambda: scaled_units(problem))
     p, v = problem.objective, problem.volume_coeffs
     cap, room = problem.deadweight_cap, problem.volume_cap
-    price_tol = kkt_tolerance * max(1.0, float(p.max()))
-    over = 1.0 + feasibility_tolerance
+    tolerance = options.feasibility_tolerance
+    price_tol = options.kkt_tolerance * max(1.0, float(p.max()))
+    over = 1.0 + tolerance
 
     def best_point(support):
         # The points lie on the stability boundary; solve checks the answer's feasibility.
         best = None
-        for loads, lam_c, lam_v, lam_s in support_points(units, support):
-            if loads.min() < -feasibility_tolerance * cap or min(lam_c, lam_v) < -price_tol:
+        for loads, lam_c, lam_v, lam_s in support_points(units(), support):
+            if loads.min() < -tolerance * cap or min(lam_c, lam_v) < -price_tol:
                 continue
             loads = np.maximum(loads, 0.0)
             if loads.sum() > cap * over or v @ loads > room * over:
@@ -746,24 +578,35 @@ def _convex_exchange(
                 best = (loads, (lam_c, lam_v, lam_s))
         return best
 
-    support = np.flatnonzero(x).tolist()
-    for _ in range(2 * problem.n + _EXCHANGE_EXTRA_STEPS):
+    def settle(support):
+        """(point, support): the best valid point of ``support`` or of a subset one smaller."""
         point = best_point(support)
-        if point is None:
-            smaller = [support[:k] + support[k + 1:] for k in range(len(support))]
-            found = [(best_point(s), s) for s in smaller if s]
-            found = [(q, s) for q, s in found if q is not None]
-            if not found:
-                return None
-            point, support = max(found, key=lambda item: p @ item[0][0])
-        x, (lam_c, lam_v, lam_s) = point
+        if point is not None:
+            return point, support
+        smaller = [support[:k] + support[k + 1:] for k in range(len(support))]
+        found = [(best_point(s), s) for s in smaller if s]
+        found = [(q, s) for q, s in found if q is not None]
+        return max(found, key=lambda item: p @ item[0][0]) if found else None
+
+    if start is None:
+        settled = settle(support)
+        if settled is None:
+            return []
+        start, support = settled
+    x, (lam_c, lam_v, lam_s) = start
+    points = []
+    for _ in range(2 * problem.n + _EXCHANGE_EXTRA_STEPS):
         nu = lam_c + lam_v * v + lam_s * stability_gradient(problem, x) - p
+        points.append((x, (lam_c, lam_v, lam_s, np.maximum(nu, 0.0))))
         nu[support] = math.inf
         j = int(nu.argmin())
         if nu[j] >= -price_tol:
-            return point
-        support = sorted(support + [j])
-    return None
+            break
+        settled = settle(sorted(support + [j]))
+        if settled is None:
+            break
+        (x, (lam_c, lam_v, lam_s)), support = settled
+    return points
 
 
 def _closed_form_multipliers(
@@ -779,125 +622,79 @@ def _closed_form_multipliers(
     return lam_dw, lam_vol, lam_stab, np.maximum(nu - problem.objective, 0.0)
 
 
-def _preferred(problem: Problem, challenger: np.ndarray, incumbent: np.ndarray) -> bool:
-    a = float(problem.objective @ challenger)
-    b = float(problem.objective @ incumbent)
-    if a != b:
-        return a > b
-    return tuple(challenger) < tuple(incumbent)
+def _best_verified(problem: Problem, candidates: list, options: SolverOptions):
+    """The candidate of highest revenue, the first on a tie, that passes both checks; or None.
+
+    A candidate is (loads, multipliers), and passes when its KKT report is
+    satisfied at ``kkt_tolerance`` and its worst relative violation is at
+    most ``feasibility_tolerance``.  Returns (loads, multipliers, report).
+    """
+    for x, multipliers in sorted(candidates, key=lambda c: -float(problem.objective @ c[0])):
+        report = _kkt_report(problem, x, *multipliers, options.kkt_tolerance)
+        # The report's primal feasibility is the violation that _feasible tests.
+        if report.satisfied and report.primal_feasibility <= options.feasibility_tolerance:
+            return x, multipliers, report
+    return None
 
 
 def solve(problem: Problem, options: SolverOptions | None = None) -> Solution:
-    """Maximize revenue over the full constraint set.
+    """Maximize revenue over the full constraint set, in closed form.
 
     A negative right-hand side means the empty vessel already violates the
-    stability margin and nothing is feasible.  Otherwise the problem's
-    ``classification`` decides how start 0 is found in closed form.
-    Positive semidefinite gives a convex region, where the support
-    exchange (``_convex_exchange``) finds a KKT point, which is a global
-    optimum (status Optimal).  Any other class enumerates the candidate
-    KKT points (``_kkt_optimum``) and takes the best.  Start 0 comes with
-    closed-form multipliers, and when it passes the feasibility filter and
-    the KKT report at the options' tolerances it is returned as it is:
-    one start, no local solve.
+    stability margin and nothing is feasible: status Infeasible.
+    Otherwise the candidates are, in turn:
 
-    Otherwise the local search runs.  On a convex instance one local solve
-    from a deterministic interior start; the seeded random starts run,
-    until one verifies, only if that start stalls.  On any other, a local
-    solve from the enumerated point, and the search ends at the first
-    KKT-verified start that earns its revenue to 1e-9 relative; the
-    random starts follow only if none does.  An enumeration over budget
-    (reverse stacks of 44 or more cargoes) or incomplete (equal densities
-    apart in the stack, a relaxation tied at distinct points) leaves the
-    seeded multistart as the only search.  A nonconvex answer is
-    LocalOnly however it was found: the enumeration rests on a constraint
-    qualification, so it is no certificate.  The oracle module can upgrade
-    LocalOnly results with brute-force evidence; the solver itself never
-    claims more than it can prove.
+    * a point of the relaxation's optimal face that meets the stability
+      constraint (``_stable_point``), a global optimum;
+    * else, on a positive-semidefinite matrix, the support exchange from
+      the support of the relaxation's vertex (``_exchange``);
+    * else, or when that exchange finds no point that verifies, the
+      enumerated optimum (``_kkt_optimum``) and the points of the exchange
+      that grows it.  A winner without closed-form multipliers (t <= 0)
+      gets (lam_C, lam_V, lam_S) by nonnegative least squares.
+
+    The answer is the candidate of highest revenue that passes the
+    feasibility filter and the KKT report at the options' tolerances.
+    Its status is Optimal on a positive-semidefinite matrix, where every
+    KKT point is a global optimum, and LocalOnly on any other, however it
+    was found; the oracle module can upgrade LocalOnly results with
+    brute-force evidence, and the solver never claims more than it can
+    prove.  When no candidate verifies, the best feasible one is returned
+    with status IterationLimit, and the empty vessel when none is
+    feasible.
     """
     opts = options if options is not None else SolverOptions()
     if problem.rhs < 0:
-        return _empty_vessel(problem, opts.kkt_tolerance, SolverStatus.INFEASIBLE, 0)
+        return _empty_vessel(problem, opts.kkt_tolerance, SolverStatus.INFEASIBLE)
 
     convex = problem.classification.kind is Definiteness.POSITIVE_SEMIDEFINITE
     status = SolverStatus.OPTIMAL if convex else SolverStatus.LOCAL_ONLY
-
-    # Start 0 in closed form: the support exchange's KKT point of a convex
-    # instance, or the enumerated optimum of any other.  It needs no local
-    # solve when it passes the checks that every start's return passes.
-    if convex:
-        closed = _convex_exchange(problem, opts.feasibility_tolerance, opts.kkt_tolerance)
+    face, lam_dw, lam_vol = _lp_optimum(problem)
+    relaxed = _stable_point(problem, face)
+    if relaxed is not None:
+        multipliers = _closed_form_multipliers(problem, relaxed, (lam_dw, lam_vol, 0.0))
+        candidates = [(relaxed, multipliers)]
+    elif convex:
+        candidates = _exchange(problem, opts, np.flatnonzero(face[0]).tolist())
     else:
-        value, seed, complete, lams = _kkt_optimum(problem)
-        closed = None if lams is None else (seed, lams)
-    if closed is not None:
-        x, lams = closed
-        multipliers = _closed_form_multipliers(problem, x, lams)
-        report = _kkt_report(problem, x, *multipliers, opts.kkt_tolerance)
-        # The report's primal feasibility is the violation that _feasible tests.
-        if report.satisfied and report.primal_feasibility <= opts.feasibility_tolerance:
-            return _solution(problem, x, multipliers, report, status, 1, 0)
+        candidates = []
+    best = _best_verified(problem, candidates, opts)
+    if best is None and relaxed is None:
+        _, seed, _, lams = _kkt_optimum(problem, len(face) <= 2)
+        if lams is None:
+            lams = _recover_multipliers(problem, seed, opts.feasibility_tolerance)[:3]
+        grown = _exchange(problem, opts, np.flatnonzero(seed).tolist(), (seed, lams))
+        candidates += grown
+        best = _best_verified(problem, grown, opts)
+    if best is not None:
+        return _solution(problem, *best, status, 1, 0)
 
-    scaled = _ScaledProblem(problem, opts.max_iterations)
-    best_verified = -math.inf
-    candidates = []
-
-    def evaluate(x0: np.ndarray, index: int) -> bool:
-        """One start's local solve; whether it is KKT-verified and earns the ceiling."""
-        nonlocal best_verified
-        x, mode, iterations = _local_solve(problem, scaled, x0)
-        if not _feasible(problem, x, opts.feasibility_tolerance):
-            _log.debug(
-                "start %d rejected: exit mode %d after %d iterations, "
-                "worst relative violation %.3g",
-                index, mode, iterations, _violation(problem, x, _slacks(problem, x)),
-            )
-            return False
-        value = float(problem.objective @ x)
-        if value < best_verified:
-            # Once a start is verified only verified starts can be
-            # returned, and this one would lose to it on revenue.
-            return False
-        multipliers = _recover_multipliers(problem, x, opts.feasibility_tolerance)
-        report = _kkt_report(problem, x, *multipliers, opts.kkt_tolerance)
-        candidates.append((x, multipliers, report, index))
-        if not report.satisfied:
-            return False
-        best_verified = max(best_verified, value)
-        return value >= ceiling
-
-    # The local search: a local solve from start 0 (from an interior point
-    # on a convex instance), if there is one, then the seeded random
-    # starts; a verified start earning the ceiling ends it.  Under
-    # convexity any KKT point is globally optimal, so there the first
-    # verified start does.
-    if convex:
-        seed, ceiling = _interior_start(problem), -math.inf
-    else:
-        ceiling = value - _LP_TOLERANCE * max(1.0, abs(value)) if complete else math.inf
-    starts = itertools.chain([] if seed is None else [seed], _random_starts(problem, opts))
-    starts_used = 0
-    for index, x0 in enumerate(starts):
-        starts_used += 1
-        if evaluate(x0, index):
-            break
-
-    verified = [c for c in candidates if c[2].satisfied]
-    pool = verified if verified else candidates
-    if not pool:
-        # Every start failed even the feasibility filter; fall back to the
-        # origin, which is feasible here because rhs >= 0.
-        return _empty_vessel(
-            problem, opts.kkt_tolerance, SolverStatus.ITERATION_LIMIT, starts_used
-        )
-    best = pool[0]
-    for candidate in pool[1:]:
-        if _preferred(problem, candidate[0], best[0]):
-            best = candidate
-    if not verified:
-        status = SolverStatus.ITERATION_LIMIT
-    x, multipliers, report, index = best
-    return _solution(problem, x, multipliers, report, status, starts_used, index)
+    feasible = [c for c in candidates if _feasible(problem, c[0], opts.feasibility_tolerance)]
+    if not feasible:
+        return _empty_vessel(problem, opts.kkt_tolerance, SolverStatus.ITERATION_LIMIT)
+    x, multipliers = max(feasible, key=lambda c: float(problem.objective @ c[0]))
+    report = _kkt_report(problem, x, *multipliers, opts.kkt_tolerance)
+    return _solution(problem, x, multipliers, report, SolverStatus.ITERATION_LIMIT, 1, 0)
 
 
 def kkt_verify(problem: Problem, solution, tolerance: float = DEFAULT_KKT_TOLERANCE) -> KktReport:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import shipload
-from shipload import LoadingOrder
+from shipload import LoadingOrder, SolverOptions
 from shipload.cli import (
     Scenario,
     ScenarioError,
@@ -103,7 +103,7 @@ class TestParseScenario:
         assert scenario.include_ballast is True
         assert scenario.order == LoadingOrder.normal()
         assert scenario.mu is None
-        assert scenario.solver.multistart_count == 32
+        assert scenario.solver == SolverOptions()
 
     def test_explicit_order_array(self):
         doc = json.loads(scenario_to_json(load_bundled_scenario("clarkson3500.json")))
@@ -119,11 +119,10 @@ class TestParseScenario:
 
     def test_solver_options_parsed(self):
         doc = json.loads(scenario_to_json(load_bundled_scenario("clarkson3500.json")))
-        doc["solver"]["multistart_count"] = 8
-        doc["solver"]["rng_seed"] = 5
+        assert doc["solver"] == {"feasibility_tolerance": 1e-8, "kkt_tolerance": 1e-6}
+        doc["solver"] = {"feasibility_tolerance": 1e-9, "kkt_tolerance": 2e-6}
         scenario = parse_scenario(json.dumps(doc))
-        assert scenario.solver.multistart_count == 8
-        assert scenario.solver.rng_seed == 5
+        assert scenario.solver == SolverOptions(feasibility_tolerance=1e-9, kkt_tolerance=2e-6)
 
     def test_removed_convexity_dispatch_field_rejected(self):
         doc = json.loads(scenario_to_json(load_bundled_scenario("clarkson3500.json")))
@@ -131,10 +130,17 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="unknown field 'solver.convexity_dispatch'"):
             parse_scenario(json.dumps(doc))
 
-    def test_solver_count_must_be_integer(self):
+    @pytest.mark.parametrize("name", ["multistart_count", "rng_seed", "max_iterations"])
+    def test_removed_multistart_fields_rejected(self, name):
         doc = json.loads(scenario_to_json(load_bundled_scenario("clarkson3500.json")))
-        doc["solver"]["multistart_count"] = 2.5
-        with pytest.raises(ScenarioError, match="multistart_count"):
+        doc["solver"][name] = 8
+        with pytest.raises(ScenarioError, match=f"unknown field 'solver.{name}'"):
+            parse_scenario(json.dumps(doc))
+
+    def test_solver_tolerance_must_be_a_number(self):
+        doc = json.loads(scenario_to_json(load_bundled_scenario("clarkson3500.json")))
+        doc["solver"]["kkt_tolerance"] = "1e-6"
+        with pytest.raises(ScenarioError, match="solver.kkt_tolerance must be a number"):
             parse_scenario(json.dumps(doc))
 
     def test_round_trip_bundled(self):
@@ -424,7 +430,9 @@ class TestExitCodes:
         bad.write_text('{"vessel": {"beem": 3}}')
         assert run_cli(capsys, "solve", str(bad))[0] == 1
         assert run_cli(capsys, "solve", "clarkson3500.json", "--order", "sideways")[0] == 1
-        assert run_cli(capsys, "solve", "clarkson3500.json", "--starts", "0")[0] == 1
+        # The multistart's flags are gone.
+        assert run_cli(capsys, "solve", "clarkson3500.json", "--starts", "4")[0] == 1
+        assert run_cli(capsys, "solve", "clarkson3500.json", "--seed", "3")[0] == 1
 
     @pytest.mark.parametrize(
         "flag, message",
@@ -475,7 +483,7 @@ class TestProgressLogging:
             env=package_env(),
         )
         assert result.returncode == 0, result.stderr
-        assert result.stderr == "solving clarkson3500.json with up to 32 starts\n"
+        assert result.stderr == "solving clarkson3500.json\n"
 
 
 class TestConsoleScript:
@@ -568,14 +576,16 @@ class TestLazyScipyImport:
     @pytest.mark.parametrize("command", ["solve", "oracle"])
     @pytest.mark.parametrize("order", ["normal", "reverse"])
     def test_case_study_leaves_numpy_random_unloaded(self, command, order):
-        # Importing numpy.random costs some 5 MB of resident memory; only
-        # the fallback multistart draws random starts.
+        # Importing numpy.random costs some 5 MB of resident memory, and
+        # SciPy's compiled NNLS extension some 2.5 MB; nothing on these
+        # paths needs either.
         argv = [command, "clarkson3500.json", "--order", order, "--format", "json"]
         result = self.run(
             "import shipload.cli\n"
             f"code = shipload.cli.main({argv!r})\n"
             "assert code in (0, 2), code\n"
             "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+            "assert 'scipy.optimize._slsqplib' not in sys.modules, '_slsqplib was loaded'\n"
         )
         assert json.loads(result.stdout)["command"] == command
 
@@ -590,5 +600,9 @@ class TestLazyScipyImport:
             ")\n"
             "solution = solve(problem)\n"
             "assert solution.status is SolverStatus.LOCAL_ONLY\n"
+            "assert kkt_verify(problem, solution).satisfied\n"
+            "assert 'scipy.optimize._slsqplib' not in sys.modules, '_slsqplib was loaded'\n"
+            "# Raw loads come without multipliers: NNLS recovers them.\n"
             "assert kkt_verify(problem, np.array(solution.x)).satisfied\n"
+            "assert 'scipy.optimize._slsqplib' in sys.modules\n"
         )

@@ -18,7 +18,7 @@ from shipload import (
 from shipload import kkt_enumeration, solver
 from shipload.quadratic_analysis import SIGN_TOLERANCE
 
-from conftest import draw_random_problem, large_reverse_stack
+from conftest import closed_form_optimum, draw_random_problem, large_reverse_stack
 
 
 def _inertia_rule(diagonal):
@@ -27,11 +27,11 @@ def _inertia_rule(diagonal):
 
 
 def _enumerates(problem):
-    """Whether ``_kkt_optimum`` enumerates ``problem``: its relaxation has one, unstable, vertex."""
+    """Whether ``solve`` enumerates ``problem``: its relaxation has one, unstable, vertex."""
     if problem.classification.kind is Definiteness.POSITIVE_SEMIDEFINITE:
         return False
-    x, _, _, unique = solver._lp_optimum(problem)
-    return unique and solver._violation(problem, x, solver._slacks(problem, x)) > solver._LP_TOLERANCE
+    face, _, _ = solver._lp_optimum(problem)
+    return len(face) == 1 and solver._stable_point(problem, face) is None
 
 
 def _both_rules(problem):
@@ -104,8 +104,8 @@ class TestSupportRule:
 def _batch_roots(problem, support):
     """The batch rows of one support: (pattern, loads, scaled t) of its roots t > 0.
 
-    Every root of a system that it solves, feasible or not.  None when the
-    batch gives up on a continuum.
+    Every root of a system along which t moves, feasible or not, as
+    :func:`~shipload.kkt_enumeration.support_points` solves them.
     """
     units = kkt_enumeration.scaled_units(problem)
     diagonal = problem.classification.evidence.diagonal / units.a
@@ -115,13 +115,10 @@ def _batch_roots(problem, support):
     chunk[0, : len(support)] = support
     real = (chunk < problem.n).astype(float)
     rows = kkt_enumeration._batch_rows(units, chunk, real, largest, full_needs_volume)
-    if isinstance(rows, str):
-        return None
     roots = []
-    if rows is None:
-        return roots
     for root in (1, 2):
-        for k in np.flatnonzero(rows.rooted & (rows.t[root] > 0.0) & np.isfinite(rows.t[root])):
+        moving = rows.rooted & ~rows.fixed
+        for k in np.flatnonzero(moving & (rows.t[root] > 0.0) & np.isfinite(rows.t[root])):
             x = np.zeros(problem.n + 1)
             x[rows.support[k]] = units.cap * rows.z[root, k]
             roots.append((int(rows.pattern[k]), x[: problem.n], float(rows.t[root, k])))
@@ -132,16 +129,14 @@ def _check_support(problem, support):
     """The scalar solve against the batch rows on one support of distinct-density neighbours.
 
     Every root of the batch rows is a scalar point, with the same loads and
-    t; on a convex instance, whose patterns the batch never rules out, the
-    converse holds too.  Every scalar point meets stationarity on its loaded
+    t; where the batch rows solve every pattern, on supports of fewer than
+    K cargoes or when K is the number of cargoes, the converse holds too.  Every scalar point meets stationarity on its loaded
     cargoes with its multipliers.  Returns the patterns of the batch roots
     and the scalar points that are feasible.
     """
     units = kkt_enumeration.scaled_units(problem)
     points = kkt_enumeration.support_points(units, support)
     roots = _batch_roots(problem, support)
-    if roots is None:
-        return [], []
     cap, rate = problem.deadweight_cap, float(problem.objective.max()) or 1.0
     # lam_S = 1 / (2 s t) unscaled, so t * lam_S is this constant in scaled t.
     product = units.rate / (2.0 * units.quad_scale * units.cap * units.a)
@@ -152,7 +147,11 @@ def _check_support(problem, support):
 
     for _, x, t in roots:
         assert any(same(x, t, point[0], product / point[3]) for point in points), (support, x, t)
-    if problem.classification.kind is Definiteness.POSITIVE_SEMIDEFINITE:
+    diagonal = problem.classification.evidence.diagonal / units.a
+    largest, full_needs_volume = kkt_enumeration._support_rule(
+        kkt_enumeration._merge_twins(diagonal, problem.objective)[1]
+    )
+    if len(support) < largest or not full_needs_volume:
         for point in points:
             t = product / point[3]
             assert any(same(point[0], t, x, root_t) for _, x, root_t in roots), (support, point)
@@ -229,7 +228,7 @@ class TestSupportPoints:
             Environment(1.0046587928323274), StabilityPolicy(9.467928771117942),
             tuple(CargoType(*c) for c in cargoes), LoadingOrder.reverse(), True,
         )
-        value, x, complete, multipliers = solver._kkt_optimum(problem)
+        value, x, complete, multipliers = closed_form_optimum(problem)
         assert complete and multipliers is not None
         support = np.flatnonzero(x).tolist()
         assert [problem.labels[i] for i in support] == ["c2", "c5"]

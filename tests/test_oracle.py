@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import draw_nonneg_loading, draw_random_problem, local_trap
+from conftest import closed_form_optimum, draw_nonneg_loading, draw_random_problem, local_trap
 
 from shipload import (
     CargoType,
@@ -25,7 +25,7 @@ from shipload import (
     solve,
     solve_lp,
 )
-from shipload import oracle, solver
+from shipload import oracle
 from shipload.cli import load_bundled_scenario
 from shipload.oracle import certifies
 from shipload.solver import _slacks, _violation
@@ -285,7 +285,7 @@ class TestDifferential:
         for problem, step, _ in TINY_LATTICES:
             if problem.classification.kind is Definiteness.POSITIVE_SEMIDEFINITE:
                 continue
-            value, x, done, _ = solver._kkt_optimum(problem)
+            value, x, done, _ = closed_form_optimum(problem)
             if not done:
                 continue
             complete += 1
@@ -576,7 +576,7 @@ class TestRootBound:
             cargo_counts.add(problem.n)
             water_at_keel += diagonal[0] == 0.0
             equal_neighbours += bool((diagonal[1:] == 0.0).any())
-            solution = solve(problem, SolverOptions(multistart_count=4))
+            solution = solve(problem, SolverOptions())
             own = (
                 solution.multiplier_deadweight,
                 solution.multiplier_volume,
