@@ -40,7 +40,6 @@ from .quadratic_analysis import (
 from .solver import (
     KktReport,
     Solution,
-    SolverOptions,
     SolverStatus,
     kkt_verify,
     mu_sensitivity,
@@ -63,7 +62,6 @@ __all__ = [
     "LoadingOrder",
     "Problem",
     "Solution",
-    "SolverOptions",
     "SolverStatus",
     "StabilityPolicy",
     "Vessel",

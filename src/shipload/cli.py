@@ -1,12 +1,12 @@
 """Command line interface: JSON scenario files in, loading reports out.
 
 A scenario file pins the vessel and the cargo market; stability margin,
-loading order and ballast can be set in the file or overridden by flags,
-and the solver's two tolerances in the file.  Results go to standard
-output in a text table, CSV, or JSON; progress notes and errors go to
-standard error.  Exit codes: 0
-for a globally valid (or lattice-certified) result, 2 for a result that is
-only locally verified, 3 for an infeasible scenario, 1 for input errors.
+loading order and ballast can be set in the file or overridden by flags.
+The solver's tolerances are fixed and cannot be set.  Results go to
+standard output in a text table, CSV, or JSON; progress notes and errors
+go to standard error.  Exit codes: 0 for a globally valid (or
+lattice-certified) result, 2 for a result that is only locally verified,
+3 for an infeasible scenario, 1 for input errors.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import io
 import json
 import logging
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -36,7 +36,6 @@ from .model import (
 )
 from .oracle import LatticeSpec, certifies, grid_search
 from .solver import (
-    SolverOptions,
     SolverStatus,
     active_set,
     mu_sensitivity,
@@ -74,7 +73,6 @@ class Scenario:
     mu: float | None = None
     order: LoadingOrder = LoadingOrder.normal()
     include_ballast: bool = True
-    solver: SolverOptions = field(default_factory=SolverOptions)
 
 
 _ROOT_FIELDS = {
@@ -84,7 +82,6 @@ _ROOT_FIELDS = {
     "order",
     "cargoes",
     "include_ballast",
-    "solver",
 }
 _VESSEL_FIELDS = (
     "length",
@@ -95,7 +92,6 @@ _VESSEL_FIELDS = (
     "light_kg",
 )
 _CARGO_FIELDS = ("label", "density", "freight_rate")
-_SOLVER_FIELDS = ("feasibility_tolerance", "kkt_tolerance")
 
 
 def _reject_unknown(obj: dict, allowed, path: str) -> None:
@@ -193,20 +189,6 @@ def _parse_order(raw, cargo_count: int, name: str = "order") -> LoadingOrder:
     raise ScenarioError(f"{name} must be 'normal', 'reverse', or a permutation array")
 
 
-def _parse_solver(doc: dict) -> SolverOptions:
-    if "solver" not in doc:
-        return SolverOptions()
-    obj = doc["solver"]
-    if not isinstance(obj, dict):
-        raise ScenarioError("solver must be an object")
-    _reject_unknown(obj, set(_SOLVER_FIELDS), "solver")
-    kwargs = {name: _get_number(obj, name, "solver") for name in _SOLVER_FIELDS if name in obj}
-    try:
-        return SolverOptions(**kwargs)
-    except ValueError as err:
-        raise ScenarioError(f"solver: {err}") from None
-
-
 def parse_scenario(document: str) -> Scenario:
     """Parse and validate a JSON scenario document."""
     try:
@@ -256,7 +238,6 @@ def parse_scenario(document: str) -> Scenario:
         mu=mu,
         order=order,
         include_ballast=include_ballast,
-        solver=_parse_solver(doc),
     )
 
 
@@ -283,7 +264,6 @@ def scenario_to_json(scenario: Scenario) -> str:
             }
             for c in scenario.cargoes
         ],
-        "solver": {name: getattr(scenario.solver, name) for name in _SOLVER_FIELDS},
     }
     if scenario.mu is not None:
         doc["mu"] = scenario.mu
@@ -394,7 +374,8 @@ def _build_parser() -> _Parser:
         "--max-points",
         type=int,
         default=LatticeSpec(1.0).max_points,
-        help="stop the lattice search after building this many rows",
+        help="most lattice rows the search may build; past it the command "
+        "fails with exit code 1 and prints no report",
     )
     sensitivity = commands.add_parser(
         "sensitivity", help="compare the multiplier prediction against a re-solve"
@@ -432,9 +413,7 @@ def _solution_report(command: str, name: str, scenario: Scenario, problem: Probl
     x = np.asarray(solution.x, dtype=float)
     state = hydro_state(problem, x)
     total = float(x.sum())
-    deadweight, volume, stability, _ = active_set(
-        problem, x, scenario.solver.feasibility_tolerance
-    )
+    deadweight, volume, stability, _ = active_set(problem, x)
     return {
         "command": command,
         "scenario": name,
@@ -512,14 +491,14 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
     if args.command == "solve":
         problem = _problem_from(scenario)
         _log.info("solving %s", name)
-        solution = solve(problem, scenario.solver)
+        solution = solve(problem)
         report = _solution_report("solve", name, scenario, problem, solution)
         return report, _exit_code(solution.status, certified=None)
 
     if args.command == "oracle":
         problem = _problem_from(scenario)
         spec = LatticeSpec(step=args.step, max_points=args.max_points)
-        solution = solve(problem, scenario.solver)
+        solution = solve(problem)
         report = _solution_report("oracle", name, scenario, problem, solution)
         if solution.status is SolverStatus.INFEASIBLE:
             return report, 3
@@ -536,7 +515,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
 
     if args.command == "sensitivity":
         problem = _problem_from(scenario)
-        base = solve(problem, scenario.solver)
+        base = solve(problem)
         if base.status is SolverStatus.INFEASIBLE:
             return (
                 {
@@ -551,7 +530,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
         perturbed_problem = _problem_from(
             dataclasses.replace(scenario, mu=perturbed_mu)
         )
-        second = solve(perturbed_problem, scenario.solver)
+        second = solve(perturbed_problem)
         sensitivity = mu_sensitivity(problem, base)
         predicted = sensitivity * delta
         actual = base.revenue - second.revenue

@@ -47,6 +47,11 @@ from .solver import Solution, _plan_multipliers, _slacks, _violation
 
 __all__ = ["LatticeSpec", "grid_search", "certifies", "certify"]
 
+# Relative slack of the certification rule, and the worst relative
+# constraint violation of a plan that can be certified.  Read when called,
+# never bound as a default argument, so that a patch takes effect.
+CERTIFY_TOLERANCE = 1e-6
+
 # Most lattice rows held at once per coordinate; wider prefix sets are
 # enumerated in consecutive chunks of their leading coordinates.
 _ROW_BUDGET = 1 << 12
@@ -461,22 +466,16 @@ def grid_search(
     return best_x, best_revenue, examined
 
 
-def _check_tolerance(tolerance: float) -> None:
-    if not (0 <= tolerance < math.inf):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
-
-
-def certifies(value: float, best_revenue: float, tolerance: float = 1e-6) -> bool:
+def certifies(value: float, best_revenue: float) -> bool:
     """The certification rule: ``value`` is no worse than the lattice best.
 
-    The comparison allows a relative slack of ``tolerance``, finite and
-    nonnegative, on ``best_revenue``.  A lattice without a feasible point
-    (best revenue -inf) certifies trivially.
+    The comparison allows a relative slack of ``CERTIFY_TOLERANCE`` on
+    ``best_revenue``.  A lattice without a feasible point (best revenue
+    -inf) certifies trivially.
     """
-    _check_tolerance(tolerance)
     if best_revenue == -math.inf:
         return True
-    return bool(value >= best_revenue - tolerance * max(1.0, abs(best_revenue)))
+    return bool(value >= best_revenue - CERTIFY_TOLERANCE * max(1.0, abs(best_revenue)))
 
 
 def _lagrangian_bound(problem: Problem, x: np.ndarray, multipliers) -> float:
@@ -499,8 +498,8 @@ def _lagrangian_bound(problem: Problem, x: np.ndarray, multipliers) -> float:
     charged at lam times the overshoot; D_k = g_k - g_{k-1} is exact by
     Sterbenz for neighbours within a factor of 2, else one rounding off.
     UB is widened by 1e-9 times the sum of the absolute values of the
-    terms: far above that rounding for n below 10^6, far below the 1e-6
-    default tolerance.
+    terms: far above that rounding for n below 10^6, far below
+    ``CERTIFY_TOLERANCE``.
     """
     lam_c, lam_v, lam_s = (max(float(m), 0.0) for m in multipliers[:3])
     cap, vol_cap = problem.deadweight_cap, problem.volume_cap
@@ -519,31 +518,24 @@ def _lagrangian_bound(problem: Problem, x: np.ndarray, multipliers) -> float:
     return k + cap * max(0.0, float(c.max())) + 1e-9 * size
 
 
-def certify(
-    problem: Problem,
-    solution,
-    spec: LatticeSpec,
-    tolerance: float = 1e-6,
-) -> bool:
+def certify(problem: Problem, solution, spec: LatticeSpec) -> bool:
     """True when the plan is feasible and no lattice point earns more than it.
 
     ``solution`` may be a :class:`Solution` or a raw loading vector.  A plan
-    whose worst relative constraint violation exceeds ``tolerance`` is
-    never certified.  Otherwise the verdict is :func:`certifies` on the
-    plan's revenue and the lattice best, with a relative slack of
-    ``tolerance``; a vacuously empty lattice certifies trivially.  The rule
-    is monotone in the best revenue, so it is first applied to
-    :func:`_lagrangian_bound` with the plan's multipliers (a Solution's own,
-    else recovered as :func:`kkt_verify` does), which settles a convex plan
-    in O(n).  Otherwise the search asks only whether a point beats the plan:
-    ``grid_search(problem, spec, above=value)`` skips every subtree that
-    cannot.  This is the library's certificate for a LocalOnly plan.
+    whose worst relative constraint violation exceeds ``CERTIFY_TOLERANCE``
+    is never certified.  Otherwise the verdict is :func:`certifies` on the
+    plan's revenue and the lattice best; a vacuously empty lattice
+    certifies trivially.  The rule is monotone in the best revenue, so it
+    is first applied to :func:`_lagrangian_bound` with the plan's
+    multipliers (a Solution's own, else recovered as :func:`kkt_verify`
+    does), which settles a convex plan in O(n).  Otherwise the search asks
+    only whether a point beats the plan: ``grid_search(problem, spec,
+    above=value)`` skips every subtree that cannot.  This is the library's certificate for a LocalOnly plan.
     ``shipload oracle`` reports the lattice best itself, so it runs
     :func:`grid_search` without a threshold and applies :func:`certifies`.
     """
-    _check_tolerance(tolerance)
     x = problem.check_vector(solution.x if isinstance(solution, Solution) else solution)
-    if not _violation(problem, x, _slacks(problem, x)) <= tolerance:
+    if not _violation(problem, x, _slacks(problem, x)) <= CERTIFY_TOLERANCE:
         return False
     value = solution.revenue if isinstance(solution, Solution) else revenue(problem, x)
     try:
@@ -551,7 +543,7 @@ def certify(
     except (RuntimeError, ValueError):
         pass  # the search needs no multipliers
     else:
-        if certifies(value, _lagrangian_bound(problem, x, multipliers), tolerance):
+        if certifies(value, _lagrangian_bound(problem, x, multipliers)):
             return True
     _, best_revenue, _ = grid_search(problem, spec, above=value)
-    return certifies(value, best_revenue, tolerance)
+    return certifies(value, best_revenue)

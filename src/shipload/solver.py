@@ -21,11 +21,12 @@ not be a global optimum.  Every answer is found in closed form:
 The answer is the best of these points that passes the feasibility filter
 and the KKT report with its closed-form multipliers.
 
-This module is the one home of the constraint rules: the slacks and their
-scales, the feasibility test (worst relative violation at most the
-tolerance) and the active set (|slack| at most ten times the tolerance
-times max(1, scale)), which both multiplier recovery and the CLI's binding
-flags read.
+This module is the one home of the constraint rules and of their two
+fixed tolerances: the slacks and their scales, the feasibility test (worst
+relative violation at most ``FEASIBILITY_TOLERANCE``), the active set
+(|slack| at most ten times that times max(1, scale)), which both
+multiplier recovery and the CLI's binding flags read, and the KKT test at
+``KKT_TOLERANCE``.
 
 Lagrange multipliers of a raw loading, which comes with none, are
 recovered from its active set by nonnegative least squares.  Nothing here
@@ -56,7 +57,6 @@ from .quadratic_analysis import Definiteness
 
 __all__ = [
     "SolverStatus",
-    "SolverOptions",
     "KktReport",
     "Solution",
     "solve_lp",
@@ -69,8 +69,12 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 
-DEFAULT_KKT_TOLERANCE = 1e-6
-DEFAULT_FEASIBILITY_TOLERANCE = 1e-8
+# A point is feasible when its worst relative violation is at most
+# FEASIBILITY_TOLERANCE, and a KKT point when its report passes at
+# KKT_TOLERANCE.  Functions read both when called, never bind them as
+# default arguments, so that a patch takes effect.
+FEASIBILITY_TOLERANCE = 1e-8
+KKT_TOLERANCE = 1e-6
 
 _KERNEL_MODULE = "scipy.optimize._slsqplib"
 # Relative slack of solve_lp's revenue and dual tests (see its tie rule),
@@ -123,31 +127,11 @@ class SolverStatus(enum.Enum):
     ITERATION_LIMIT = "IterationLimit"
 
 
-@dataclass
-class SolverOptions:
-    """Tolerances of :func:`solve`; the defaults reproduce the reported results.
-
-    A point counts as feasible when its worst relative violation is at
-    most ``feasibility_tolerance``, and as a KKT point when its report
-    passes at ``kkt_tolerance``.
-    """
-
-    feasibility_tolerance: float = DEFAULT_FEASIBILITY_TOLERANCE
-    kkt_tolerance: float = DEFAULT_KKT_TOLERANCE
-
-    def __post_init__(self) -> None:
-        for name in ("feasibility_tolerance", "kkt_tolerance"):
-            value = getattr(self, name)
-            # An infinite tolerance would accept every point as feasible and KKT.
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite")
-
-
 @dataclass(frozen=True)
 class KktReport:
     """First-order optimality residuals at a candidate point.
 
-    ``satisfied`` applies the verification tolerance with scaling:
+    ``satisfied`` applies ``KKT_TOLERANCE`` with scaling:
     stationarity is compared relative to the largest freight rate,
     complementarity relative to the objective value, primal feasibility is
     already a relative violation, and dual feasibility is the most negative
@@ -222,21 +206,20 @@ def _violation(problem: Problem, x: np.ndarray, slacks) -> float:
     return math.nan if any(map(math.isnan, terms)) else max(0.0, *terms)
 
 
-def _feasible(problem: Problem, x: np.ndarray, tol: float) -> bool:
-    return _violation(problem, x, _slacks(problem, x)) <= tol
+def _feasible(problem: Problem, x: np.ndarray) -> bool:
+    return _violation(problem, x, _slacks(problem, x)) <= FEASIBILITY_TOLERANCE
 
 
-def active_set(
-    problem: Problem, x: np.ndarray, tolerance: float
-) -> tuple[bool, bool, bool, np.ndarray]:
+def active_set(problem: Problem, x: np.ndarray) -> tuple[bool, bool, bool, np.ndarray]:
     """Which constraints bind at ``x``: deadweight, volume, stability, and the mask x_i ~ 0.
 
     A constraint binds when its slack, or a load, is within ten times
-    ``tolerance`` times max(1, its scale) of zero on either side; a
-    constraint violated by more than that does not bind.  Multiplier
-    recovery takes its columns from these flags, and reports show them.
+    ``FEASIBILITY_TOLERANCE`` times max(1, its scale) of zero on either
+    side; a constraint violated by more than that does not bind.
+    Multiplier recovery takes its columns from these flags, and reports
+    show them.
     """
-    threshold = 10.0 * tolerance
+    threshold = 10.0 * FEASIBILITY_TOLERANCE
     mass_scale = max(1.0, problem.deadweight_cap)
     dw, vol, stab = _slacks(problem, x)
     return (
@@ -247,9 +230,7 @@ def active_set(
     )
 
 
-def _recover_multipliers(
-    problem: Problem, x: np.ndarray, feasibility_tolerance: float
-) -> tuple[float, float, float, np.ndarray]:
+def _recover_multipliers(problem: Problem, x: np.ndarray) -> tuple[float, float, float, np.ndarray]:
     """Active-set least-squares estimate of the Lagrange multipliers.
 
     Stationarity at a KKT point reads p = lam_C*1 + lam_V*(1/d) +
@@ -260,7 +241,7 @@ def _recover_multipliers(
     function's input checks and its default of 3 * columns iterations.
     """
     n = problem.n
-    *binding, at_zero = active_set(problem, x, feasibility_tolerance)
+    *binding, at_zero = active_set(problem, x)
     gradients = (np.ones(n), problem.volume_coeffs, stability_gradient(problem, x))
     active = [k for k, on in enumerate(binding) if on]
     zero = np.flatnonzero(at_zero)
@@ -291,7 +272,6 @@ def _kkt_report(
     lam_vol: float,
     lam_stab: float,
     nu: np.ndarray,
-    tolerance: float,
 ) -> KktReport:
     p = problem.objective
     dw, vol, stab = _slacks(problem, x)
@@ -312,10 +292,10 @@ def _kkt_report(
     objective = abs(float(p @ x))
     rate_scale = max(1.0, float(np.abs(p).max(initial=0.0)))
     satisfied = (
-        stationarity <= tolerance * rate_scale
-        and complementarity <= tolerance * max(1.0, objective)
-        and primal <= tolerance
-        and dual >= -tolerance
+        stationarity <= KKT_TOLERANCE * rate_scale
+        and complementarity <= KKT_TOLERANCE * max(1.0, objective)
+        and primal <= KKT_TOLERANCE
+        and dual >= -KKT_TOLERANCE
     )
     return KktReport(
         stationarity_residual=stationarity,
@@ -434,7 +414,7 @@ def solve_lp(problem: Problem) -> Solution:
     face, lam_dw, lam_vol = _lp_optimum(problem)
     x = face[0]
     multipliers = _closed_form_multipliers(problem, x, (lam_dw, lam_vol, 0.0))
-    report = _kkt_report(problem, x, *multipliers, DEFAULT_KKT_TOLERANCE)
+    report = _kkt_report(problem, x, *multipliers)
     return _solution(problem, x, multipliers, report, SolverStatus.OPTIMAL, 1, 0)
 
 
@@ -467,11 +447,11 @@ def _solution(
     )
 
 
-def _empty_vessel(problem: Problem, tolerance: float, status: SolverStatus) -> Solution:
+def _empty_vessel(problem: Problem, status: SolverStatus) -> Solution:
     """The zero loading with zero multipliers, for when nothing feasible is found."""
     x = np.zeros(problem.n)
     multipliers = (0.0, 0.0, 0.0, np.zeros(problem.n))
-    report = _kkt_report(problem, x, *multipliers, tolerance)
+    report = _kkt_report(problem, x, *multipliers)
     return _solution(problem, x, multipliers, report, status, 0, -1)
 
 
@@ -531,7 +511,6 @@ def _kkt_optimum(
 
 def _exchange(
     problem: Problem,
-    options: SolverOptions,
     support: list[int],
     start: tuple[np.ndarray, tuple[float, float, float]] | None = None,
 ) -> list[tuple[np.ndarray, tuple[float, float, float, np.ndarray]]]:
@@ -541,13 +520,13 @@ def _exchange(
     (lam_C, lam_V, lam_S), or, when that is None, from the best valid
     point of ``support``.  Each step solves a support in closed form
     (:func:`~shipload.kkt_enumeration.support_points`) and keeps its best
-    valid point: loads at least -``feasibility_tolerance`` times the
-    deadweight cap, lam_C and lam_V at least -``kkt_tolerance`` times
-    max(1, max p), and both caps met to ``feasibility_tolerance``
+    valid point: loads at least -``FEASIBILITY_TOLERANCE`` times the
+    deadweight cap, lam_C and lam_V at least -``KKT_TOLERANCE`` times
+    max(1, max p), and both caps met to ``FEASIBILITY_TOLERANCE``
     relative.  A support without one gives way to the best of its subsets
     that drop one cargo.  The cargoes outside the support are then priced,
     nu_j = lam_C + lam_V v_j + lam_S g_j - p_j with g the stability
-    gradient; when none is below -``kkt_tolerance`` times max(1, max p)
+    gradient; when none is below -``KKT_TOLERANCE`` times max(1, max p)
     the point is a KKT point and the exchange stops.  Else the most
     negative joins the support.  It stops too when no support has a valid
     point, and after 2 n + ``_EXCHANGE_EXTRA_STEPS`` steps.  Under
@@ -561,8 +540,8 @@ def _exchange(
     units = functools.cache(lambda: scaled_units(problem))
     p, v = problem.objective, problem.volume_coeffs
     cap, room = problem.deadweight_cap, problem.volume_cap
-    tolerance = options.feasibility_tolerance
-    price_tol = options.kkt_tolerance * max(1.0, float(p.max()))
+    tolerance = FEASIBILITY_TOLERANCE
+    price_tol = KKT_TOLERANCE * max(1.0, float(p.max()))
     over = 1.0 + tolerance
 
     def best_point(support):
@@ -622,22 +601,21 @@ def _closed_form_multipliers(
     return lam_dw, lam_vol, lam_stab, np.maximum(nu - problem.objective, 0.0)
 
 
-def _best_verified(problem: Problem, candidates: list, options: SolverOptions):
+def _best_verified(problem: Problem, candidates: list):
     """The candidate of highest revenue, the first on a tie, that passes both checks; or None.
 
     A candidate is (loads, multipliers), and passes when its KKT report is
-    satisfied at ``kkt_tolerance`` and its worst relative violation is at
-    most ``feasibility_tolerance``.  Returns (loads, multipliers, report).
+    satisfied and it is feasible.  Returns (loads, multipliers, report).
     """
     for x, multipliers in sorted(candidates, key=lambda c: -float(problem.objective @ c[0])):
-        report = _kkt_report(problem, x, *multipliers, options.kkt_tolerance)
+        report = _kkt_report(problem, x, *multipliers)
         # The report's primal feasibility is the violation that _feasible tests.
-        if report.satisfied and report.primal_feasibility <= options.feasibility_tolerance:
+        if report.satisfied and report.primal_feasibility <= FEASIBILITY_TOLERANCE:
             return x, multipliers, report
     return None
 
 
-def solve(problem: Problem, options: SolverOptions | None = None) -> Solution:
+def solve(problem: Problem) -> Solution:
     """Maximize revenue over the full constraint set, in closed form.
 
     A negative right-hand side means the empty vessel already violates the
@@ -654,7 +632,7 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Solution:
       gets (lam_C, lam_V, lam_S) by nonnegative least squares.
 
     The answer is the candidate of highest revenue that passes the
-    feasibility filter and the KKT report at the options' tolerances.
+    feasibility filter and the KKT report.
     Its status is Optimal on a positive-semidefinite matrix, where every
     KKT point is a global optimum, and LocalOnly on any other, however it
     was found; the oracle module can upgrade LocalOnly results with
@@ -663,9 +641,8 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Solution:
     with status IterationLimit, and the empty vessel when none is
     feasible.
     """
-    opts = options if options is not None else SolverOptions()
     if problem.rhs < 0:
-        return _empty_vessel(problem, opts.kkt_tolerance, SolverStatus.INFEASIBLE)
+        return _empty_vessel(problem, SolverStatus.INFEASIBLE)
 
     convex = problem.classification.kind is Definiteness.POSITIVE_SEMIDEFINITE
     status = SolverStatus.OPTIMAL if convex else SolverStatus.LOCAL_ONLY
@@ -675,29 +652,29 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Solution:
         multipliers = _closed_form_multipliers(problem, relaxed, (lam_dw, lam_vol, 0.0))
         candidates = [(relaxed, multipliers)]
     elif convex:
-        candidates = _exchange(problem, opts, np.flatnonzero(face[0]).tolist())
+        candidates = _exchange(problem, np.flatnonzero(face[0]).tolist())
     else:
         candidates = []
-    best = _best_verified(problem, candidates, opts)
+    best = _best_verified(problem, candidates)
     if best is None and relaxed is None:
         _, seed, _, lams = _kkt_optimum(problem, len(face) <= 2)
         if lams is None:
-            lams = _recover_multipliers(problem, seed, opts.feasibility_tolerance)[:3]
-        grown = _exchange(problem, opts, np.flatnonzero(seed).tolist(), (seed, lams))
+            lams = _recover_multipliers(problem, seed)[:3]
+        grown = _exchange(problem, np.flatnonzero(seed).tolist(), (seed, lams))
         candidates += grown
-        best = _best_verified(problem, grown, opts)
+        best = _best_verified(problem, grown)
     if best is not None:
         return _solution(problem, *best, status, 1, 0)
 
-    feasible = [c for c in candidates if _feasible(problem, c[0], opts.feasibility_tolerance)]
+    feasible = [c for c in candidates if _feasible(problem, c[0])]
     if not feasible:
-        return _empty_vessel(problem, opts.kkt_tolerance, SolverStatus.ITERATION_LIMIT)
+        return _empty_vessel(problem, SolverStatus.ITERATION_LIMIT)
     x, multipliers = max(feasible, key=lambda c: float(problem.objective @ c[0]))
-    report = _kkt_report(problem, x, *multipliers, opts.kkt_tolerance)
+    report = _kkt_report(problem, x, *multipliers)
     return _solution(problem, x, multipliers, report, SolverStatus.ITERATION_LIMIT, 1, 0)
 
 
-def kkt_verify(problem: Problem, solution, tolerance: float = DEFAULT_KKT_TOLERANCE) -> KktReport:
+def kkt_verify(problem: Problem, solution) -> KktReport:
     """Check first-order optimality of a solution or raw loading vector.
 
     Accepts a :class:`Solution`, whose own multipliers are reused, or any
@@ -706,7 +683,7 @@ def kkt_verify(problem: Problem, solution, tolerance: float = DEFAULT_KKT_TOLERA
     ``satisfied`` flag carries the verdict.
     """
     x = problem.check_vector(solution.x if isinstance(solution, Solution) else solution)
-    return _kkt_report(problem, x, *_plan_multipliers(problem, solution, x), tolerance)
+    return _kkt_report(problem, x, *_plan_multipliers(problem, solution, x))
 
 
 def _plan_multipliers(
@@ -720,7 +697,7 @@ def _plan_multipliers(
             solution.multiplier_stability,
             solution.multipliers_nonneg,
         )
-    return _recover_multipliers(problem, x, DEFAULT_FEASIBILITY_TOLERANCE)
+    return _recover_multipliers(problem, x)
 
 
 def mu_sensitivity(problem: Problem, solution: Solution) -> float:

@@ -225,7 +225,7 @@ def local_trap(problem):
         kkt_enumeration.support_points(units, [0]), key=lambda point: problem.objective @ point[0]
     )
     multipliers = solver._closed_form_multipliers(problem, x, lams)
-    report = solver._kkt_report(problem, x, *multipliers, solver.DEFAULT_KKT_TOLERANCE)
+    report = solver._kkt_report(problem, x, *multipliers)
     return solver._solution(problem, x, multipliers, report, SolverStatus.LOCAL_ONLY, 1, 0)
 
 

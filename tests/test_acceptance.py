@@ -17,7 +17,6 @@ from shipload import (
     Environment,
     LatticeSpec,
     LoadingOrder,
-    SolverOptions,
     SolverStatus,
     StabilityPolicy,
     Vessel,
@@ -63,11 +62,9 @@ def build(mu, order, include_ballast=True):
 @pytest.fixture(scope="module")
 def cases():
     normal, reverse = LoadingOrder.normal(), LoadingOrder.reverse()
-    options = SolverOptions()
-
     problem1 = build(4.0, normal)
     started = time.perf_counter()
-    case1 = solve(problem1, options)
+    case1 = solve(problem1)
     case1_seconds = time.perf_counter() - started
 
     problem2 = build(6.0, normal)
@@ -85,11 +82,11 @@ def cases():
         problem2a_nb=problem2a_nb,
         case1=case1,
         case1_seconds=case1_seconds,
-        case2=solve(problem2, options),
-        case1a=solve(problem1a, options),
-        case2a=solve(problem2a, options),
-        case1a_nb=solve(problem1a_nb, options),
-        case2a_nb=solve(problem2a_nb, options),
+        case2=solve(problem2),
+        case1a=solve(problem1a),
+        case2a=solve(problem2a),
+        case1a_nb=solve(problem1a_nb),
+        case2a_nb=solve(problem2a_nb),
         lattice1a=grid_search(problem1a_nb, LatticeSpec(250.0)),
         lattice2a=grid_search(problem2a_nb, LatticeSpec(250.0)),
     )
@@ -153,7 +150,7 @@ class TestCriterion3ReverseRows:
             VESSEL, Environment(1.0), StabilityPolicy(4.0),
             MARKET + (CargoType("type5", 0.45, 5.4),), LoadingOrder.reverse(),
         )
-        merged = solve(twin, SolverOptions())
+        merged = solve(twin)
         assert (merged.starts_used, merged.best_start_index) == (1, 0)
         assert merged.revenue == pytest.approx(cases.case1a.revenue, rel=1e-9)
         # An exact copy of type4 ties the relaxation at two vertices that
@@ -163,7 +160,7 @@ class TestCriterion3ReverseRows:
             VESSEL, Environment(1.0), StabilityPolicy(4.0),
             MARKET + (CargoType("type5", 0.45, 5.5),), LoadingOrder.reverse(),
         )
-        widened = solve(copy, SolverOptions())
+        widened = solve(copy)
         assert (widened.starts_used, widened.best_start_index) == (1, 0)
         assert widened.revenue == pytest.approx(cases.case1a.revenue, rel=1e-9)
 
@@ -214,7 +211,7 @@ class TestCriterion5Sensitivity:
     def test_prediction_against_resolve(self, cases):
         per_meter = mu_sensitivity(cases.problem1, cases.case1)
         predicted = per_meter * 0.1
-        perturbed = solve(build(4.1, LoadingOrder.normal()), SolverOptions())
+        perturbed = solve(build(4.1, LoadingOrder.normal()))
         actual = cases.case1.revenue - perturbed.revenue
         assert actual == pytest.approx(predicted, rel=5e-2)
         assert actual == pytest.approx(1001.0, rel=2e-2)
@@ -355,7 +352,7 @@ class TestCriterion10KktCertification:
         )
         for problem, solution in pairs:
             assert solution.status in (SolverStatus.OPTIMAL, SolverStatus.LOCAL_ONLY)
-            assert kkt_verify(problem, solution, 1e-6).satisfied
+            assert kkt_verify(problem, solution).satisfied
 
     def test_adversarial_single_start_is_rejected_by_the_oracle(self, cases):
         trapped = local_trap(cases.problem1a_nb)

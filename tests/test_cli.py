@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import shipload
-from shipload import LoadingOrder, SolverOptions
+from shipload import LoadingOrder
 from shipload.cli import (
     Scenario,
     ScenarioError,
@@ -103,7 +103,6 @@ class TestParseScenario:
         assert scenario.include_ballast is True
         assert scenario.order == LoadingOrder.normal()
         assert scenario.mu is None
-        assert scenario.solver == SolverOptions()
 
     def test_explicit_order_array(self):
         doc = json.loads(scenario_to_json(load_bundled_scenario("clarkson3500.json")))
@@ -117,30 +116,35 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="4 cargo types"):
             parse_scenario(json.dumps(doc))
 
-    def test_solver_options_parsed(self):
+    def test_solver_section_rejected(self, capsys, tmp_path):
+        # The tolerances are fixed, and the dispatch and multistart settings are gone.
         doc = json.loads(scenario_to_json(load_bundled_scenario("clarkson3500.json")))
-        assert doc["solver"] == {"feasibility_tolerance": 1e-8, "kkt_tolerance": 1e-6}
-        doc["solver"] = {"feasibility_tolerance": 1e-9, "kkt_tolerance": 2e-6}
-        scenario = parse_scenario(json.dumps(doc))
-        assert scenario.solver == SolverOptions(feasibility_tolerance=1e-9, kkt_tolerance=2e-6)
+        assert "solver" not in doc
+        doc["solver"] = {
+            "feasibility_tolerance": 1e-8,
+            "kkt_tolerance": 1e-6,
+            "convexity_dispatch": True,
+            "multistart_count": 8,
+            "rng_seed": 8,
+            "max_iterations": 8,
+        }
+        with pytest.raises(ScenarioError, match="^unknown field 'solver'$"):
+            parse_scenario(json.dumps(doc))
+        path = tmp_path / "tuned.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, "solve", str(path)) == (1, "", "error: unknown field 'solver'\n")
 
     def test_removed_convexity_dispatch_field_rejected(self):
         doc = json.loads(scenario_to_json(load_bundled_scenario("clarkson3500.json")))
-        doc["solver"]["convexity_dispatch"] = True
-        with pytest.raises(ScenarioError, match="unknown field 'solver.convexity_dispatch'"):
+        doc["solver"] = {"convexity_dispatch": True}
+        with pytest.raises(ScenarioError, match="^unknown field 'solver'$"):
             parse_scenario(json.dumps(doc))
 
     @pytest.mark.parametrize("name", ["multistart_count", "rng_seed", "max_iterations"])
     def test_removed_multistart_fields_rejected(self, name):
         doc = json.loads(scenario_to_json(load_bundled_scenario("clarkson3500.json")))
-        doc["solver"][name] = 8
-        with pytest.raises(ScenarioError, match=f"unknown field 'solver.{name}'"):
-            parse_scenario(json.dumps(doc))
-
-    def test_solver_tolerance_must_be_a_number(self):
-        doc = json.loads(scenario_to_json(load_bundled_scenario("clarkson3500.json")))
-        doc["solver"]["kkt_tolerance"] = "1e-6"
-        with pytest.raises(ScenarioError, match="solver.kkt_tolerance must be a number"):
+        doc["solver"] = {name: 8}
+        with pytest.raises(ScenarioError, match="^unknown field 'solver'$"):
             parse_scenario(json.dumps(doc))
 
     def test_round_trip_bundled(self):
@@ -158,8 +162,6 @@ class TestParseScenario:
             ("cargoes", 0, "freight_rate"),
             ("water_density",),
             ("mu",),
-            ("solver", "feasibility_tolerance"),
-            ("solver", "kkt_tolerance"),
         ],
         ids=lambda path: ".".join(map(str, path)),
     )
@@ -307,7 +309,7 @@ class TestOracleCommand:
 
     def test_uncertified_local_trap(self, capsys, monkeypatch):
         # solve starts at the enumerated optimum, so the command is handed the trap.
-        monkeypatch.setattr(shipload.cli, "solve", lambda problem, options: local_trap(problem))
+        monkeypatch.setattr(shipload.cli, "solve", local_trap)
         code, out, _ = run_cli(
             capsys,
             "oracle",

@@ -1,6 +1,5 @@
 """LP baseline, closed-form quadratically constrained solves, and KKT checks."""
 
-import dataclasses
 import logging
 import subprocess
 import sys
@@ -16,7 +15,6 @@ from shipload import (
     Definiteness,
     Environment,
     LoadingOrder,
-    SolverOptions,
     SolverStatus,
     StabilityPolicy,
     Vessel,
@@ -54,31 +52,6 @@ def twin(carrier, market):
         carrier, Environment(), StabilityPolicy(4.0), market + (CargoType("type5", 0.45, 5.5),),
         LoadingOrder.reverse(), True,
     )
-
-
-class TestSolverOptions:
-    def test_defaults(self):
-        options = SolverOptions()
-        assert options.feasibility_tolerance == 1e-8
-        assert options.kkt_tolerance == 1e-6
-        assert [f.name for f in dataclasses.fields(options)] == [
-            "feasibility_tolerance", "kkt_tolerance"
-        ]
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(feasibility_tolerance=float("nan")),
-            dict(feasibility_tolerance=0.0),
-            dict(kkt_tolerance=-1.0),
-            dict(kkt_tolerance=float("nan")),
-            dict(feasibility_tolerance=float("inf")),
-            dict(kkt_tolerance=float("inf")),
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            SolverOptions(**kwargs)
 
 
 class TestSolveLp:
@@ -275,21 +248,21 @@ class TestLpAgainstHighs:
 
 class TestSolveCaseStudy:
     def test_normal_mu4(self, assemble_case):
-        solution = solve(assemble_case(4.0), SolverOptions())
+        solution = solve(assemble_case(4.0))
         assert solution.status is SolverStatus.OPTIMAL
         assert solution.revenue == pytest.approx(234461.89, rel=1e-6)
         assert solution.x.sum() == pytest.approx(45000.0, rel=1e-8)
         assert solution.kkt.satisfied
 
     def test_normal_mu6(self, assemble_case):
-        solution = solve(assemble_case(6.0), SolverOptions())
+        solution = solve(assemble_case(6.0))
         assert solution.status is SolverStatus.OPTIMAL
         assert solution.revenue == pytest.approx(185541.64, rel=1e-6)
         assert solution.x.sum() == pytest.approx(39936.0, rel=1e-4)
         assert solution.multiplier_deadweight == pytest.approx(0.0, abs=1e-9)
 
     def test_reverse_mu4(self, assemble_case):
-        solution = solve(assemble_case(4.0, order=LoadingOrder.reverse()), SolverOptions())
+        solution = solve(assemble_case(4.0, order=LoadingOrder.reverse()))
         assert solution.status is SolverStatus.LOCAL_ONLY
         assert solution.revenue == pytest.approx(226330.97, rel=1e-6)
         # The enumerated optimum is start 0, and it verifies.
@@ -297,7 +270,7 @@ class TestSolveCaseStudy:
 
     def test_reverse_mu6(self, assemble_case):
         problem = assemble_case(6.0, order=LoadingOrder.reverse())
-        solution = solve(problem, SolverOptions())
+        solution = solve(problem)
         assert solution.status is SolverStatus.LOCAL_ONLY
         assert solution.revenue == pytest.approx(182617.4, rel=1e-6)
         nonzero = np.flatnonzero(solution.x > 1.0)
@@ -305,7 +278,7 @@ class TestSolveCaseStudy:
         assert problem.densities[nonzero[0]] == 0.8
 
     def test_solution_arrays_read_only(self, assemble_case):
-        solution = solve(assemble_case(4.0), SolverOptions())
+        solution = solve(assemble_case(4.0))
         with pytest.raises(ValueError):
             solution.x[0] = 1.0
 
@@ -314,27 +287,31 @@ class TestStatuses:
     def test_infeasible_when_rhs_negative(self, assemble_case):
         problem = assemble_case(40.0)
         assert problem.rhs < 0
-        solution = solve(problem, SolverOptions())
+        solution = solve(problem)
         assert solution.status is SolverStatus.INFEASIBLE
         assert solution.revenue == 0.0
         assert np.array_equal(solution.x, np.zeros(5))
 
-    def test_iteration_limit(self, twin, assemble_case):
+    def test_iteration_limit(self, twin, assemble_case, monkeypatch):
         # No rounded residual meets a KKT tolerance of 1e-300, so no
         # candidate verifies: the best feasible one is returned.
-        for problem in (assemble_case(4.0), twin):
-            reference = solve(problem)
-            solution = solve(problem, SolverOptions(kkt_tolerance=1e-300))
+        problems = (assemble_case(4.0), twin)
+        references = [solve(problem) for problem in problems]
+        monkeypatch.setattr(solver, "KKT_TOLERANCE", 1e-300)
+        for problem, reference in zip(problems, references):
+            solution = solve(problem)
             assert solution.status is SolverStatus.ITERATION_LIMIT
             assert not solution.kkt.satisfied
             assert (solution.starts_used, solution.best_start_index) == (1, 0)
             assert solution.revenue == pytest.approx(reference.revenue, rel=1e-9)
-            assert solver._feasible(problem, solution.x, 1e-8)
+            assert solver._feasible(problem, solution.x)
 
-    def test_empty_vessel_when_no_candidate_is_feasible(self, twin):
+    def test_empty_vessel_when_no_candidate_is_feasible(self, twin, monkeypatch):
         # Every candidate sits on the stability boundary to rounding, which
         # a feasibility tolerance of 1e-300 does not forgive.
-        solution = solve(twin, SolverOptions(feasibility_tolerance=1e-300, kkt_tolerance=1e-300))
+        monkeypatch.setattr(solver, "FEASIBILITY_TOLERANCE", 1e-300)
+        monkeypatch.setattr(solver, "KKT_TOLERANCE", 1e-300)
+        solution = solve(twin)
         assert solution.status is SolverStatus.ITERATION_LIMIT
         assert (solution.starts_used, solution.best_start_index) == (0, -1)
         assert solution.revenue == 0.0 and not solution.x.any()
@@ -343,8 +320,8 @@ class TestStatuses:
 class TestKktVerify:
     def test_case1_multipliers(self, assemble_case):
         problem = assemble_case(4.0)
-        solution = solve(problem, SolverOptions())
-        report = kkt_verify(problem, solution, 1e-6)
+        solution = solve(problem)
+        report = kkt_verify(problem, solution)
         assert report.satisfied
         assert solution.multiplier_stability == pytest.approx(0.164, rel=0.1)
         assert solution.multiplier_deadweight == pytest.approx(3.968, rel=0.1)
@@ -352,20 +329,20 @@ class TestKktVerify:
 
     def test_origin_is_not_a_kkt_point(self, assemble_case):
         problem = assemble_case(4.0)
-        report = kkt_verify(problem, np.zeros(5), 1e-6)
+        report = kkt_verify(problem, np.zeros(5))
         assert not report.satisfied
         assert report.stationarity_residual > 0.1
 
     def test_raw_vector_recovers_multipliers(self, assemble_case):
         problem = assemble_case(4.0)
-        solution = solve(problem, SolverOptions())
-        report = kkt_verify(problem, np.asarray(solution.x), 1e-6)
+        solution = solve(problem)
+        report = kkt_verify(problem, np.asarray(solution.x))
         assert report.satisfied
 
     def test_lp_vertex_fails_when_stability_violated(self, assemble_case):
         problem = assemble_case(4.0)
         lp = solve_lp(problem)
-        report = kkt_verify(problem, lp, 1e-6)
+        report = kkt_verify(problem, lp)
         assert not report.satisfied
 
     def test_lp_vertex_passes_when_stability_slack(self, carrier, market):
@@ -374,36 +351,35 @@ class TestKktVerify:
             carrier, Environment(), StabilityPolicy(0.0), market, LoadingOrder.normal(), True
         )
         lp = solve_lp(problem)
-        assert kkt_verify(problem, lp, 1e-6).satisfied
+        assert kkt_verify(problem, lp).satisfied
 
 
 class TestMuSensitivity:
     def test_case1_prediction(self, assemble_case):
         problem = assemble_case(4.0)
-        solution = solve(problem, SolverOptions())
+        solution = solve(problem)
         per_meter = mu_sensitivity(problem, solution)
         assert per_meter == pytest.approx(solution.multiplier_stability * 60000.0, rel=1e-12)
         assert 0.1 * per_meter == pytest.approx(984.0, rel=0.01)
 
     def test_zero_when_stability_slack(self, assemble_case):
         problem = assemble_case(0.0)
-        solution = solve(problem, SolverOptions())
+        solution = solve(problem)
         assert mu_sensitivity(problem, solution) == 0.0
 
 
 class TestProperties:
     def test_quadratic_constraint_never_helps(self):
         rng = np.random.default_rng(23)
-        options = SolverOptions()
         for _ in range(20):
             problem = draw_random_problem(rng)
-            full = solve(problem, options)
+            full = solve(problem)
             lp = solve_lp(problem)
             assert full.revenue <= lp.revenue + 1e-6 * max(1.0, abs(lp.revenue))
 
     def test_revenue_non_increasing_in_margin(self, assemble_case):
         revenues = [
-            solve(assemble_case(mu), SolverOptions()).revenue for mu in (3.0, 4.0, 5.0, 6.0)
+            solve(assemble_case(mu)).revenue for mu in (3.0, 4.0, 5.0, 6.0)
         ]
         for earlier, later in zip(revenues, revenues[1:]):
             assert earlier >= later - 1e-6 * max(1.0, abs(earlier))
@@ -427,13 +403,12 @@ class TestProperties:
 
     def test_solutions_satisfy_reported_invariants(self):
         rng = np.random.default_rng(31)
-        options = SolverOptions()
         for _ in range(10):
             problem = draw_random_problem(rng)
-            solution = solve(problem, options)
+            solution = solve(problem)
             if solution.status is SolverStatus.INFEASIBLE:
                 continue
-            tol = options.feasibility_tolerance
+            tol = solver.FEASIBILITY_TOLERANCE
             assert solution.x.min() >= -tol * max(1.0, problem.deadweight_cap)
             assert solution.x.sum() <= problem.deadweight_cap * (1 + tol) + tol
             assert solution.revenue == pytest.approx(
@@ -449,7 +424,7 @@ class TestAdversarialSeed:
         assert trap.revenue == pytest.approx(197165.94, rel=1e-6)
         assert trap.x.tolist() == pytest.approx([35848.352646, 0.0, 0.0, 0.0], rel=1e-9)
         # An exchange started on the trap's support stays there: it prices out.
-        (point,) = solver._exchange(problem, SolverOptions(), [0])
+        (point,) = solver._exchange(problem, [0])
         assert np.array_equal(point[0], trap.x)
 
     def test_enumerated_start_escapes_the_trap(self, assemble_case):
@@ -480,7 +455,7 @@ class TestScaledLocalSolve:
             if kind is not Definiteness.POSITIVE_SEMIDEFINITE:
                 continue
             convex += 1
-            solution = solve(problem, SolverOptions())
+            solution = solve(problem)
             assert solution.status is SolverStatus.OPTIMAL
             assert solution.starts_used == 1
 
@@ -489,18 +464,17 @@ class TestScaledLocalSolve:
         # Every point of the exchange, from the relaxation's vertex on a
         # convex row and from the enumerated optimum on a reverse one.
         problem = assemble_case(mu, order=order)
-        options = SolverOptions()
         face, _, _ = solver._lp_optimum(problem)
         assert solver._stable_point(problem, face) is None
         if order.kind == "normal":
-            points = solver._exchange(problem, options, np.flatnonzero(face[0]).tolist())
+            points = solver._exchange(problem, np.flatnonzero(face[0]).tolist())
         else:
             _, x, complete, lams = solver._kkt_optimum(problem, len(face) <= 2)
             assert complete
-            points = solver._exchange(problem, options, np.flatnonzero(x).tolist(), (x, lams))
+            points = solver._exchange(problem, np.flatnonzero(x).tolist(), (x, lams))
         assert points
         for x, _ in points:
-            assert solver._feasible(problem, x, options.feasibility_tolerance)
+            assert solver._feasible(problem, x)
         assert solve(problem).starts_used == 1
 
 
@@ -657,7 +631,7 @@ class TestKktSeed:
         )
         value, x, complete, _ = closed_form_optimum(problem)
         assert (value, complete) == (0.0, True) and not x.any()
-        solution = solve(problem, SolverOptions())
+        solution = solve(problem)
         assert (solution.revenue, solution.starts_used, solution.best_start_index) == (0.0, 1, 0)
 
     @pytest.mark.parametrize("volume", [20000.0, 30000.0, 40000.0], ids=["volume", "both", "mass"])
@@ -677,7 +651,7 @@ class TestKktSeed:
         """A complete closed form that no lattice point beats, returned in one start."""
         value, x, complete, _ = closed_form_optimum(problem)
         assert complete
-        assert solver._feasible(problem, x, 1e-9)
+        assert solver._violation(problem, x, solver._slacks(problem, x)) <= 1e-9
         levels = {1: 40, 2: 30, 3: 16, 4: 10, 5: 7}.get(problem.n, 5)
         lattice = grid_search(problem, LatticeSpec(problem.deadweight_cap / levels))[1]
         assert value >= lattice - 1e-9 * max(1.0, abs(lattice))
@@ -743,14 +717,13 @@ class TestClosedForm:
 
     def test_stalled_exchange_hands_over_to_the_enumeration(self, assemble_case, monkeypatch):
         problem = assemble_case(4.0)
-        options = SolverOptions()
         closed = solve(problem)
         support = np.flatnonzero(solver._lp_optimum(problem)[0][0]).tolist()
-        assert solver._best_verified(problem, solver._exchange(problem, options, support), options)
+        assert solver._best_verified(problem, solver._exchange(problem, support))
         # One step: the vertex's support {type4} alone does not price out.
         monkeypatch.setattr(solver, "_EXCHANGE_EXTRA_STEPS", 1 - 2 * problem.n)
-        stalled = solver._exchange(problem, options, support)
-        assert len(stalled) == 1 and solver._best_verified(problem, stalled, options) is None
+        stalled = solver._exchange(problem, support)
+        assert len(stalled) == 1 and solver._best_verified(problem, stalled) is None
         calls = _count_enumerations(monkeypatch)
         solution = solve(problem)
         assert calls == [1]
@@ -761,7 +734,7 @@ class TestClosedForm:
         problem = assemble_case(4.0)
         monkeypatch.setattr(kkt_enumeration, "support_points", lambda units, support: [])
         support = np.flatnonzero(solver._lp_optimum(problem)[0][0]).tolist()
-        assert solver._exchange(problem, SolverOptions(), support) == []
+        assert solver._exchange(problem, support) == []
         solution = solve(problem)
         assert solution.status is SolverStatus.OPTIMAL and solution.kkt.satisfied
 
@@ -849,7 +822,7 @@ class TestClosedForm:
         hypothesis.assume(convex or closed_form_optimum(problem)[2])
         solution = solve(problem)
         x = _slsqp_reference(problem, rng.dirichlet(np.full(problem.n, 0.4)) * rng.uniform())
-        if solver._feasible(problem, x, 1e-8):
+        if solver._feasible(problem, x):
             reached = float(problem.objective @ x)
             assert reached <= solution.revenue + 1e-6 * max(1.0, abs(solution.revenue))
 
@@ -949,8 +922,8 @@ class TestRateUnits:
 
     @staticmethod
     def check(problem, thousandfold):
-        base = solve(problem, SolverOptions())
-        scaled = solve(thousandfold, SolverOptions())
+        base = solve(problem)
+        scaled = solve(thousandfold)
         assert scaled.status is base.status
         assert np.abs(scaled.x - base.x).max() <= 1e-7 * np.abs(base.x).max()
         assert scaled.revenue == pytest.approx(1e3 * base.revenue, rel=1e-9)
