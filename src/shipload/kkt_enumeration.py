@@ -95,12 +95,27 @@ steps loses it:
   throughout or nowhere, and a stable one ends where a load reaches 0 or
   a cap binds, at a smaller support or one more binding cap.
 
+One step drops supports and loses nothing: the incumbent prune.  After
+the first batch, a support is solved only when its bound reaches the
+incumbent, the best scaled revenue of the batches before.  Its bound is
+the relaxation's LP over the support alone, attained at a basis of one or
+two of its cargoes, with both caps widened by ``MARGIN``.  A candidate
+that passes the checks, with loads down to -``TOLERANCE`` and each cap
+met to ``TOLERANCE``, is feasible for that LP, since ``MARGIN`` is far
+above the (K + 1) ``TOLERANCE`` it can need, so a support whose bound is
+strictly below the incumbent holds no candidate that wins or ties.
+
 The supports go in batches of ``CHUNK``, in the scaled units x / C,
 c / (C a), w max(v) / (C a) and t max(p) / (C a) with a = max|A|, so that
 the tests against zero read O(1) numbers.  Supports of every size share
 one batch, in order of size and then lexicographically: a support of
 k < K cargoes fills its other slots with a dummy cargo whose steps are
-zero, so that its y stays 0.
+zero, so that its y stays 0.  Only the supports that pass the prune are
+packed, so every batch but the last is full; an enumeration of at most
+``CHUNK`` supports is one batch and builds no bound.  Candidates are
+compared in their scaled revenue alone, and on a tie the earliest
+support wins, then the lower pattern, then the lower root, so neither
+``CHUNK`` nor the prune can change the winner.
 
 A root t > 0 carries the multipliers of its point: lam_S = 1 / (2 s t),
 lam_C = (c - b / (2 s)) / t and lam_V = w / t, which
@@ -119,11 +134,14 @@ import numpy as np
 
 from .model import Problem
 from .quadratic_analysis import SIGN_TOLERANCE
+from .solver import relaxation_vertices
 
-# Most linear systems that one enumeration solves: four constraint
-# patterns per support, two for a support of exactly K cargoes.  Reverse
-# stacks of up to 43 cargoes fit; 41 cargoes count 24 768 systems, at
-# about 1.4 us each.  A larger enumeration is truncated to smaller supports.
+# Most linear systems that one enumeration may solve, counted before the
+# incumbent prune: four constraint patterns per support, two for a support
+# of exactly K cargoes.  Reverse stacks of up to 43 cargoes fit; 41 cargoes
+# count 24 768 systems, of which the prune leaves a third to a half on
+# the benchmark's market stacks, at about 1.2 us each.  A larger
+# enumeration is truncated to smaller supports.
 SYSTEM_BUDGET = 30_000
 # Supports per batch.  At n = 41, 512 ran faster than 256, 1024 or 2048.
 CHUNK = 512
@@ -132,6 +150,9 @@ CHUNK = 512
 ZERO_TOLERANCE = 1e-10
 # Relative slack of the candidates' constraints and consistency tests.
 TOLERANCE = 1e-9
+# Relative widening of the caps of a support's LP bound: a candidate that
+# passes at TOLERANCE exceeds them by at most (K + 1) TOLERANCE.
+MARGIN = 1e-6
 
 # (deadweight binds, volume binds) of the four patterns.
 _DEADWEIGHT_ON = np.array([False, True, False, True])
@@ -241,10 +262,25 @@ def binding_optimum(
         largest, full_needs_volume = fit, False
 
     best_value, best_x, best_multipliers = 0.0, np.zeros(n + 1), (0.0, 0.0, 0.0)
-    for chunk, real in _batches(kept, largest, n):
+    # The winner's scaled revenue: candidates are compared in it alone, so
+    # that how the supports fall into batches cannot change the winner.
+    incumbent = 0.0
+    table = None
+
+    def promising(chunk: np.ndarray) -> np.ndarray:
+        """Whether each support's LP bound reaches the incumbent."""
+        nonlocal table
+        if table is None:
+            table = _bound_table(units)
+        return _support_bounds(table, chunk) >= incumbent
+
+    for chunk, real in _batches(kept, largest, n, promising):
         rows = _batch_rows(units, chunk, real, largest, full_needs_volume)
-        root, k = divmod(int(rows.value.argmax()), rows.value.shape[1])
-        if rows.value[root, k] * units.rate * units.cap > best_value:
+        # Systems run support by support, then pattern by pattern: on a tie
+        # the earliest support wins, then the lower pattern, then the lower root.
+        k, root = divmod(int(rows.value.T.argmax()), rows.value.shape[0])
+        if rows.value[root, k] > incumbent:
+            incumbent = float(rows.value[root, k])
             best_x = np.zeros(n + 1)
             best_x[rows.support[k]] = units.cap * np.maximum(rows.z[root, k], 0.0)
             best_value = float(problem.objective @ best_x[:n])
@@ -310,7 +346,7 @@ def _batch_rows(
     if full_needs_volume:
         # Patterns 0 and 1 leave the volume cap slack.
         allowed[:2] &= real[:, -1] == 0.0
-    pattern, item = np.nonzero(allowed)
+    item, pattern = np.nonzero(allowed.T)
     support, real, d = chunk[item], real[item], steps[item]
     dw, vol = _DEADWEIGHT_ON[pattern], _VOLUME_ON[pattern]
     dv, dp = v[support], p[support]
@@ -526,35 +562,80 @@ def _support_rule(diagonal: np.ndarray) -> tuple[int, bool]:
     return largest, True
 
 
-def _batches(kept: list[int], largest: int, n: int):
+def _bound_table(units: Units) -> np.ndarray:
+    """The LP bound of every pair of cargoes i <= j, the dummy cargo n included.
+
+    Entry (i, j) is the best revenue, in the scaled units of the batch
+    rows, of a basis of the relaxation that loads only cargoes i and j:
+    either alone at a cap, or both at both caps
+    (:func:`~shipload.solver.relaxation_vertices`).  The deadweight cap 1
+    is widened to 1 + ``MARGIN`` and the volume cap to
+    room (1 + ``MARGIN``) + ``MARGIN``, since a negative load of a
+    candidate frees up to ``TOLERANCE`` of either cap.  Below the
+    diagonal, entry (j, i) holds only the singles of i and j.
+    """
+    m = units.n + 1
+    widened = 1.0 + MARGIN
+    with np.errstate(divide="ignore"):
+        # The dummy cargo has v = 0 and p = 0: no load at the volume cap.
+        densities = 1.0 / units.v
+    revenue = relaxation_vertices(
+        units.p, units.v, densities, widened, units.room * widened + MARGIN
+    )[-1]
+    single = np.maximum(np.maximum(revenue[1 : m + 1], revenue[m + 1 : 2 * m + 1]), 0.0)
+    table = np.maximum(single[:, None], single)
+    i, j = np.triu_indices(m, 1)
+    table[i, j] = np.maximum(table[i, j], revenue[2 * m + 1 :])
+    return table
+
+
+def _support_bounds(table: np.ndarray, chunk: np.ndarray) -> np.ndarray:
+    """The LP bound of each support of ``chunk``: the best basis on two of its slots.
+
+    Its slots hold cargo indices in increasing order, so every pair reads
+    the filled half of ``table``.
+    """
+    pairs = list(itertools.combinations(range(chunk.shape[1]), 2)) or [(0, 0)]
+    return np.maximum.reduce([table[chunk[:, a], chunk[:, b]] for a, b in pairs])
+
+
+def _batches(kept: list[int], largest: int, n: int, promising):
     """The supports of 1 to ``largest`` of the ``kept`` cargoes, ``CHUNK`` to a batch.
 
     Yields (cargo indices, 0/1 mask of the real slots), each of shape
     (supports, largest), in order of size and then lexicographically; the
-    free slots hold the dummy cargo n.  No batch has more rows than there
-    are supports.
+    free slots hold the dummy cargo n.  Supports are read ``CHUNK`` at a
+    time; once the first batch has gone out, only the supports for which
+    ``promising`` is true are kept, and batches are packed from these
+    alone, so that each is full but the last, which has no more rows than
+    are left.  An enumeration of at most ``CHUNK`` supports never calls
+    ``promising``.
     """
-    left = sum(math.comb(len(kept), k) for k in range(1, largest + 1))
-    sizes = ((k, itertools.combinations(kept, k)) for k in range(1, largest + 1))
-    size, supports = next(sizes)
-    while left:
-        rows = min(CHUNK, left)
-        chunk = np.full((rows, largest), n, dtype=np.intp)
-        # A 0/1 float mask: integer and boolean arithmetic would page in
-        # NumPy loops that nothing else on the solve path uses.
-        real = np.zeros((rows, largest))
-        filled = 0
+    pending, held, started = [], 0, False
+    for size in range(1, largest + 1):
+        supports = itertools.combinations(kept, size)
         while True:
             flat = np.fromiter(
-                itertools.chain.from_iterable(itertools.islice(supports, rows - filled)), np.intp
+                itertools.chain.from_iterable(itertools.islice(supports, CHUNK)), np.intp
             )
             count = flat.size // size
-            chunk[filled : filled + count, :size] = flat.reshape(count, size)
-            real[filled : filled + count, :size] = 1.0
-            filled += count
-            if filled == rows:
+            if not count:
                 break
-            size, supports = next(sizes)
-        left -= rows
-        yield chunk, real
-
+            chunk = np.full((count, largest), n, dtype=np.intp)
+            chunk[:, :size] = flat.reshape(count, size)
+            # A 0/1 float mask: integer and boolean arithmetic would page in
+            # NumPy loops that nothing else on the solve path uses.
+            real = np.zeros((count, largest))
+            real[:, :size] = 1.0
+            if started:
+                keep = promising(chunk)
+                chunk, real = chunk[keep], real[keep]
+            pending.append((chunk, real))
+            held += chunk.shape[0]
+            if held >= CHUNK:
+                chunk, real = (np.concatenate(part) for part in zip(*pending))
+                yield chunk[:CHUNK], real[:CHUNK]
+                started = True
+                pending, held = [(chunk[CHUNK:], real[CHUNK:])], held - CHUNK
+    if held:
+        yield tuple(np.concatenate(part) for part in zip(*pending))

@@ -29,12 +29,14 @@ multiplier recovery and the CLI's binding flags read, and the KKT test at
 ``KKT_TOLERANCE``.
 
 Lagrange multipliers of a raw loading, which comes with none, are
-recovered from its active set by nonnegative least squares.  Nothing here
-imports the ``scipy.optimize`` package, whose import costs most of a CLI
-process: the compiled extension that holds the Lawson-Hanson NNLS routine
-is loaded straight from SciPy's package directory on first use, which a
-closed-form answer never reaches, and registered under its own module
-name, so a later ``import scipy.optimize`` shares it.
+recovered from its active set by nonnegative least squares, whose
+minimum is the plain least-squares fit wherever that fit is determined
+and nonnegative.  Nothing here imports the ``scipy.optimize`` package,
+whose import costs most of a CLI process: the compiled extension that
+holds the Lawson-Hanson NNLS routine is loaded straight from SciPy's
+package directory on first use, which neither a closed-form answer nor
+such a fit reaches, and registered under its own module name, so a later
+``import scipy.optimize`` shares it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import importlib.machinery
 import importlib.util
 import logging
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -236,8 +239,13 @@ def _recover_multipliers(problem: Problem, x: np.ndarray) -> tuple[float, float,
     Stationarity at a KKT point reads p = lam_C*1 + lam_V*(1/d) +
     lam_S*grad_g(x) - nu with every multiplier nonnegative and inactive
     ones zero.  Collecting the active constraint gradients as columns turns
-    that into a nonnegative least-squares fit for the objective vector,
-    solved by the compiled routine behind ``scipy.optimize.nnls`` with that
+    that into a nonnegative least-squares fit for the objective vector.
+    The columns of nu are unit vectors, one per empty cargo, so when the
+    plain least-squares fit of the active gradients to the rates of the
+    loaded cargoes determines lam, has lam >= 0, and leaves
+    nu_i = (G lam - p)_i >= 0 on every empty one, that point zeroes every
+    gradient of the nonnegative fit and is its only minimum.  Otherwise the
+    compiled routine behind ``scipy.optimize.nnls`` solves it, with that
     function's input checks and its default of 3 * columns iterations.
     """
     n = problem.n
@@ -245,24 +253,74 @@ def _recover_multipliers(problem: Problem, x: np.ndarray) -> tuple[float, float,
     gradients = (np.ones(n), problem.volume_coeffs, stability_gradient(problem, x))
     active = [k for k, on in enumerate(binding) if on]
     zero = np.flatnonzero(at_zero)
-    units = np.zeros((n, zero.size))
-    units[zero, np.arange(zero.size)] = -1.0
 
     lam = [0.0, 0.0, 0.0]
     nu = np.zeros(n)
     if active or zero.size:
-        columns = np.asarray_chkfinite(
-            np.column_stack([*(gradients[k] for k in active), units]),
-            dtype=np.float64, order="C",
-        )
         rates = np.asarray_chkfinite(problem.objective, dtype=np.float64)
-        coef, _, info = _slsqplib().nnls(columns, rates, 3 * columns.shape[1])
-        if info == 3:
-            raise RuntimeError("Maximum number of iterations reached.")
-        for k, value in zip(active, coef):
+        fit = None
+        if active:
+            dense = np.asarray_chkfinite(np.column_stack([gradients[k] for k in active]))
+            fit = _sign_feasible_fit(dense, rates, at_zero)
+        if fit is None:
+            units = np.zeros((n, zero.size))
+            units[zero, np.arange(zero.size)] = -1.0
+            columns = np.asarray_chkfinite(
+                np.column_stack([*(gradients[k] for k in active), units]),
+                dtype=np.float64, order="C",
+            )
+            coef, _, info = _slsqplib().nnls(columns, rates, 3 * columns.shape[1])
+            if info == 3:
+                raise RuntimeError("Maximum number of iterations reached.")
+            fit = coef[: len(active)], coef[len(active):]
+        for k, value in zip(active, fit[0]):
             lam[k] = float(value)
-        nu[zero] = coef[len(active):]
+        nu[zero] = fit[1]
     return (*lam, nu)
+
+
+def _sign_feasible_fit(
+    gradients: np.ndarray, rates: np.ndarray, at_zero: np.ndarray
+) -> tuple[list[float], np.ndarray] | None:
+    """(lam, nu) of the plain least-squares fit on the loaded cargoes, or None.
+
+    None, and the nonnegative fit runs, when no cargo is loaded, when the
+    loaded cargoes leave the multipliers undetermined, or when one of them
+    comes out negative.  The fit is modified Gram-Schmidt on the active
+    gradients of the loaded cargoes with their rates carried along as one
+    more column, which is backward stable for least squares (Bjorck, BIT 7,
+    1967).  It runs in scalar arithmetic: for at most three columns,
+    LAPACK's call overhead, and the 1 MB of its code that a first call
+    pages in, outweigh the work.  A gradient left with at most 1e-12 of the
+    largest one's norm counts as dependent on those before it.
+    """
+    loaded = ~at_zero
+    if not loaded.any():
+        return None
+    columns = gradients[loaded].T.tolist()
+    b = rates[loaded].tolist()
+    k = len(columns)
+    floor = 1e-12 * max(math.hypot(*column) for column in columns)
+    r = [[0.0] * k for _ in range(k)]
+    qtb = [0.0] * k
+    for j in range(k):
+        norm = math.hypot(*columns[j])
+        if norm <= floor:
+            return None
+        q = [a / norm for a in columns[j]]
+        r[j][j] = norm
+        for col in range(j + 1, k):
+            r[j][col] = dot = sum(map(operator.mul, q, columns[col]))
+            columns[col] = [c - dot * a for a, c in zip(q, columns[col])]
+        qtb[j] = dot = sum(map(operator.mul, q, b))
+        b = [c - dot * a for a, c in zip(q, b)]
+    lam = [0.0] * k
+    for j in reversed(range(k)):
+        lam[j] = (qtb[j] - sum(r[j][col] * lam[col] for col in range(j + 1, k))) / r[j][j]
+    nu = gradients[at_zero] @ lam - rates[at_zero]
+    if min(lam) < 0.0 or nu.min(initial=0.0) < 0.0:
+        return None
+    return lam, nu
 
 
 def _kkt_report(
@@ -321,6 +379,43 @@ def _bases(n: int) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def relaxation_vertices(
+    p: np.ndarray, v: np.ndarray, densities: np.ndarray, cap: float, room: float
+) -> tuple[np.ndarray, ...]:
+    """Every basis of max p.x subject to sum(x) <= cap, v.x <= room and x >= 0.
+
+    Returns (first load, second load, lam_C, lam_V, revenue), one entry per
+    basis in :func:`_bases` order; an infeasible basis has revenue -inf.
+    ``densities`` is 1 / v, which may be infinite where v is 0: a single
+    cargo's load at the volume cap is room * density.
+    """
+    n = p.size
+    nothing = np.zeros(n)
+    i, j, _, _ = _bases(n)
+    p_i, p_j, v_i, v_j = p[i], p[j], v[i], v[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Equal densities give infinite or NaN loads, which fail the checks below.
+        pair_lam_v = (p_j - p_i) / (v_j - v_i)
+        pair_i = (room - v_j * cap) / (v_i - v_j)
+        pair_j = (v_i * cap - room) / (v_i - v_j)
+        # A zero rate times an infinite load is NaN too.
+        pair_revenue = p_i * pair_i + p_j * pair_j
+        volume_loads = room * densities
+        volume_lam_v = p * densities
+        volume_revenue = p * volume_loads
+    load_first = np.concatenate([[0.0], np.full(n, cap), volume_loads, pair_i])
+    load_second = np.concatenate([[0.0], nothing, nothing, pair_j])
+    lam_c = np.concatenate([[0.0], p, nothing, p_i - pair_lam_v * v_i])
+    lam_v = np.concatenate([[0.0], nothing, volume_lam_v, pair_lam_v])
+    # A single cargo must fit the other cap; a pair binds both by construction.
+    feasible = np.concatenate(
+        [[True], v * cap <= room, volume_loads <= cap, (pair_i >= 0) & (pair_j >= 0)]
+    )
+    revenue = np.concatenate([[0.0], p * cap, volume_revenue, pair_revenue])
+    revenue[~feasible] = -np.inf
+    return load_first, load_second, lam_c, lam_v, revenue
+
+
 def _lp_optimum(problem: Problem) -> tuple[np.ndarray, float, float]:
     """The relaxation's optimal face by :func:`solve_lp`'s rule, and the duals of its pick.
 
@@ -333,29 +428,12 @@ def _lp_optimum(problem: Problem) -> tuple[np.ndarray, float, float]:
     """
     p = problem.objective
     v = problem.volume_coeffs
-    cap, room = problem.deadweight_cap, problem.volume_cap
+    cap = problem.deadweight_cap
     n = problem.n
-    nothing = np.zeros(n)
-    i, j, first, second = _bases(n)
-    p_i, p_j, v_i, v_j = p[i], p[j], v[i], v[j]
-    volume_loads = room * problem.densities
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # Equal densities give infinite or NaN loads, which fail the checks below.
-        pair_lam_v = (p_j - p_i) / (v_j - v_i)
-        pair_i = (room - v_j * cap) / (v_i - v_j)
-        pair_j = (v_i * cap - room) / (v_i - v_j)
-        # A zero rate times an infinite load is NaN too.
-        pair_revenue = p_i * pair_i + p_j * pair_j
-    load_first = np.concatenate([[0.0], np.full(n, cap), volume_loads, pair_i])
-    load_second = np.concatenate([[0.0], nothing, nothing, pair_j])
-    lam_c = np.concatenate([[0.0], p, nothing, p_i - pair_lam_v * v_i])
-    lam_v = np.concatenate([[0.0], nothing, p * problem.densities, pair_lam_v])
-    # A single cargo must fit the other cap; a pair binds both by construction.
-    feasible = np.concatenate(
-        [[True], v * cap <= room, volume_loads <= cap, (pair_i >= 0) & (pair_j >= 0)]
+    _, _, first, second = _bases(n)
+    load_first, load_second, lam_c, lam_v, revenue = relaxation_vertices(
+        p, v, problem.densities, cap, problem.volume_cap
     )
-    revenue = np.concatenate([[0.0], p * cap, p * volume_loads, pair_revenue])
-    revenue[~feasible] = -np.inf
 
     tol = _LP_TOLERANCE
     best = revenue.max()  # the empty vessel is always feasible, so best >= 0

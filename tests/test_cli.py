@@ -604,7 +604,13 @@ class TestLazyScipyImport:
             "assert solution.status is SolverStatus.LOCAL_ONLY\n"
             "assert kkt_verify(problem, solution).satisfied\n"
             "assert 'scipy.optimize._slsqplib' not in sys.modules, '_slsqplib was loaded'\n"
-            "# Raw loads come without multipliers: NNLS recovers them.\n"
+            "# Raw loads come without multipliers: at a KKT point the plain\n"
+            "# least-squares fit recovers them, with no NNLS.\n"
             "assert kkt_verify(problem, np.array(solution.x)).satisfied\n"
+            "assert 'scipy.optimize._slsqplib' not in sys.modules, '_slsqplib was loaded'\n"
+            "# type1 alone at the deadweight cap: the fit prices type4 below its\n"
+            "# rate, a negative nu, so NNLS runs.\n"
+            "x = np.where(np.array(problem.labels) == 'type1', problem.deadweight_cap, 0.0)\n"
+            "assert not kkt_verify(problem, x).satisfied\n"
             "assert 'scipy.optimize._slsqplib' in sys.modules\n"
         )

@@ -1,5 +1,6 @@
 """The closed-form KKT enumeration: its support rule against the inertia bound it replaced,
-and its scalar per-support solve against its batch rows."""
+its scalar per-support solve against its batch rows, and its incumbent prune against the
+enumeration without it."""
 
 import math
 
@@ -16,6 +17,7 @@ from shipload import (
     assemble_problem,
 )
 from shipload import kkt_enumeration, solver
+from shipload.model import BALLAST_LABEL
 from shipload.quadratic_analysis import SIGN_TOLERANCE
 
 from conftest import closed_form_optimum, draw_random_problem, large_reverse_stack
@@ -237,3 +239,127 @@ class TestSupportPoints:
         assert problem.objective @ best[0] == pytest.approx(value, rel=1e-12)
         assert best[1:] == pytest.approx(multipliers, rel=1e-9)
         assert best[1] > 0.0 and best[2] == 0.0  # deadweight binds, volume does not
+
+
+def _unpruned(problem):
+    """``binding_optimum`` with the bound taken away: every support reaches a batch."""
+
+    def no_bound(units):
+        return np.full((units.n + 1, units.n + 1), np.inf)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kkt_enumeration, "_bound_table", no_bound)
+        return kkt_enumeration.binding_optimum(problem)
+
+
+def _counted(run, problem):
+    """(systems solved, what ``run(problem)`` returned, bound tables built)."""
+    systems, tables = [0], [0]
+    batch_rows, bound_table = kkt_enumeration._batch_rows, kkt_enumeration._bound_table
+
+    def counted_rows(*args):
+        rows = batch_rows(*args)
+        systems[0] += rows.support.shape[0]
+        return rows
+
+    def counted_table(units):
+        tables[0] += 1
+        return bound_table(units)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kkt_enumeration, "_batch_rows", counted_rows)
+        patch.setattr(kkt_enumeration, "_bound_table", counted_table)
+        answer = run(problem)
+    return systems[0], answer, tables[0]
+
+
+def _assert_unchanged_by_the_prune(problem):
+    """Pruned and unpruned enumerations agree bit for bit.
+
+    Returns (whether the pruned run built a bound table, the truncation reason).
+    """
+    (value, x, multipliers, reason), tables = _counted(kkt_enumeration.binding_optimum, problem)[1:]
+    reference = _unpruned(problem)
+    assert (value, multipliers, reason) == (reference[0], reference[2], reference[3])
+    assert x.tobytes() == reference[1].tobytes()
+    return tables > 0, reason
+
+
+class TestIncumbentPrune:
+    """Supports whose two-cap LP bound cannot reach the incumbent are not solved."""
+
+    def test_same_answers_without_the_prune(self):
+        rng = np.random.default_rng(2026)
+        orders = {"normal": LoadingOrder.normal(), "reverse": LoadingOrder.reverse()}
+        orders["explicit"] = "explicit"
+        checked = {kind: 0 for kind in orders}
+        sizes, pruned, truncated, ballast, twins = set(), 0, 0, 0, 0
+        draws = 0
+        while sum(checked.values()) < 600:
+            draws += 1
+            kind = ("normal", "reverse", "explicit")[draws % 3]
+            # Every fourth draw gives one cargo the density of another, or of water.
+            degenerate = draws % 4 == 0
+            problem = draw_random_problem(
+                rng, sizes=(2, 44), orders=(orders[kind],), room=(0.3, 2.0), degenerate=degenerate
+            )
+            if problem.classification.kind is Definiteness.POSITIVE_SEMIDEFINITE:
+                continue
+            bounded, reason = _assert_unchanged_by_the_prune(problem)
+            pruned += bounded
+            truncated += reason is not None
+            checked[kind] += 1
+            sizes.add(problem.n)
+            ballast += BALLAST_LABEL in problem.labels
+            steps = problem.classification.evidence.diagonal
+            twins += bool(np.any(steps[1:] == 0.0))
+        assert min(checked.values()) >= 150, checked
+        assert min(sizes) == 2 and max(sizes) >= 43, sorted(sizes)
+        assert pruned >= 200 and truncated >= 100, (pruned, truncated)
+        assert ballast >= 200 and twins >= 50, (ballast, twins)
+
+    @pytest.mark.parametrize("n", [21, 41, 44, 60, 80])
+    def test_same_answers_on_large_reverse_stacks(self, n):
+        bounded, _ = _assert_unchanged_by_the_prune(large_reverse_stack(n))
+        assert bounded
+
+    def test_halves_the_systems_of_a_reverse_stack_of_41(self):
+        # Rates drawn apart from the densities, as in a market.
+        problem = draw_random_problem(
+            np.random.default_rng(1), sizes=(41, 42), orders=(LoadingOrder.reverse(),)
+        )
+        assert problem.n == 41
+        systems, _, tables = _counted(kkt_enumeration.binding_optimum, problem)
+        reference = _counted(_unpruned, problem)[0]
+        assert tables == 1
+        assert systems < reference / 2, (systems, reference)
+
+    def test_one_batch_builds_no_table(self):
+        problem = large_reverse_stack(12)
+        systems, _, tables = _counted(kkt_enumeration.binding_optimum, problem)
+        # 12 + 66 + 220 supports, within one batch.
+        assert tables == 0 and systems == _counted(_unpruned, problem)[0]
+
+    def test_bound_covers_every_candidate_of_its_support(self):
+        """The LP bound of a support is at least each candidate that passes the batch checks."""
+        rng = np.random.default_rng(5)
+        orders = (LoadingOrder.normal(), LoadingOrder.reverse(), "explicit")
+        candidates = 0
+        for draw in range(200):
+            room = (0.3, 0.8) if draw % 2 else (0.5, 2.0)
+            problem = draw_random_problem(rng, sizes=(2, 9), orders=orders, room=room)
+            units = kkt_enumeration.scaled_units(problem)
+            diagonal = problem.classification.evidence.diagonal / units.a
+            kept, merged = kkt_enumeration._merge_twins(diagonal, problem.objective)
+            largest, full_needs_volume = kkt_enumeration._support_rule(merged)
+            every = kkt_enumeration._batches(kept, largest, problem.n, lambda c: c[:, 0] >= 0)
+            chunk = np.concatenate([chunk for chunk, _ in every])
+            real = (chunk < problem.n).astype(float)
+            rows = kkt_enumeration._batch_rows(units, chunk, real, largest, full_needs_volume)
+            table = kkt_enumeration._bound_table(units)
+            bounds = kkt_enumeration._support_bounds(table, rows.support)
+            # The best candidate of each system, -inf where none passes.
+            best = rows.value.max(axis=0)
+            assert (best <= bounds).all()
+            candidates += int(np.isfinite(best).sum())
+        assert candidates >= 1000, candidates

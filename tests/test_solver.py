@@ -339,6 +339,88 @@ class TestKktVerify:
         report = kkt_verify(problem, np.asarray(solution.x))
         assert report.satisfied
 
+    def test_least_squares_fit_matches_nnls(self, monkeypatch):
+        """Where the plain fit is taken it is the NNLS minimum: same multipliers, same verdict."""
+        rng = np.random.default_rng(71)
+        orders = (LoadingOrder.normal(), LoadingOrder.reverse(), "explicit")
+        fitted, refused, verdicts = 0, 0, set()
+        for draw in range(300):
+            problem = draw_random_problem(rng, sizes=(1, 13), orders=orders, room=(0.3, 2.0))
+            answer = np.array(solve(problem).x)
+            # Loads on the deadweight cap over a random half of the cargoes:
+            # where an empty one pays more than the fit's price, NNLS runs.
+            spread = rng.dirichlet(np.ones(problem.n)) * (rng.random(problem.n) < 0.5)
+            spread *= problem.deadweight_cap / max(spread.sum(), 1e-300)
+            # A KKT point, the LP vertex, those loads and a KKT point moved
+            # within the active-set threshold.
+            loads = [answer, np.array(solve_lp(problem).x), spread]
+            loads.append(answer * (1.0 + 1e-9 * rng.standard_normal(problem.n)))
+            # Two cargoes at both caps, whose fit can price volume below 0.
+            i, j = rng.choice(problem.n, size=2) if problem.n > 1 else (0, 0)
+            v, cap = problem.volume_coeffs, problem.deadweight_cap
+            if v[i] != v[j]:
+                pair = np.zeros(problem.n)
+                pair[i] = (problem.volume_cap - v[j] * cap) / (v[i] - v[j])
+                pair[j] = cap - pair[i]
+                loads += [pair] if pair.min() >= 0.0 else []
+            # One cargo where stationarity meets the stability boundary.
+            units = kkt_enumeration.scaled_units(problem)
+            loads += [point[0] for point in kkt_enumeration.support_points(units, [i])]
+            for x in loads:
+                taken = self._fitted(problem, x)
+                recovered = solver._recover_multipliers(problem, x)
+                with monkeypatch.context() as patch:
+                    patch.setattr(solver, "_sign_feasible_fit", lambda *args: None)
+                    reference = solver._recover_multipliers(problem, x)
+                rate = problem.objective.max()
+                assert recovered[:3] == pytest.approx(reference[:3], rel=1e-8, abs=1e-10 * rate)
+                assert recovered[3] == pytest.approx(reference[3], rel=1e-8, abs=1e-10 * rate)
+                report = solver._kkt_report(problem, x, *recovered)
+                assert report.satisfied == solver._kkt_report(problem, x, *reference).satisfied
+                fitted += taken
+                refused += not taken
+                verdicts.add(report.satisfied)
+        assert fitted >= 600 and refused >= 100, (fitted, refused)
+        assert verdicts == {True, False}
+
+    def test_fit_is_the_least_squares_solution(self):
+        # One loaded cargo and two active gradients: every lam on a line fits
+        # exactly, so the fit, though nonnegative, does not decide among them.
+        gradients = np.array([[1.0, 2.0], [1.0, 0.5], [1.0, 3.0]])
+        rates = np.array([3.0, 1.0, 4.0])
+        assert solver._sign_feasible_fit(gradients, rates, np.array([False, True, True])) is None
+        # A second loaded cargo decides them: lam = (1, 1), nu = 0.5.
+        lam, nu = solver._sign_feasible_fit(gradients, rates, np.array([False, True, False]))
+        assert lam == pytest.approx([1.0, 1.0], rel=1e-12) and nu == pytest.approx([0.5])
+        # Against LAPACK on random systems of 1 to 3 gradients, all cargoes loaded.
+        rng = np.random.default_rng(5)
+        checked = {True: 0, False: 0}
+        for _ in range(200):
+            columns = int(rng.integers(1, 4))
+            gradients = rng.uniform(0.1, 3.0, size=(int(rng.integers(columns, 9)), columns))
+            gradients[:, 0] = 1.0
+            rates = rng.uniform(0.0, 10.0, size=gradients.shape[0])
+            reference = np.linalg.lstsq(gradients, rates, rcond=None)[0]
+            fit = solver._sign_feasible_fit(gradients, rates, np.zeros(rates.size, dtype=bool))
+            positive = bool(reference.min() > 0.0)
+            if positive:
+                assert fit[0] == pytest.approx(reference, rel=1e-9, abs=1e-12 * rates.max())
+            else:
+                assert fit is None
+            checked[positive] += 1
+        assert min(checked.values()) >= 50, checked
+
+    @staticmethod
+    def _fitted(problem, x):
+        """Whether ``_recover_multipliers`` takes the plain least-squares fit at ``x``."""
+        *binding, at_zero = solver.active_set(problem, x)
+        gradients = (np.ones(problem.n), problem.volume_coeffs, stability_gradient(problem, x))
+        columns = [g for g, on in zip(gradients, binding) if on]
+        if not columns:
+            return False
+        fit = solver._sign_feasible_fit(np.column_stack(columns), problem.objective, at_zero)
+        return fit is not None
+
     def test_lp_vertex_fails_when_stability_violated(self, assemble_case):
         problem = assemble_case(4.0)
         lp = solve_lp(problem)
@@ -945,6 +1027,8 @@ class TestKernelLoader:
                 return kernel.nnls(columns, rates, iterations)
 
         monkeypatch.setattr(solver, "_slsqplib", lambda: Recording)
+        # Every fit goes to NNLS, also where the least-squares fit would do.
+        monkeypatch.setattr(solver, "_sign_feasible_fit", lambda *args: None)
         problems = [
             assemble_case(mu, order=order)
             for order in (LoadingOrder.normal(), LoadingOrder.reverse())
@@ -999,7 +1083,12 @@ class TestKernelLoader:
                 return np.zeros(columns.shape[1]), 0.0, 3
 
         problem = assemble_case(4.0)
-        x = np.array(solve(problem).x)
+        # The cheapest cargo alone at the deadweight cap: the least-squares
+        # fit prices a dearer cargo below its rate, so NNLS must run.
+        x = np.zeros(problem.n)
+        x[np.argmin(np.where(problem.objective > 0.0, problem.objective, np.inf))] = (
+            problem.deadweight_cap
+        )
         monkeypatch.setattr(solver, "_slsqplib", lambda: Exhausted)
         with pytest.raises(RuntimeError, match="Maximum number of iterations"):
             kkt_verify(problem, x)
