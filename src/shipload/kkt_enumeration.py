@@ -110,12 +110,15 @@ c / (C a), w max(v) / (C a) and t max(p) / (C a) with a = max|A|, so that
 the tests against zero read O(1) numbers.  Supports of every size share
 one batch, in order of size and then lexicographically: a support of
 k < K cargoes fills its other slots with a dummy cargo whose steps are
-zero, so that its y stays 0.  Only the supports that pass the prune are
-packed, so every batch but the last is full; an enumeration of at most
-``CHUNK`` supports is one batch and builds no bound.  Candidates are
-compared in their scaled revenue alone, and on a tie the earliest
-support wins, then the lower pattern, then the lower root, so neither
-``CHUNK`` nor the prune can change the winner.
+zero, so that its y stays 0.  A batch is solved as (slot, system)
+arrays: a sum over a support is K - 1 vector adds in slot order, and the
+systems where D_1 = 0 or a row fixes t take their own steps only in a
+batch that holds one, so each system's rows are the same in any batch.
+Only the supports that pass the prune are packed, so every batch but
+the last is full.  Candidates are compared in their scaled revenue
+alone, and on a tie the earliest support wins, then the lower pattern,
+then the lower root, so neither ``CHUNK`` nor the prune can change the
+winner.
 
 A root t > 0 carries the multipliers of its point: lam_S = 1 / (2 s t),
 lam_C = (c - b / (2 s)) / t and lam_V = w / t, which
@@ -140,10 +143,10 @@ from .solver import relaxation_vertices
 # incumbent prune: four constraint patterns per support, two for a support
 # of exactly K cargoes.  Reverse stacks of up to 43 cargoes fit; 41 cargoes
 # count 24 768 systems, of which the prune leaves a third to a half on
-# the benchmark's market stacks, at about 1.2 us each.  A larger
+# the benchmark's market stacks, at about 0.5 us each.  A larger
 # enumeration is truncated to smaller supports.
 SYSTEM_BUDGET = 30_000
-# Supports per batch.  At n = 41, 512 ran faster than 256, 1024 or 2048.
+# Supports per batch.  On the market n = 41 stack 512 beat 256, 1024 and 2048.
 CHUNK = 512
 # Scaled steps of the generator, and coefficients of w in the volume row,
 # at most this large count as zero.
@@ -309,7 +312,7 @@ class _Rows(NamedTuple):
     (``rooted``), whether a row fixes t (``fixed``), its steps and
     w = w0 + s w1 along its line.  Per candidate, indexed (the line's base
     point and its two roots, system): s, t, z = x / C and the scaled
-    revenue, -inf where the candidate fails a check.
+    revenue, -inf where the candidate fails a check.  The slot is last.
     """
 
     support: np.ndarray
@@ -335,88 +338,83 @@ def _batch_rows(
     Every support allows pattern 2, the volume cap alone binding, so no
     batch is empty.
     """
-    v, p, generator = units.v, units.p, units.generator
-    slack_dw, room = units.slack_dw, units.room
-    qa, qb, r = units.qa, units.qb, units.r
-    steps = generator[chunk]
-    steps[:, 1:] -= generator[chunk[:, :-1]]
-    steps *= real
-    allowed = np.ones((4, chunk.shape[0]), dtype=bool)
-    allowed[3] &= (real[:, 1] > 0.0) if largest > 1 else False
+    slack_dw, room, qa, qb, r = units.slack_dw, units.room, units.qa, units.qb, units.r
+    slots, mask = chunk.T, real.T
+    # Per (slot, support): the steps of v, p and the generator along it,
+    # then f = dv / D and u = dp / D where row i of D y + c e_1 + w dv =
+    # t dp gives y_i, D_i != 0 with the deadweight cap slack, and 0 elsewhere.
+    per_slot = np.empty((5,) + slots.shape)
+    per_slot[:3] = np.take(np.array((units.v, units.p, units.generator)), slots, axis=1)
+    per_slot[:3, 1:] -= per_slot[:3, :-1]
+    per_slot[:3] *= mask
+    flat = np.abs(per_slot[2]) <= ZERO_TOLERANCE
+    gives = (mask > 0.0) & ~flat
+    safe = np.where(gives, per_slot[2], 1.0)
+    per_slot[3:] = np.where(gives, per_slot[:2] / safe, 0.0)
+    allowed = np.ones((4, slots.shape[1]), dtype=bool)
+    allowed[3] &= (mask[1] > 0.0) if largest > 1 else False
     if full_needs_volume:
         # Patterns 0 and 1 leave the volume cap slack.
-        allowed[:2] &= real[:, -1] == 0.0
+        allowed[:2] &= mask[-1] == 0.0
     item, pattern = np.nonzero(allowed.T)
-    support, real, d = chunk[item], real[item], steps[item]
     dw, vol = _DEADWEIGHT_ON[pattern], _VOLUME_ON[pattern]
-    dv, dp = v[support], p[support]
-    dv[:, 1:] -= v[support[:, :-1]]
-    dp[:, 1:] -= p[support[:, :-1]]
-    dv *= real
-    dp *= real
-
-    # Row i of D y + c e_1 + w dv = t dp gives y_i, except the first
-    # row when the deadweight cap binds (y_1 = 1 there, and the row only
-    # gives c) and rows with D_i = 0.
-    solved = real.copy()
-    solved[dw, 0] = 0.0
-    flat = np.where(np.abs(d) <= ZERO_TOLERANCE, solved, 0.0)
+    per_slot = np.take(per_slot, item, axis=2)
+    # With the deadweight cap binding, y_1 = 1 and row 1 only gives c.
+    per_slot[3:, 0, dw] = 0.0
+    dv, dp, d, f, u = per_slot
     # D_i = 0 for i > 1, equal densities adjacent in the support: skipped.
-    keep = flat[:, 1:].sum(axis=1) == 0.0
+    keep = ~(flat[1:] & (mask[1:] > 0.0)).any(axis=0)[item]
     # D_1 = 0 (water density at the bottom) with the deadweight cap slack:
-    # row 1 reads slack_dw + w v_1 = t p_1.
-    bottom = flat[:, 0] > 0.0
-    solved -= flat
-    safe = np.where(solved > 0.0, d, 1.0)
-    u = np.where(solved > 0.0, dp / safe, 0.0)
-    f = np.where(solved > 0.0, dv / safe, 0.0)
-    # y = base + t u - w f, with w = w0 + t w1.
+    # row 1 reads slack_dw + w v_1 = t p_1; rare, so solved only if present.
+    bottom = flat[0, item] & ~dw
+    rare_bottom = np.count_nonzero(bottom)
+    # y = base + t u - w f, with w = w0 + t w1; base is 0 beyond slot 1.
     base = np.zeros_like(d)
-    base[:, 0] = np.where(dw, 1.0, np.where(bottom, 0.0, -slack_dw / safe[:, 0]))
+    base[0] = np.where(dw, 1.0, np.where(bottom, 0.0, (-slack_dw / safe[0])[item]))
     with np.errstate(divide="ignore", invalid="ignore"):
         # The volume row: dv . y = room.
-        den = (dv * f).sum(axis=1)
-        num0 = (dv * base).sum(axis=1) - room
-        num1 = (dv * u).sum(axis=1)
+        den = (dv * f).sum(axis=0)
+        num0 = dv[0] * base[0] - room
+        num1 = (dv * u).sum(axis=0)
         normal = vol & ~bottom
         # A volume row without w fixes t, num0 + t num1 = 0, and w moves.
         free_w = normal & (np.abs(den) <= ZERO_TOLERANCE)
-        # Both caps slack over water density: row 1 fixes t, and y_1 moves.
-        free_y = bottom & ~vol
-        fixed = free_w | free_y
         gives_w = normal & ~free_w
         w0 = np.where(gives_w, num0 / den, 0.0)
         w1 = np.where(gives_w, num1 / den, 0.0)
-        # With D_1 = 0 and the volume cap binding row 1 gives w, and the
-        # volume row gives y_1.
-        pinned = bottom & vol
-        w0 = np.where(pinned, -slack_dw / dv[:, 0], w0)
-        w1 = np.where(pinned, dp[:, 0] / dv[:, 0], w1)
-        y0 = base - w0[:, None] * f
-        y1 = u - w1[:, None] * f
-        v_1 = np.where(pinned, dv[:, 0], 1.0)
-        y0[:, 0] = np.where(pinned, (room - (dv * y0).sum(axis=1)) / v_1, y0[:, 0])
-        y1[:, 0] = np.where(pinned, -(dv * y1).sum(axis=1) / v_1, y1[:, 0])
-
+        if rare_bottom:
+            # With D_1 = 0 and the volume cap binding row 1 gives w, and
+            # the volume row gives y_1.
+            pinned = bottom & vol
+            w0 = np.where(pinned, -slack_dw / dv[0], w0)
+            w1 = np.where(pinned, dp[0] / dv[0], w1)
+        y0 = base - w0 * f
+        y1 = u - w1 * f
+        if rare_bottom:
+            v_1 = np.where(pinned, dv[0], 1.0)
+            y0[0] = np.where(pinned, (room - (dv * y0).sum(axis=0)) / v_1, y0[0])
+            y1[0] = np.where(pinned, -(dv * y1).sum(axis=0) / v_1, y1[0])
         # Every system is a line (y, w, t) = (y0, w0, 0) + s (y1, w1, 1),
         # along which t = s moves, except where a row fixes t: there the
-        # line passes through the fixed t and moves y_1 or w alone.  Most
-        # batches have no such row and skip this.
+        # line passes through the fixed t and moves y_1 or w alone.  With
+        # both caps slack over water density row 1 fixes t, and y_1 moves.
+        free_y = bottom & ~vol
+        fixed = free_w | free_y
         t_fixed = None
         if np.count_nonzero(fixed):
             keep &= ~free_w | (np.abs(num1) > TOLERANCE)
-            keep &= ~free_y | (dp[:, 0] > TOLERANCE)
-            t_fixed = np.where(free_y, slack_dw / dp[:, 0], np.where(free_w, -num0 / num1, 0.0))
-            y0 = y0 + t_fixed[:, None] * y1
-            y1 = np.where(free_w[:, None], -f, y1)
-            y1[free_y] = 0.0
-            y1[free_y, 0] = 1.0
+            keep &= ~free_y | (dp[0] > TOLERANCE)
+            t_fixed = np.where(free_y, slack_dw / dp[0], np.where(free_w, -num0 / num1, 0.0))
+            y0 = y0 + t_fixed * y1
+            y1 = np.where(free_w, -f, y1)
+            y1[:, free_y] = 0.0
+            y1[0, free_y] = 1.0
             w1 = np.where(free_w, 1.0, w1)
-
         # The stability constraint along the line, minus r: a2 s^2 + a1 s + a0.
-        a2 = qa * (d * y1 * y1).sum(axis=1)
-        a1 = 2.0 * qa * (d * y0 * y1).sum(axis=1) + qb * y1[:, 0]
-        a0 = qa * (d * y0 * y0).sum(axis=1) + qb * y0[:, 0] - r
+        dy0 = d * y0
+        a2 = qa * (d * y1 * y1).sum(axis=0)
+        a1 = 2.0 * qa * (dy0 * y1).sum(axis=0) + qb * y1[0]
+        a0 = qa * (dy0 * y0).sum(axis=0) + qb * y0[0] - r
         disc = a1 * a1 - 4.0 * a2 * a0
         # A tangent root may come out a rounding error below zero.
         disc[(disc < 0.0) & (disc >= -1e-12 * (a1 * a1 + np.abs(4.0 * a2 * a0)))] = 0.0
@@ -424,15 +422,15 @@ def _batch_rows(
         s = np.zeros((3, half.size))
         s[1] = half / a2
         s[2] = a0 / half
-        y = y0 + s[:, :, None] * y1  # (the base point and the two roots, systems, slots)
+        y = y0 + s[:, None] * y1  # (the base point and the two roots, slot, system)
         t = s if t_fixed is None else np.where(fixed, t_fixed, s)
         z = y.copy()
-        z[:, :, :-1] -= y[:, :, 1:]
+        z[:, :-1] -= y[:, 1:]
         excess = (a2 * s + a1) * s + a0
         ok = (
-            (z.min(axis=2) >= -TOLERANCE)
-            & (y[:, :, 0] <= 1.0 + TOLERANCE)
-            & ((y * dv).sum(axis=2) <= room * (1.0 + TOLERANCE))
+            (z.min(axis=1) >= -TOLERANCE)
+            & (y[:, 0] <= 1.0 + TOLERANCE)
+            & ((y * dv).sum(axis=1) <= room * (1.0 + TOLERANCE))
             & (excess <= TOLERANCE * max(1.0, abs(r)))
         )
         # Where stability does not depend on s its roots are rounding
@@ -441,8 +439,10 @@ def _batch_rows(
         # The base point is the abnormal one, t = 0, only where t moves.
         ok[0] &= keep & ~fixed
         ok[1:] &= rooted
-        value = np.where(ok, (y * dp).sum(axis=2), -np.inf)
-    return _Rows(support, pattern, rooted, fixed, d, dv, dp, w0, w1, s, t, z, value)
+        value = np.where(ok, (y * dp).sum(axis=1), -np.inf)
+    return _Rows(
+        chunk[item], pattern, rooted, fixed, d.T, dv.T, dp.T, w0, w1, s, t, z.swapaxes(1, 2), value
+    )
 
 
 def support_points(

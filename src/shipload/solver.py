@@ -45,7 +45,6 @@ import enum
 import functools
 import importlib.machinery
 import importlib.util
-import logging
 import math
 import operator
 import os
@@ -69,8 +68,6 @@ __all__ = [
     "stability_gradient",
     "active_set",
 ]
-
-_log = logging.getLogger(__name__)
 
 # A point is feasible when its worst relative violation is at most
 # FEASIBILITY_TOLERANCE, and a KKT point when its report passes at
@@ -583,7 +580,11 @@ def _kkt_optimum(
     if reason is None and not face_searched:
         reason = "the relaxation's optimal face has more than two vertices"
     if reason is not None:
-        _log.debug("KKT enumeration incomplete: %s", reason)
+        # Imported here: the package's only log call outside the CLI, and a
+        # process that never reaches it never loads logging.
+        import logging
+
+        logging.getLogger(__name__).debug("KKT enumeration incomplete: %s", reason)
     return value, x, reason is None, multipliers
 
 

@@ -591,6 +591,24 @@ class TestLazyScipyImport:
         )
         assert json.loads(result.stdout)["command"] == command
 
+    def test_case_study_solve_leaves_logging_unloaded(self):
+        # The package logs only in the CLI and where an enumeration is
+        # incomplete, so a library solve that enumerates the reverse case
+        # row in full never imports logging.
+        self.run(
+            "from shipload import *\n"
+            "market = (CargoType('type1', 0.80, 4.5), CargoType('type2', 0.60, 5.0),\n"
+            "          CargoType('type3', 0.50, 5.1), CargoType('type4', 0.45, 5.5))\n"
+            "for order in (LoadingOrder.normal(), LoadingOrder.reverse()):\n"
+            "    problem = assemble_problem(\n"
+            "        Vessel(200.0, 25.0, 45000.0, 120000.0, 15000.0, 2.0), Environment(),\n"
+            "        StabilityPolicy(4.0), market, order, True,\n"
+            "    )\n"
+            "    assert solve(problem).kkt.satisfied\n"
+            "assert 'shipload.kkt_enumeration' in sys.modules\n"
+            "assert 'logging' not in sys.modules, 'logging was imported'\n"
+        )
+
     def test_library_solve_and_raw_vector_kkt(self):
         self.run(
             "import numpy as np\n"

@@ -1,6 +1,6 @@
 """The closed-form KKT enumeration: its support rule against the inertia bound it replaced,
-its scalar per-support solve against its batch rows, and its incumbent prune against the
-enumeration without it."""
+its scalar per-support solve against its batch rows, its batch rows against the same supports
+solved one per batch, and its incumbent prune against the enumeration without it."""
 
 import math
 
@@ -20,7 +20,7 @@ from shipload import kkt_enumeration, solver
 from shipload.model import BALLAST_LABEL
 from shipload.quadratic_analysis import SIGN_TOLERANCE
 
-from conftest import closed_form_optimum, draw_random_problem, large_reverse_stack
+from conftest import closed_form_optimum, draw_random_problem, large_reverse_stack, pinned_stacks
 
 
 def _inertia_rule(diagonal):
@@ -239,6 +239,58 @@ class TestSupportPoints:
         assert problem.objective @ best[0] == pytest.approx(value, rel=1e-12)
         assert best[1:] == pytest.approx(multipliers, rel=1e-9)
         assert best[1] > 0.0 and best[2] == 0.0  # deadweight binds, volume does not
+
+
+class TestBatchComposition:
+    """A system's rows do not depend on the other systems of its batch."""
+
+    # Per system, indexed first; the rest are per candidate, indexed (root, system).
+    PER_SYSTEM = ("support", "pattern", "rooted", "fixed", "d", "dv", "dp", "w0", "w1")
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        # c0, paying and at water density, is the bottom cargo: its supports
+        # hold D_1 = 0 with both caps slack, where row 1 fixes t, and with
+        # the volume cap binding, where row 1 gives w.  c5's volume
+        # coefficient is moved so that the volume row of {c1, c5} has no w.
+        problem = pinned_stacks()["paying-water-density"][0]
+        units = kkt_enumeration.scaled_units(problem)
+        g, v = units.generator, units.v.copy()
+        v[2] = v[1] * (1.0 + math.sqrt((g[1] - g[2]) / g[1]))
+        units = units._replace(v=v)
+        diagonal = problem.classification.evidence.diagonal / units.a
+        kept, merged = kkt_enumeration._merge_twins(diagonal, problem.objective)
+        largest, full_needs_volume = kkt_enumeration._support_rule(merged)
+        ((chunk, real),) = kkt_enumeration._batches(kept, largest, problem.n, None)
+
+        def solve(rows):
+            return kkt_enumeration._batch_rows(
+                units, chunk[rows], real[rows], largest, full_needs_volume
+            )
+
+        batch, backward = solve(slice(None)), solve(slice(None, None, -1))
+        bottom = batch.support[:, 0] == 0
+        ordinary = ~batch.fixed & ~bottom
+        kinds = {
+            "row 1 fixes t": batch.fixed & (batch.pattern == 0),
+            "row 1 gives w": bottom & (batch.pattern == 2),
+            "the volume row fixes t": batch.fixed & (batch.pattern >= 2),
+            "ordinary, with a candidate": ordinary & np.isfinite(batch.value).any(axis=0),
+        }
+        assert all(kind.any() for kind in kinds.values()), kinds
+
+        # Each support alone, then within the batch and within the batch
+        # with its supports in reverse order.
+        alone = [solve(slice(i, i + 1)) for i in range(chunk.shape[0])]
+        sizes = [rows.pattern.size for rows in alone]
+        ends = np.cumsum(sizes), np.cumsum(sizes[::-1])[::-1]
+        assert ends[0][-1] == batch.pattern.size == backward.pattern.size
+        for i, rows in enumerate(alone):
+            for whole, end in zip((batch, backward), ends):
+                systems = slice(end[i] - sizes[i], end[i])
+                for field in rows._fields:
+                    part = getattr(whole, field)
+                    part = part[systems] if field in self.PER_SYSTEM else part[:, systems]
+                    np.testing.assert_array_equal(part, getattr(rows, field), err_msg=field)
 
 
 def _unpruned(problem):
