@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Environment, Problem, Vessel, stacking_matrix
+from .model import Environment, Problem, Vessel, _stacking
 
 __all__ = [
     "HydroState",
@@ -82,7 +82,7 @@ def keel_to_metacenter(vessel: Vessel, draft: float) -> float:
 
 def _mass_moment(problem: Problem, x: np.ndarray) -> float:
     # Vertical moment of the cargo stack about the keel: x'Wx / (2 B L).
-    w = stacking_matrix(problem.densities)
+    w = _stacking(problem.volume_coeffs)
     return float(x @ w @ x) / (2.0 * problem.vessel.waterplane_area)
 
 

@@ -581,7 +581,7 @@ def _bound_table(units: Units) -> np.ndarray:
         densities = 1.0 / units.v
     revenue = relaxation_vertices(
         units.p, units.v, densities, widened, units.room * widened + MARGIN
-    )[-1]
+    )
     single = np.maximum(np.maximum(revenue[1 : m + 1], revenue[m + 1 : 2 * m + 1]), 0.0)
     table = np.maximum(single[:, None], single)
     i, j = np.triu_indices(m, 1)

@@ -191,9 +191,7 @@ class LoadingOrder:
                 )
             return self.explicit_order
         d = np.asarray(densities, dtype=float)
-        if self.kind == "normal":
-            return tuple(int(i) for i in np.argsort(-d, kind="stable"))
-        return tuple(int(i) for i in np.argsort(d, kind="stable"))
+        return tuple(np.argsort(-d if self.kind == "normal" else d, kind="stable").tolist())
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -266,11 +264,16 @@ def stacking_matrix(densities) -> np.ndarray:
     d = np.asarray(densities, dtype=float)
     if d.ndim != 1 or d.size == 0:
         raise ValueError("densities must be a nonempty vector")
-    for i, value in enumerate(d):
-        if not (value > 0) or not math.isfinite(value):
-            raise ValueError(f"density at index {i} must be positive, got {value}")
-    idx = np.arange(d.size)
-    return (1.0 / d)[np.minimum.outer(idx, idx)]
+    if not (d.min() > 0.0 and d.max() < math.inf):
+        i = int(np.argmin((d > 0.0) & (d < math.inf)))
+        raise ValueError(f"density at index {i} must be positive, got {d[i]}")
+    return _stacking(1.0 / d)
+
+
+def _stacking(volume_coeffs: np.ndarray) -> np.ndarray:
+    """:func:`stacking_matrix` from the inverse densities 1/d, of densities already checked."""
+    idx = np.arange(volume_coeffs.size)
+    return volume_coeffs[np.minimum.outer(idx, idx)]
 
 
 def assemble_problem(
@@ -342,7 +345,9 @@ def assemble_problem(
     mu = policy.min_metacentric_height
     light = vessel.light_mass
 
-    quad_matrix = stacking_matrix(d) - 1.0 / rho
+    # The densities passed CargoType's checks.
+    volume_coeffs = 1.0 / d
+    quad_matrix = _stacking(volume_coeffs) - 1.0 / rho
     quad_scale = 1.0 / (2.0 * area)
     linear_coeff = mu - light / (rho * area)
     rhs = (
@@ -358,7 +363,7 @@ def assemble_problem(
         cargoes=tuple(stack),
         objective=_frozen(p),
         deadweight_cap=vessel.deadweight,
-        volume_coeffs=_frozen(1.0 / d),
+        volume_coeffs=_frozen(volume_coeffs),
         volume_cap=vessel.volume_capacity,
         quad_matrix=_frozen(quad_matrix),
         quad_scale=quad_scale,

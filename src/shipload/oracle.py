@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import Problem, revenue
-from .solver import Solution, _plan_multipliers, _slacks, _violation
+from .solver import Solution, _Loading, _plan_multipliers
 
 __all__ = ["LatticeSpec", "grid_search", "certifies", "certify"]
 
@@ -535,11 +535,12 @@ def certify(problem: Problem, solution, spec: LatticeSpec) -> bool:
     :func:`grid_search` without a threshold and applies :func:`certifies`.
     """
     x = problem.check_vector(solution.x if isinstance(solution, Solution) else solution)
-    if not _violation(problem, x, _slacks(problem, x)) <= CERTIFY_TOLERANCE:
+    point = _Loading(problem, x)
+    if not point.violation <= CERTIFY_TOLERANCE:
         return False
     value = solution.revenue if isinstance(solution, Solution) else revenue(problem, x)
     try:
-        multipliers = _plan_multipliers(problem, solution, x)
+        multipliers = _plan_multipliers(problem, solution, point)
     except (RuntimeError, ValueError):
         pass  # the search needs no multipliers
     else:

@@ -77,7 +77,7 @@ def congruence_diagonal(m) -> CongruenceResult:
     n = vec.size
     diagonal = np.empty(n)
     diagonal[0] = vec[0]
-    diagonal[1:] = np.diff(vec)
+    np.subtract(vec[1:], vec[:-1], out=diagonal[1:])
     diagonal.flags.writeable = False
     generator = vec.copy()
     generator.flags.writeable = False
@@ -99,17 +99,17 @@ def classify_constraint_matrix(densities, water_density: float) -> DefinitenessC
     d = np.asarray(densities, dtype=float)
     if d.ndim != 1 or d.size == 0:
         raise ValueError("densities must be a nonempty vector")
-    for i, value in enumerate(d):
-        if not (value > 0):
-            raise ValueError(f"density at index {i} must be positive, got {value}")
+    if not d.min() > 0.0:
+        i = int(np.argmin(d > 0.0))
+        raise ValueError(f"density at index {i} must be positive, got {d[i]}")
     if not (water_density > 0):
         raise ValueError(f"water density must be positive, got {water_density}")
 
     evidence = congruence_diagonal(1.0 / d - 1.0 / water_density)
     scale = float(np.abs(evidence.diagonal).max())
     tol = SIGN_TOLERANCE * scale
-    has_pos = bool(np.any(evidence.diagonal > tol))
-    has_neg = bool(np.any(evidence.diagonal < -tol))
+    has_pos = bool((evidence.diagonal > tol).any())
+    has_neg = bool((evidence.diagonal < -tol).any())
     if has_pos and has_neg:
         kind = Definiteness.INDEFINITE
     elif has_neg:

@@ -22,11 +22,13 @@ The answer is the best of these points that passes the feasibility filter
 and the KKT report with its closed-form multipliers.
 
 This module is the one home of the constraint rules and of their two
-fixed tolerances: the slacks and their scales, the feasibility test (worst
-relative violation at most ``FEASIBILITY_TOLERANCE``), the active set
-(|slack| at most ten times that times max(1, scale)), which both
-multiplier recovery and the CLI's binding flags read, and the KKT test at
-``KKT_TOLERANCE``.
+fixed tolerances.  A loading is evaluated once, in ``_Loading``: its
+slacks, its stability gradient and its worst relative violation.  The
+feasibility test (that violation at most ``FEASIBILITY_TOLERANCE``), the
+active set (|slack| at most ten times that times max(1, scale)),
+multiplier recovery, the KKT test at ``KKT_TOLERANCE``, the CLI's
+binding flags and ``certify``'s feasibility test all read that one
+evaluation.
 
 Lagrange multipliers of a raw loading, which comes with none, are
 recovered from its active set by nonnegative least squares, whose
@@ -53,7 +55,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hydrostatics import constraint_slack
 from .model import Problem, revenue
 from .quadratic_analysis import Definiteness
 
@@ -84,6 +85,8 @@ _LP_TOLERANCE = 1e-9
 # Most steps of the support exchange are 2 n plus this many.  The measured
 # convex answers took at most 3.
 _EXCHANGE_EXTRA_STEPS = 6
+# (lam_C, lam_V, lam_S, nu) of a point.
+_Multipliers = tuple[float, float, float, np.ndarray]
 
 
 def _slsqplib():
@@ -175,42 +178,41 @@ class Solution:
 
 def stability_gradient(problem: Problem, x) -> np.ndarray:
     """Gradient of the quadratic constraint's left side at ``x``."""
-    arr = problem.check_vector(x)
-    return 2.0 * problem.quad_scale * (problem.quad_matrix @ arr) + problem.linear_coeff
+    return _Loading(problem, problem.check_vector(x)).gradient
 
 
-def _slacks(problem: Problem, x: np.ndarray) -> tuple[float, float, float]:
-    dw = problem.deadweight_cap - float(x.sum())
-    vol = problem.volume_cap - float(problem.volume_coeffs @ x)
-    return dw, vol, constraint_slack(problem, x)
+class _Loading:
+    """One evaluation of a loading ``x``: its slacks, stability gradient and violation.
 
-
-def _constraint_scales(problem: Problem) -> tuple[float, float, float]:
-    """Deadweight, volume and stability scales, in the order of ``_slacks``.
-
-    A slack divided by its scale is the relative violation that the
-    feasibility test and the KKT report work with.
+    The slacks are the deadweight, volume and stability ones, the last by
+    :func:`~shipload.hydrostatics.constraint_slack`'s expression.  The
+    violation is the largest of 0, of each slack's negative over its scale
+    (C, V and max(1, |r|)) and of the lowest load's negative over
+    max(1, C); NaN when the loads hold a NaN.
     """
-    return problem.deadweight_cap, problem.volume_cap, max(1.0, abs(problem.rhs))
+
+    __slots__ = ("x", "slacks", "gradient", "violation")
+
+    def __init__(self, problem: Problem, x: np.ndarray):
+        cap, s, b = problem.deadweight_cap, problem.quad_scale, problem.linear_coeff
+        self.x = x
+        total = float(x.sum())
+        self.slacks = dw, vol, stab = (
+            cap - total,
+            problem.volume_cap - float(problem.volume_coeffs @ x),
+            problem.rhs - (s * float(x @ problem.quad_matrix @ x) + b * total),
+        )
+        self.gradient = 2.0 * s * (problem.quad_matrix @ x) + b
+        terms = (
+            -dw / cap,
+            -vol / problem.volume_cap,
+            -stab / max(1.0, abs(problem.rhs)),
+            -float(x.min(initial=0.0)) / max(1.0, cap),
+        )
+        self.violation = math.nan if any(map(math.isnan, terms)) else max(0.0, *terms)
 
 
-def _violation(problem: Problem, x: np.ndarray, slacks) -> float:
-    """Worst relative violation of the constraints and of x >= 0.
-
-    0 when nothing is violated, NaN when the loads hold a NaN.
-    """
-    terms = [
-        *(-slack / scale for slack, scale in zip(slacks, _constraint_scales(problem))),
-        -float(x.min(initial=0.0)) / max(1.0, problem.deadweight_cap),
-    ]
-    return math.nan if any(map(math.isnan, terms)) else max(0.0, *terms)
-
-
-def _feasible(problem: Problem, x: np.ndarray) -> bool:
-    return _violation(problem, x, _slacks(problem, x)) <= FEASIBILITY_TOLERANCE
-
-
-def active_set(problem: Problem, x: np.ndarray) -> tuple[bool, bool, bool, np.ndarray]:
+def active_set(problem: Problem, x) -> tuple[bool, bool, bool, np.ndarray]:
     """Which constraints bind at ``x``: deadweight, volume, stability, and the mask x_i ~ 0.
 
     A constraint binds when its slack, or a load, is within ten times
@@ -219,18 +221,22 @@ def active_set(problem: Problem, x: np.ndarray) -> tuple[bool, bool, bool, np.nd
     Multiplier recovery takes its columns from these flags, and reports
     show them.
     """
+    return _active(problem, _Loading(problem, problem.check_vector(x)))
+
+
+def _active(problem: Problem, point: _Loading) -> tuple[bool, bool, bool, np.ndarray]:
     threshold = 10.0 * FEASIBILITY_TOLERANCE
     mass_scale = max(1.0, problem.deadweight_cap)
-    dw, vol, stab = _slacks(problem, x)
+    dw, vol, stab = point.slacks
     return (
         abs(dw) <= threshold * mass_scale,
         abs(vol) <= threshold * max(1.0, problem.volume_cap),
         abs(stab) <= threshold * max(1.0, abs(problem.rhs)),
-        np.abs(x) <= threshold * mass_scale,
+        np.abs(point.x) <= threshold * mass_scale,
     )
 
 
-def _recover_multipliers(problem: Problem, x: np.ndarray) -> tuple[float, float, float, np.ndarray]:
+def _recover_multipliers(problem: Problem, point: _Loading) -> _Multipliers:
     """Active-set least-squares estimate of the Lagrange multipliers.
 
     Stationarity at a KKT point reads p = lam_C*1 + lam_V*(1/d) +
@@ -246,19 +252,19 @@ def _recover_multipliers(problem: Problem, x: np.ndarray) -> tuple[float, float,
     function's input checks and its default of 3 * columns iterations.
     """
     n = problem.n
-    *binding, at_zero = active_set(problem, x)
-    gradients = (np.ones(n), problem.volume_coeffs, stability_gradient(problem, x))
+    *binding, at_zero = _active(problem, point)
+    gradients = (np.ones(n), problem.volume_coeffs, point.gradient)
     active = [k for k, on in enumerate(binding) if on]
-    zero = np.flatnonzero(at_zero)
+    zero = at_zero.nonzero()[0]
 
     lam = [0.0, 0.0, 0.0]
     nu = np.zeros(n)
     if active or zero.size:
-        rates = np.asarray_chkfinite(problem.objective, dtype=np.float64)
         fit = None
         if active:
-            dense = np.asarray_chkfinite(np.column_stack([gradients[k] for k in active]))
-            fit = _sign_feasible_fit(dense, rates, at_zero)
+            # The rates are finite, and so is the gradient of a binding constraint.
+            dense = np.column_stack([gradients[k] for k in active])
+            fit = _sign_feasible_fit(dense, problem.objective, at_zero)
         if fit is None:
             units = np.zeros((n, zero.size))
             units[zero, np.arange(zero.size)] = -1.0
@@ -266,6 +272,7 @@ def _recover_multipliers(problem: Problem, x: np.ndarray) -> tuple[float, float,
                 np.column_stack([*(gradients[k] for k in active), units]),
                 dtype=np.float64, order="C",
             )
+            rates = np.asarray_chkfinite(problem.objective, dtype=np.float64)
             coef, _, info = _slsqplib().nnls(columns, rates, 3 * columns.shape[1])
             if info == 3:
                 raise RuntimeError("Maximum number of iterations reached.")
@@ -321,18 +328,13 @@ def _sign_feasible_fit(
 
 
 def _kkt_report(
-    problem: Problem,
-    x: np.ndarray,
-    lam_dw: float,
-    lam_vol: float,
-    lam_stab: float,
-    nu: np.ndarray,
+    problem: Problem, point: _Loading,
+    lam_dw: float, lam_vol: float, lam_stab: float, nu: np.ndarray,
 ) -> KktReport:
-    p = problem.objective
-    dw, vol, stab = _slacks(problem, x)
-    grad = stability_gradient(problem, x)
+    p, x = problem.objective, point.x
+    dw, vol, stab = point.slacks
 
-    lagrangian_gap = p - lam_dw - lam_vol * problem.volume_coeffs - lam_stab * grad + nu
+    lagrangian_gap = p - lam_dw - lam_vol * problem.volume_coeffs - lam_stab * point.gradient + nu
     stationarity = float(np.abs(lagrangian_gap).max())
 
     complementarity = max(
@@ -341,7 +343,7 @@ def _kkt_report(
         abs(lam_stab * stab),
         float(np.abs(nu * x).max(initial=0.0)),
     )
-    primal = _violation(problem, x, (dw, vol, stab))
+    primal = point.violation
     dual = min(lam_dw, lam_vol, lam_stab, float(nu.min(initial=0.0)))
 
     objective = abs(float(p @ x))
@@ -352,13 +354,7 @@ def _kkt_report(
         and primal <= KKT_TOLERANCE
         and dual >= -KKT_TOLERANCE
     )
-    return KktReport(
-        stationarity_residual=stationarity,
-        complementarity_residual=complementarity,
-        primal_feasibility=primal,
-        dual_feasibility=dual,
-        satisfied=satisfied,
-    )
+    return KktReport(stationarity, complementarity, primal, dual, satisfied)
 
 
 @functools.lru_cache(maxsize=64)
@@ -378,44 +374,39 @@ def _bases(n: int) -> tuple[np.ndarray, ...]:
 
 def relaxation_vertices(
     p: np.ndarray, v: np.ndarray, densities: np.ndarray, cap: float, room: float
-) -> tuple[np.ndarray, ...]:
-    """Every basis of max p.x subject to sum(x) <= cap, v.x <= room and x >= 0.
+) -> np.ndarray:
+    """The revenue of every basis of max p.x subject to sum(x) <= cap, v.x <= room and x >= 0.
 
-    Returns (first load, second load, lam_C, lam_V, revenue), one entry per
-    basis in :func:`_bases` order; an infeasible basis has revenue -inf.
-    ``densities`` is 1 / v, which may be infinite where v is 0: a single
-    cargo's load at the volume cap is room * density.
+    One entry per basis in :func:`_bases` order; an infeasible basis has
+    revenue -inf.  ``densities`` is 1 / v, which may be infinite where v is
+    0: a single cargo's load at the volume cap is room * density.
     """
-    n = p.size
-    nothing = np.zeros(n)
-    i, j, _, _ = _bases(n)
-    p_i, p_j, v_i, v_j = p[i], p[j], v[i], v[j]
+    i, j, _, _ = _bases(p.size)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # Equal densities give infinite or NaN loads, which fail the checks below.
-        pair_lam_v = (p_j - p_i) / (v_j - v_i)
-        pair_i = (room - v_j * cap) / (v_i - v_j)
-        pair_j = (v_i * cap - room) / (v_i - v_j)
-        # A zero rate times an infinite load is NaN too.
-        pair_revenue = p_i * pair_i + p_j * pair_j
+        # Equal densities give infinite or NaN loads, which fail the test below.
+        pair_i, pair_j = _pair_loads(v[i], v[j], cap, room)
         volume_loads = room * densities
-        volume_lam_v = p * densities
-        volume_revenue = p * volume_loads
-    load_first = np.concatenate([[0.0], np.full(n, cap), volume_loads, pair_i])
-    load_second = np.concatenate([[0.0], nothing, nothing, pair_j])
-    lam_c = np.concatenate([[0.0], p, nothing, p_i - pair_lam_v * v_i])
-    lam_v = np.concatenate([[0.0], nothing, volume_lam_v, pair_lam_v])
+        # A zero rate times an infinite load is NaN too.
+        revenue = np.concatenate(
+            [[0.0], p * cap, p * volume_loads, p[i] * pair_i + p[j] * pair_j]
+        )
     # A single cargo must fit the other cap; a pair binds both by construction.
     feasible = np.concatenate(
-        [[True], v * cap <= room, volume_loads <= cap, (pair_i >= 0) & (pair_j >= 0)]
+        [[True], v * cap <= room, volume_loads <= cap, np.minimum(pair_i, pair_j) >= 0]
     )
-    revenue = np.concatenate([[0.0], p * cap, volume_revenue, pair_revenue])
-    revenue[~feasible] = -np.inf
-    return load_first, load_second, lam_c, lam_v, revenue
+    return np.where(feasible, revenue, -np.inf)
+
+
+def _pair_loads(v_i, v_j, cap: float, room: float):
+    """The loads of cargoes i and j with both caps binding, for arrays and scalars alike."""
+    gap = v_i - v_j
+    return (room - v_j * cap) / gap, (v_i * cap - room) / gap
 
 
 def _lp_optimum(problem: Problem) -> tuple[np.ndarray, float, float]:
     """The relaxation's optimal face by :func:`solve_lp`'s rule, and the duals of its pick.
 
+    Only the bases tied for the best revenue get their loads and duals.
     The face is given by its tied vertices, one row each: the picked one
     first, then every tied vertex that differs from those before it by
     more than 1e-9 of the deadweight cap once the loads of each run of
@@ -423,42 +414,49 @@ def _lp_optimum(problem: Problem) -> tuple[np.ndarray, float, float]:
     are interchangeable in every constraint, so vertices that differ only
     between them meet each constraint alike.
     """
-    p = problem.objective
-    v = problem.volume_coeffs
-    cap = problem.deadweight_cap
-    n = problem.n
+    p, v, d = problem.objective, problem.volume_coeffs, problem.densities
+    cap, room, n = problem.deadweight_cap, problem.volume_cap, problem.n
     _, _, first, second = _bases(n)
-    load_first, load_second, lam_c, lam_v, revenue = relaxation_vertices(
-        p, v, problem.densities, cap, problem.volume_cap
-    )
+    revenue = relaxation_vertices(p, v, d, cap, room)
 
     tol = _LP_TOLERANCE
     best = revenue.max()  # the empty vessel is always feasible, so best >= 0
-    tied = np.flatnonzero(revenue >= best * (1.0 - tol))
-    nu = lam_c[tied, None] + lam_v[tied, None] * v - p
-    violation = -np.minimum(nu.min(axis=1), np.minimum(lam_c[tied], lam_v[tied]))
-    # The first tied basis within tolerance, or else the least violating one.
-    pick = np.argmin(np.maximum(violation, tol * p.max()))
-    b = tied[pick]
+    tied = (revenue >= best * (1.0 - tol)).nonzero()[0]
+    # (first load, second load, lam_C, lam_V) of each, by solve_lp's formulas.
+    bases = []
+    for b, i, j in zip(tied.tolist(), first[tied].tolist(), second[tied].tolist()):
+        if b == 0:
+            bases.append((0.0, 0.0, 0.0, 0.0))
+        elif b <= n:
+            bases.append((cap, 0.0, p[i], 0.0))
+        elif b <= 2 * n:
+            bases.append((room * d[i], 0.0, 0.0, p[i] * d[i]))
+        else:
+            lam_v = (p[j] - p[i]) / (v[j] - v[i])
+            bases.append((*_pair_loads(v[i], v[j], cap, room), p[i] - lam_v * v[i], lam_v))
+    load_first, load_second, lam_c, lam_v = (np.array(column) for column in zip(*bases))
 
     points = np.zeros((tied.size, n))
     rows = np.arange(tied.size)
     # A single cargo's second load is 0, at the same index as its first.
-    points[rows, second[tied]] = load_second[tied]
-    points[rows, first[tied]] = load_first[tied]
+    points[rows, second[tied]] = load_second
+    points[rows, first[tied]] = load_first
     points = np.maximum(points, 0.0)
-    lam_dw = max(float(lam_c[b]), 0.0)
-    lam_vol = max(float(lam_v[b]), 0.0)
-    face = [pick]
+    pick = 0
     if tied.size > 1:
+        nu = lam_c[:, None] + lam_v[:, None] * v - p
+        violation = -np.minimum(nu.min(axis=1), np.minimum(lam_c, lam_v))
+        # The first tied basis within tolerance, or else the least violating one.
+        pick = int(np.argmin(np.maximum(violation, tol * p.max())))
+        face = [pick]
         # Sum each run of equal densities into its first column.
-        d = problem.densities
         runs = np.flatnonzero(np.concatenate([[True], d[1:] != d[:-1]]))
         summed = np.add.reduceat(points, runs, axis=1)
         for k in range(tied.size):
             if np.abs(summed[face] - summed[k]).max(axis=1).min() > tol * cap:
                 face.append(k)
-    return points[face], lam_dw, lam_vol
+        points = points[face]
+    return points, max(float(lam_c[pick]), 0.0), max(float(lam_v[pick]), 0.0)
 
 
 def solve_lp(problem: Problem) -> Solution:
@@ -483,24 +481,20 @@ def solve_lp(problem: Problem) -> Solution:
     feasible to 1e-9 of the largest rate wins.  Ties come from equal
     revenues (the lower-indexed vertex wins), from C*v_i = V (one load at
     both caps, where the deadweight basis is tried first) and from all-zero
-    rates (the empty vessel wins).  The work is O(n^2), plus O(n) per tied
-    basis.
+    rates (the empty vessel wins).  The work is O(n^2) for the revenue of
+    every basis, plus O(n) per tied basis for its loads, duals and their
+    feasibility.
     """
     face, lam_dw, lam_vol = _lp_optimum(problem)
-    x = face[0]
-    multipliers = _closed_form_multipliers(problem, x, (lam_dw, lam_vol, 0.0))
-    report = _kkt_report(problem, x, *multipliers)
-    return _solution(problem, x, multipliers, report, SolverStatus.OPTIMAL, 1, 0)
+    point = _Loading(problem, face[0])
+    multipliers = _closed_form_multipliers(problem, point, (lam_dw, lam_vol, 0.0))
+    report = _kkt_report(problem, point, *multipliers)
+    return _solution(problem, point.x, multipliers, report, SolverStatus.OPTIMAL, 1, 0)
 
 
 def _solution(
-    problem: Problem,
-    x: np.ndarray,
-    multipliers: tuple,
-    report: KktReport,
-    status: SolverStatus,
-    starts_used: int,
-    best_start_index: int,
+    problem: Problem, x: np.ndarray, multipliers: tuple, report: KktReport,
+    status: SolverStatus, starts_used: int, best_start_index: int,
 ) -> Solution:
     """A :class:`Solution` with read-only copies of the loads and of ``nu``."""
     lam_dw, lam_vol, lam_stab, nu = multipliers
@@ -524,13 +518,13 @@ def _solution(
 
 def _empty_vessel(problem: Problem, status: SolverStatus) -> Solution:
     """The zero loading with zero multipliers, for when nothing feasible is found."""
-    x = np.zeros(problem.n)
+    point = _Loading(problem, np.zeros(problem.n))
     multipliers = (0.0, 0.0, 0.0, np.zeros(problem.n))
-    report = _kkt_report(problem, x, *multipliers)
-    return _solution(problem, x, multipliers, report, status, 0, -1)
+    report = _kkt_report(problem, point, *multipliers)
+    return _solution(problem, point.x, multipliers, report, status, 0, -1)
 
 
-def _stable_point(problem: Problem, face: np.ndarray) -> np.ndarray | None:
+def _stable_point(problem: Problem, face: np.ndarray) -> _Loading | None:
     """A point of the relaxation's optimal face that meets the stability constraint, or None.
 
     Each tied vertex is tried, then, when the face is a segment a + theta
@@ -540,18 +534,20 @@ def _stable_point(problem: Problem, face: np.ndarray) -> np.ndarray | None:
     a global optimum, with the picked vertex's LP duals and lam_S = 0 as
     its multipliers, since any optimal dual prices every optimal point.
     """
+    vertices = []
     for x in face:
-        if _violation(problem, x, _slacks(problem, x)) <= _LP_TOLERANCE:
-            return x
+        vertices.append(_Loading(problem, x))
+        if vertices[-1].violation <= _LP_TOLERANCE:
+            return vertices[-1]
     if len(face) == 2:
         a, b = face
         step = b - a
         curvature = problem.quad_scale * float(step @ problem.quad_matrix @ step)
-        slope = float(stability_gradient(problem, a) @ step)
+        slope = float(vertices[0].gradient @ step)
         if curvature > 0.0:
-            x = a + min(max(-slope / (2.0 * curvature), 0.0), 1.0) * step
-            if _violation(problem, x, _slacks(problem, x)) <= _LP_TOLERANCE:
-                return x
+            point = _Loading(problem, a + min(max(-slope / (2.0 * curvature), 0.0), 1.0) * step)
+            if point.violation <= _LP_TOLERANCE:
+                return point
     return None
 
 
@@ -591,8 +587,8 @@ def _kkt_optimum(
 def _exchange(
     problem: Problem,
     support: list[int],
-    start: tuple[np.ndarray, tuple[float, float, float]] | None = None,
-) -> list[tuple[np.ndarray, tuple[float, float, float, np.ndarray]]]:
+    start: tuple[_Loading, tuple[float, float, float]] | None = None,
+) -> list[tuple[_Loading, _Multipliers]]:
     """The points of a support exchange, each with its multipliers (lam_C, lam_V, lam_S, nu).
 
     The exchange starts from ``start``, loads on ``support`` with their
@@ -616,7 +612,7 @@ def _exchange(
     from .kkt_enumeration import scaled_units, support_points
 
     # Built for the first support solved: a start that prices out needs none.
-    units = functools.cache(lambda: scaled_units(problem))
+    units = None
     p, v = problem.objective, problem.volume_coeffs
     cap, room = problem.deadweight_cap, problem.volume_cap
     tolerance = FEASIBILITY_TOLERANCE
@@ -625,8 +621,10 @@ def _exchange(
 
     def best_point(support):
         # The points lie on the stability boundary; solve checks the answer's feasibility.
+        nonlocal units
+        units = units or scaled_units(problem)
         best = None
-        for loads, lam_c, lam_v, lam_s in support_points(units(), support):
+        for loads, lam_c, lam_v, lam_s in support_points(units, support):
             if loads.min() < -tolerance * cap or min(lam_c, lam_v) < -price_tol:
                 continue
             loads = np.maximum(loads, 0.0)
@@ -650,12 +648,13 @@ def _exchange(
         settled = settle(support)
         if settled is None:
             return []
-        start, support = settled
-    x, (lam_c, lam_v, lam_s) = start
+        (x, lams), support = settled
+        start = _Loading(problem, x), lams
+    point, (lam_c, lam_v, lam_s) = start
     points = []
     for _ in range(2 * problem.n + _EXCHANGE_EXTRA_STEPS):
-        nu = lam_c + lam_v * v + lam_s * stability_gradient(problem, x) - p
-        points.append((x, (lam_c, lam_v, lam_s, np.maximum(nu, 0.0))))
+        nu = lam_c + lam_v * v + lam_s * point.gradient - p
+        points.append((point, (lam_c, lam_v, lam_s, np.maximum(nu, 0.0))))
         nu[support] = math.inf
         j = int(nu.argmin())
         if nu[j] >= -price_tol:
@@ -664,33 +663,34 @@ def _exchange(
         if settled is None:
             break
         (x, (lam_c, lam_v, lam_s)), support = settled
+        point = _Loading(problem, x)
     return points
 
 
 def _closed_form_multipliers(
-    problem: Problem, x: np.ndarray, lams: tuple[float, float, float]
-) -> tuple[float, float, float, np.ndarray]:
+    problem: Problem, point: _Loading, lams: tuple[float, float, float]
+) -> _Multipliers:
     """(lam_C, lam_V, lam_S, nu) with nu = max(lam_C + lam_V v + lam_S g - p, 0).
 
-    g is the stability gradient at ``x``; with ``lams`` the point's own
+    g is the stability gradient at ``point``; with ``lams`` the point's own
     multipliers nu prices the cargoes, and is 0 on the loaded ones.
     """
     lam_dw, lam_vol, lam_stab = lams
-    nu = lam_dw + lam_vol * problem.volume_coeffs + lam_stab * stability_gradient(problem, x)
+    nu = lam_dw + lam_vol * problem.volume_coeffs + lam_stab * point.gradient
     return lam_dw, lam_vol, lam_stab, np.maximum(nu - problem.objective, 0.0)
 
 
 def _best_verified(problem: Problem, candidates: list):
     """The candidate of highest revenue, the first on a tie, that passes both checks; or None.
 
-    A candidate is (loads, multipliers), and passes when its KKT report is
-    satisfied and it is feasible.  Returns (loads, multipliers, report).
+    A candidate is (:class:`_Loading`, multipliers), and passes when its
+    KKT report is satisfied and it is feasible.  Returns (loads,
+    multipliers, report).
     """
-    for x, multipliers in sorted(candidates, key=lambda c: -float(problem.objective @ c[0])):
-        report = _kkt_report(problem, x, *multipliers)
-        # The report's primal feasibility is the violation that _feasible tests.
-        if report.satisfied and report.primal_feasibility <= FEASIBILITY_TOLERANCE:
-            return x, multipliers, report
+    for point, multipliers in sorted(candidates, key=lambda c: -float(problem.objective @ c[0].x)):
+        report = _kkt_report(problem, point, *multipliers)
+        if report.satisfied and point.violation <= FEASIBILITY_TOLERANCE:
+            return point.x, multipliers, report
     return None
 
 
@@ -737,20 +737,21 @@ def solve(problem: Problem) -> Solution:
     best = _best_verified(problem, candidates)
     if best is None and relaxed is None:
         _, seed, _, lams = _kkt_optimum(problem, len(face) <= 2)
+        seed = _Loading(problem, seed)
         if lams is None:
             lams = _recover_multipliers(problem, seed)[:3]
-        grown = _exchange(problem, np.flatnonzero(seed).tolist(), (seed, lams))
+        grown = _exchange(problem, np.flatnonzero(seed.x).tolist(), (seed, lams))
         candidates += grown
         best = _best_verified(problem, grown)
     if best is not None:
         return _solution(problem, *best, status, 1, 0)
 
-    feasible = [c for c in candidates if _feasible(problem, c[0])]
+    feasible = [c for c in candidates if c[0].violation <= FEASIBILITY_TOLERANCE]
     if not feasible:
         return _empty_vessel(problem, SolverStatus.ITERATION_LIMIT)
-    x, multipliers = max(feasible, key=lambda c: float(problem.objective @ c[0]))
-    report = _kkt_report(problem, x, *multipliers)
-    return _solution(problem, x, multipliers, report, SolverStatus.ITERATION_LIMIT, 1, 0)
+    point, multipliers = max(feasible, key=lambda c: float(problem.objective @ c[0].x))
+    report = _kkt_report(problem, point, *multipliers)
+    return _solution(problem, point.x, multipliers, report, SolverStatus.ITERATION_LIMIT, 1, 0)
 
 
 def kkt_verify(problem: Problem, solution) -> KktReport:
@@ -762,13 +763,12 @@ def kkt_verify(problem: Problem, solution) -> KktReport:
     ``satisfied`` flag carries the verdict.
     """
     x = problem.check_vector(solution.x if isinstance(solution, Solution) else solution)
-    return _kkt_report(problem, x, *_plan_multipliers(problem, solution, x))
+    point = _Loading(problem, x)
+    return _kkt_report(problem, point, *_plan_multipliers(problem, solution, point))
 
 
-def _plan_multipliers(
-    problem: Problem, solution, x: np.ndarray
-) -> tuple[float, float, float, np.ndarray]:
-    """(lam_C, lam_V, lam_S, nu) of a plan: a :class:`Solution`'s own, else recovered at ``x``."""
+def _plan_multipliers(problem: Problem, solution, point: _Loading) -> _Multipliers:
+    """(lam_C, lam_V, lam_S, nu) of a plan: a :class:`Solution`'s own, else recovered."""
     if isinstance(solution, Solution):
         return (
             solution.multiplier_deadweight,
@@ -776,7 +776,7 @@ def _plan_multipliers(
             solution.multiplier_stability,
             solution.multipliers_nonneg,
         )
-    return _recover_multipliers(problem, x)
+    return _recover_multipliers(problem, point)
 
 
 def mu_sensitivity(problem: Problem, solution: Solution) -> float:

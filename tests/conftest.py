@@ -200,9 +200,9 @@ def closed_form_optimum(problem):
     them before any exchange grows the latter.
     """
     face, lam_dw, lam_vol = solver._lp_optimum(problem)
-    x = solver._stable_point(problem, face)
-    if x is not None:
-        return float(problem.objective @ x), x, True, (lam_dw, lam_vol, 0.0)
+    point = solver._stable_point(problem, face)
+    if point is not None:
+        return float(problem.objective @ point.x), point.x, True, (lam_dw, lam_vol, 0.0)
     return solver._kkt_optimum(problem, len(face) <= 2)
 
 
@@ -224,8 +224,9 @@ def local_trap(problem):
     x, *lams = max(
         kkt_enumeration.support_points(units, [0]), key=lambda point: problem.objective @ point[0]
     )
-    multipliers = solver._closed_form_multipliers(problem, x, lams)
-    report = solver._kkt_report(problem, x, *multipliers)
+    point = solver._Loading(problem, x)
+    multipliers = solver._closed_form_multipliers(problem, point, lams)
+    report = solver._kkt_report(problem, point, *multipliers)
     return solver._solution(problem, x, multipliers, report, SolverStatus.LOCAL_ONLY, 1, 0)
 
 

@@ -177,7 +177,7 @@ def _check_support(problem, support):
         loaded = x[on] != 0.0
         assert (np.abs(residual) <= 1e-9 * scale)[loaded].all(), (support, point)
         loads = np.maximum(x, 0.0)
-        violation = solver._violation(problem, loads, solver._slacks(problem, loads))
+        violation = solver._Loading(problem, loads).violation
         if x.min() >= -1e-10 * cap and violation <= 1e-10:
             feasible.append(point)
     return [pattern for pattern, _, _ in roots], feasible

@@ -1,5 +1,8 @@
 """Vessel/cargo data validation, problem assembly, and the stacking matrix."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -89,6 +92,18 @@ class TestStackingMatrix:
     def test_nonpositive_density_names_index(self):
         with pytest.raises(ValueError, match="index 1"):
             stacking_matrix(np.array([0.5, -1.0]))
+
+    @pytest.mark.parametrize(
+        "densities, message",
+        [
+            ([0.5, math.nan, -1.0], "density at index 1 must be positive, got nan"),
+            ([0.5, 0.7, math.inf, 0.0], "density at index 2 must be positive, got inf"),
+            ([-0.0, -math.inf], "density at index 0 must be positive, got -0.0"),
+        ],
+    )
+    def test_first_bad_density_is_named(self, densities, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            stacking_matrix(np.array(densities))
 
 
 class TestLoadingOrder:

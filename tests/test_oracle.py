@@ -27,7 +27,7 @@ from shipload import (
 from shipload import oracle
 from shipload.cli import load_bundled_scenario
 from shipload.oracle import certifies
-from shipload.solver import _slacks, _violation
+from shipload.solver import _Loading
 
 
 class TestLatticeSpec:
@@ -288,7 +288,7 @@ class TestDifferential:
             if not done:
                 continue
             complete += 1
-            assert _violation(problem, x, _slacks(problem, x)) <= 1e-9
+            assert _Loading(problem, x).violation <= 1e-9
             assert value == pytest.approx(float(problem.objective @ x), rel=1e-12)
             lattice = grid_search(problem, LatticeSpec(step))[1]
             assert value >= lattice - 1e-9 * max(1.0, abs(lattice))
@@ -500,7 +500,7 @@ class TestCertify:
             best_revenue = grid_search(problem, spec)[1]
             solution = solve(problem)
             worse = 0.9 * solution.x
-            assert _violation(problem, worse, _slacks(problem, worse)) <= 1e-6
+            assert _Loading(problem, worse).violation <= 1e-6
             for plan, value in ((solution, solution.revenue), (worse, problem.objective @ worse)):
                 verdict = certify(problem, plan, spec)
                 assert verdict == certifies(value, best_revenue)

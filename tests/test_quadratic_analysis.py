@@ -1,5 +1,8 @@
 """Congruence diagonalization and definiteness classification."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,17 @@ class TestClassifyConstraintMatrix:
     def test_nonpositive_density_rejected(self):
         with pytest.raises(ValueError, match="density"):
             classify_constraint_matrix(np.array([0.5, 0.0]), 1.0)
+
+    @pytest.mark.parametrize(
+        "densities, message",
+        [
+            ([0.5, math.inf, math.nan, -1.0], "density at index 2 must be positive, got nan"),
+            ([0.7, -0.0, 0.0], "density at index 1 must be positive, got -0.0"),
+        ],
+    )
+    def test_first_bad_density_is_named(self, densities, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            classify_constraint_matrix(np.array(densities), 1.0)
 
     def test_nonpositive_water_density_rejected(self):
         with pytest.raises(ValueError, match="water density"):

@@ -304,7 +304,7 @@ class TestStatuses:
             assert not solution.kkt.satisfied
             assert (solution.starts_used, solution.best_start_index) == (1, 0)
             assert solution.revenue == pytest.approx(reference.revenue, rel=1e-9)
-            assert solver._feasible(problem, solution.x)
+            assert solver._Loading(problem, solution.x).violation <= solver.FEASIBILITY_TOLERANCE
 
     def test_empty_vessel_when_no_candidate_is_feasible(self, twin, monkeypatch):
         # Every candidate sits on the stability boundary to rounding, which
@@ -368,15 +368,16 @@ class TestKktVerify:
             loads += [point[0] for point in kkt_enumeration.support_points(units, [i])]
             for x in loads:
                 taken = self._fitted(problem, x)
-                recovered = solver._recover_multipliers(problem, x)
+                point = solver._Loading(problem, x)
+                recovered = solver._recover_multipliers(problem, point)
                 with monkeypatch.context() as patch:
                     patch.setattr(solver, "_sign_feasible_fit", lambda *args: None)
-                    reference = solver._recover_multipliers(problem, x)
+                    reference = solver._recover_multipliers(problem, point)
                 rate = problem.objective.max()
                 assert recovered[:3] == pytest.approx(reference[:3], rel=1e-8, abs=1e-10 * rate)
                 assert recovered[3] == pytest.approx(reference[3], rel=1e-8, abs=1e-10 * rate)
-                report = solver._kkt_report(problem, x, *recovered)
-                assert report.satisfied == solver._kkt_report(problem, x, *reference).satisfied
+                report = solver._kkt_report(problem, point, *recovered)
+                assert report.satisfied == solver._kkt_report(problem, point, *reference).satisfied
                 fitted += taken
                 refused += not taken
                 verdicts.add(report.satisfied)
@@ -507,7 +508,7 @@ class TestAdversarialSeed:
         assert trap.x.tolist() == pytest.approx([35848.352646, 0.0, 0.0, 0.0], rel=1e-9)
         # An exchange started on the trap's support stays there: it prices out.
         (point,) = solver._exchange(problem, [0])
-        assert np.array_equal(point[0], trap.x)
+        assert np.array_equal(point[0].x, trap.x)
 
     def test_enumerated_start_escapes_the_trap(self, assemble_case):
         problem = assemble_case(4.0, order=LoadingOrder.reverse(), include_ballast=False)
@@ -553,10 +554,11 @@ class TestScaledLocalSolve:
         else:
             _, x, complete, lams = solver._kkt_optimum(problem, len(face) <= 2)
             assert complete
-            points = solver._exchange(problem, np.flatnonzero(x).tolist(), (x, lams))
+            start = solver._Loading(problem, x), lams
+            points = solver._exchange(problem, np.flatnonzero(x).tolist(), start)
         assert points
-        for x, _ in points:
-            assert solver._feasible(problem, x)
+        for point, _ in points:
+            assert point.violation <= solver.FEASIBILITY_TOLERANCE
         assert solve(problem).starts_used == 1
 
 
@@ -702,7 +704,7 @@ class TestKktSeed:
         assert problem.classification.evidence.diagonal[0] == 0.0
         self.assert_seed_is_the_optimum(problem)
         _, x, _, _ = closed_form_optimum(problem)
-        deadweight, volume, _ = solver._slacks(problem, x)
+        deadweight, volume, _ = solver._Loading(problem, x).slacks
         assert x[problem.ballast_index] > 3000.0
         assert deadweight > 800.0 and abs(volume) <= 1e-9 * problem.volume_cap
 
@@ -733,7 +735,7 @@ class TestKktSeed:
         """A complete closed form that no lattice point beats, returned in one start."""
         value, x, complete, _ = closed_form_optimum(problem)
         assert complete
-        assert solver._violation(problem, x, solver._slacks(problem, x)) <= 1e-9
+        assert solver._Loading(problem, x).violation <= 1e-9
         levels = {1: 40, 2: 30, 3: 16, 4: 10, 5: 7}.get(problem.n, 5)
         lattice = grid_search(problem, LatticeSpec(problem.deadweight_cap / levels))[1]
         assert value >= lattice - 1e-9 * max(1.0, abs(lattice))
@@ -827,7 +829,7 @@ class TestClosedForm:
         problem, floor = pinned_stacks()["tied-face"]
         face, _, _ = solver._lp_optimum(problem)
         assert len(face) == 2
-        assert solver._violation(problem, face[0], solver._slacks(problem, face[0])) > 1e-9
+        assert solver._Loading(problem, face[0]).violation > 1e-9
         calls = _count_enumerations(monkeypatch)
         solution = solve(problem)
         assert calls == []
@@ -904,7 +906,7 @@ class TestClosedForm:
         hypothesis.assume(convex or closed_form_optimum(problem)[2])
         solution = solve(problem)
         x = _slsqp_reference(problem, rng.dirichlet(np.full(problem.n, 0.4)) * rng.uniform())
-        if solver._feasible(problem, x):
+        if solver._Loading(problem, x).violation <= solver.FEASIBILITY_TOLERANCE:
             reached = float(problem.objective @ x)
             assert reached <= solution.revenue + 1e-6 * max(1.0, abs(solution.revenue))
 
@@ -936,7 +938,7 @@ def _slsqp_reference(problem, z0):
     from scipy.optimize import minimize
 
     cap = problem.deadweight_cap
-    scales = np.array(solver._constraint_scales(problem))
+    scales = np.array([cap, problem.volume_cap, max(1.0, abs(problem.rhs))])
     rate = float(problem.objective.max()) or 1.0
     linear = np.vstack([np.ones(problem.n), problem.volume_coeffs])
     quad = problem.quad_matrix * problem.quad_scale * cap
