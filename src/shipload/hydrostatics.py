@@ -80,22 +80,20 @@ def keel_to_metacenter(vessel: Vessel, draft: float) -> float:
     return vessel.beam**2 / (12.0 * draft) + draft / 2.0
 
 
-def _mass_moment(problem: Problem, x: np.ndarray) -> float:
+def _center_of_mass(problem: Problem, x: np.ndarray, total: float) -> float:
+    """KG of loads that ``check_vector`` has converted, ``total`` being their sum."""
+    if np.any(x < 0):
+        raise ValueError("loading vector has a negative entry")
+    vessel = problem.vessel
     # Vertical moment of the cargo stack about the keel: x'Wx / (2 B L).
-    w = _stacking(problem.volume_coeffs)
-    return float(x @ w @ x) / (2.0 * problem.vessel.waterplane_area)
+    moment = float(x @ _stacking(problem.volume_coeffs) @ x) / (2.0 * vessel.waterplane_area)
+    return (vessel.light_kg * vessel.light_mass + moment) / (total + vessel.light_mass)
 
 
 def center_of_mass(problem: Problem, x) -> float:
     """Height KG of the loaded vessel's center of mass above the keel."""
     arr = problem.check_vector(x)
-    if np.any(arr < 0):
-        raise ValueError("loading vector has a negative entry")
-    vessel = problem.vessel
-    total = float(arr.sum())
-    return (vessel.light_kg * vessel.light_mass + _mass_moment(problem, arr)) / (
-        total + vessel.light_mass
-    )
+    return _center_of_mass(problem, arr, float(arr.sum()))
 
 
 def hydro_state(problem: Problem, x) -> HydroState:
@@ -105,7 +103,7 @@ def hydro_state(problem: Problem, x) -> HydroState:
     t = draft(problem.vessel, problem.environment, total)
     kb = t / 2.0
     bm = problem.vessel.beam**2 / (12.0 * t)
-    kg = center_of_mass(problem, arr)
+    kg = _center_of_mass(problem, arr, total)
     return HydroState(
         draft=t,
         keel_to_buoyancy=kb,

@@ -31,26 +31,18 @@ binding flags and ``certify``'s feasibility test all read that one
 evaluation.
 
 Lagrange multipliers of a raw loading, which comes with none, are
-recovered from its active set by nonnegative least squares, whose
+recovered from its active set by nonnegative least squares (NNLS), whose
 minimum is the plain least-squares fit wherever that fit is determined
-and nonnegative.  Nothing here imports the ``scipy.optimize`` package,
-whose import costs most of a CLI process: the compiled extension that
-holds the Lawson-Hanson NNLS routine is loaded straight from SciPy's
-package directory on first use, which neither a closed-form answer nor
-such a fit reaches, and registered under its own module name, so a later
-``import scipy.optimize`` shares it.
+and nonnegative.  Both fits are computed here in scalar arithmetic, with
+no SciPy and no LAPACK call.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import importlib.machinery
-import importlib.util
 import math
 import operator
-import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,50 +69,17 @@ __all__ = [
 FEASIBILITY_TOLERANCE = 1e-8
 KKT_TOLERANCE = 1e-6
 
-_KERNEL_MODULE = "scipy.optimize._slsqplib"
 # Relative slack of solve_lp's revenue and dual tests (see its tie rule),
 # of the distinctness of its tied vertices, and of the stability test of
 # the relaxation's optimal face in solve.
 _LP_TOLERANCE = 1e-9
+# NNLS raises RuntimeError at this many steps per column, as scipy.optimize.nnls does.
+_NNLS_STEPS_PER_COLUMN = 3
 # Most steps of the support exchange are 2 n plus this many.  The measured
 # convex answers took at most 3.
 _EXCHANGE_EXTRA_STEPS = 6
 # (lam_C, lam_V, lam_S, nu) of a point.
 _Multipliers = tuple[float, float, float, np.ndarray]
-
-
-def _slsqplib():
-    """SciPy's compiled extension that holds the NNLS routine, without importing ``scipy.optimize``.
-
-    The extension file is found through the ``scipy`` package's import
-    spec, which does not import SciPy, and loaded on its own.  It is
-    registered in ``sys.modules`` under its own name, so a later
-    ``import scipy.optimize`` reuses this module object, and a process
-    that already imported it gets the same object back.  The package
-    imported later has no ``_slsqplib`` attribute, since only an import
-    of the submodule itself would set it; ``import
-    scipy.optimize._slsqplib`` still finds the module.
-    """
-    module = sys.modules.get(_KERNEL_MODULE)
-    if module is not None:
-        return module
-    spec = importlib.util.find_spec("scipy")
-    folders = spec.submodule_search_locations if spec is not None else None
-    for folder in folders or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(folder, "optimize", "_slsqplib" + suffix)
-            if os.path.isfile(path):
-                loader = importlib.machinery.ExtensionFileLoader(_KERNEL_MODULE, path)
-                module = importlib.util.module_from_spec(
-                    importlib.util.spec_from_file_location(_KERNEL_MODULE, path, loader=loader)
-                )
-                sys.modules[_KERNEL_MODULE] = module
-                loader.exec_module(module)
-                return module
-    raise ImportError(
-        f"{_KERNEL_MODULE} not found: shipload needs SciPy >= 1.16, whose compiled "
-        "NNLS routine it calls"
-    )
 
 
 class SolverStatus(enum.Enum):
@@ -241,45 +200,26 @@ def _recover_multipliers(problem: Problem, point: _Loading) -> _Multipliers:
 
     Stationarity at a KKT point reads p = lam_C*1 + lam_V*(1/d) +
     lam_S*grad_g(x) - nu with every multiplier nonnegative and inactive
-    ones zero.  Collecting the active constraint gradients as columns turns
-    that into a nonnegative least-squares fit for the objective vector.
-    The columns of nu are unit vectors, one per empty cargo, so when the
-    plain least-squares fit of the active gradients to the rates of the
-    loaded cargoes determines lam, has lam >= 0, and leaves
-    nu_i = (G lam - p)_i >= 0 on every empty one, that point zeroes every
-    gradient of the nonnegative fit and is its only minimum.  Otherwise the
-    compiled routine behind ``scipy.optimize.nnls`` solves it, with that
-    function's input checks and its default of 3 * columns iterations.
+    ones zero: a nonnegative least-squares fit of the rates by the active
+    gradients and one unit column per empty cargo.  When the plain fit of
+    the loaded cargoes' rates determines lam >= 0 and leaves nu_i =
+    (G lam - p)_i >= 0 on every empty one, it zeroes every gradient of the
+    nonnegative fit and is its only minimum; otherwise :func:`_nnls` runs.
     """
-    n = problem.n
     *binding, at_zero = _active(problem, point)
-    gradients = (np.ones(n), problem.volume_coeffs, point.gradient)
+    gradients = (np.ones(problem.n), problem.volume_coeffs, point.gradient)
     active = [k for k, on in enumerate(binding) if on]
-    zero = at_zero.nonzero()[0]
-
+    columns = [gradients[k] for k in active]
+    # The rates are finite, and so is the gradient of a binding constraint.
+    fit = None
+    if active:
+        fit = _sign_feasible_fit(np.column_stack(columns), problem.objective, at_zero)
+    fit = fit or _nnls(columns, problem.objective, at_zero)
     lam = [0.0, 0.0, 0.0]
-    nu = np.zeros(n)
-    if active or zero.size:
-        fit = None
-        if active:
-            # The rates are finite, and so is the gradient of a binding constraint.
-            dense = np.column_stack([gradients[k] for k in active])
-            fit = _sign_feasible_fit(dense, problem.objective, at_zero)
-        if fit is None:
-            units = np.zeros((n, zero.size))
-            units[zero, np.arange(zero.size)] = -1.0
-            columns = np.asarray_chkfinite(
-                np.column_stack([*(gradients[k] for k in active), units]),
-                dtype=np.float64, order="C",
-            )
-            rates = np.asarray_chkfinite(problem.objective, dtype=np.float64)
-            coef, _, info = _slsqplib().nnls(columns, rates, 3 * columns.shape[1])
-            if info == 3:
-                raise RuntimeError("Maximum number of iterations reached.")
-            fit = coef[: len(active)], coef[len(active):]
-        for k, value in zip(active, fit[0]):
-            lam[k] = float(value)
-        nu[zero] = fit[1]
+    for k, value in zip(active, fit[0]):
+        lam[k] = float(value)
+    nu = np.zeros(problem.n)
+    nu[at_zero] = fit[1]
     return (*lam, nu)
 
 
@@ -288,23 +228,32 @@ def _sign_feasible_fit(
 ) -> tuple[list[float], np.ndarray] | None:
     """(lam, nu) of the plain least-squares fit on the loaded cargoes, or None.
 
-    None, and the nonnegative fit runs, when no cargo is loaded, when the
-    loaded cargoes leave the multipliers undetermined, or when one of them
-    comes out negative.  The fit is modified Gram-Schmidt on the active
-    gradients of the loaded cargoes with their rates carried along as one
-    more column, which is backward stable for least squares (Bjorck, BIT 7,
-    1967).  It runs in scalar arithmetic: for at most three columns,
-    LAPACK's call overhead, and the 1 MB of its code that a first call
-    pages in, outweigh the work.  A gradient left with at most 1e-12 of the
-    largest one's norm counts as dependent on those before it.
+    None when no cargo is loaded, when the loaded cargoes leave the
+    multipliers undetermined, or when one of them comes out negative.
     """
     loaded = ~at_zero
     if not loaded.any():
         return None
-    columns = gradients[loaded].T.tolist()
-    b = rates[loaded].tolist()
+    lam = _least_squares(gradients[loaded].T.tolist(), rates[loaded].tolist())
+    if lam is None:
+        return None
+    nu = gradients[at_zero] @ lam - rates[at_zero]
+    if min(lam) < 0.0 or nu.min(initial=0.0) < 0.0:
+        return None
+    return lam, nu
+
+
+def _least_squares(columns: list[list[float]], b: list[float]) -> list[float] | None:
+    """The coefficients of the least-squares fit of ``b`` by ``columns``; None if dependent.
+
+    Modified Gram-Schmidt with ``b`` carried along, which is backward stable
+    for least squares (Bjorck, BIT 7, 1967), in scalar arithmetic: for at
+    most three columns LAPACK's call overhead, and the 1 MB of its code that
+    a first call pages in, outweigh the work.  A column left with at most
+    1e-12 of the largest one's norm is dependent.  ``columns`` is overwritten.
+    """
     k = len(columns)
-    floor = 1e-12 * max(math.hypot(*column) for column in columns)
+    floor = 1e-12 * max((math.hypot(*column) for column in columns), default=0.0)
     r = [[0.0] * k for _ in range(k)]
     qtb = [0.0] * k
     for j in range(k):
@@ -321,10 +270,62 @@ def _sign_feasible_fit(
     lam = [0.0] * k
     for j in reversed(range(k)):
         lam[j] = (qtb[j] - sum(r[j][col] * lam[col] for col in range(j + 1, k))) / r[j][j]
-    nu = gradients[at_zero] @ lam - rates[at_zero]
-    if min(lam) < 0.0 or nu.min(initial=0.0) < 0.0:
-        return None
-    return lam, nu
+    return lam
+
+
+def _nnls(
+    gradients: list[np.ndarray], rates: np.ndarray, at_zero: np.ndarray
+) -> tuple[list[float], list[float]]:
+    """(lam, nu) >= 0 that minimize |G lam - E nu - p|, by Lawson and Hanson's active set.
+
+    G holds ``gradients`` as columns and E the unit columns of the cargoes
+    ``at_zero`` (Solving Least Squares Problems, 1974, ch. 23).  A unit
+    column in the passive set only frees its cargo's row, so every fit is
+    :func:`_least_squares` of at most three gradients on the other rows.
+    Like ``scipy.optimize.nnls``, it counts each pass of the inner loop as
+    a step and raises RuntimeError at ``_NNLS_STEPS_PER_COLUMN`` per column.
+    """
+    columns, p = [g.tolist() for g in gradients], rates.tolist()
+    k, zero = len(columns), at_zero.nonzero()[0].tolist()
+
+    def fit(passive):
+        # Gradient a is variable a, and cargo i's unit column variable k + i.
+        freed = {v - k for v in passive if v >= k}
+        kept = [i for i in range(len(p)) if i not in freed]
+        used = sorted(v for v in passive if v < k)
+        lam = _least_squares([[columns[a][i] for i in kept] for a in used], [p[i] for i in kept])
+        if lam is None:
+            return None
+        z = dict(zip(used, lam))
+        return z | {k + i: sum(columns[a][i] * z[a] for a in used) - p[i] for i in freed}
+
+    x, steps = {}, 0
+    while True:
+        # p - G lam + E nu, the residual that the duals price.
+        residual = [b + x.get(k + i, 0.0) for i, b in enumerate(p)]
+        for a in [v for v in x if v < k]:
+            residual = [r - x[a] * g for r, g in zip(residual, columns[a])]
+        duals = [(sum(map(operator.mul, columns[a], residual)), a) for a in range(k) if a not in x]
+        duals += [(-residual[i], k + i) for i in zero if k + i not in x]
+        # Of the positive duals, the largest whose column fits with a positive coefficient joins.
+        ranked = [t for dual, t in sorted(duals, key=lambda item: -item[0]) if dual > 0.0]
+        trials = ((t, fit([*x, t])) for t in ranked)
+        t, z = next(((t, z) for t, z in trials if z is not None and z[t] > 0.0), (None, None))
+        if z is None:
+            return [x.get(a, 0.0) for a in range(k)], [x.get(k + i, 0.0) for i in zero]
+        x[t] = 0.0
+        # Move toward the fit as far as the signs allow; what reaches 0 leaves.
+        while True:
+            steps += 1
+            if steps >= _NNLS_STEPS_PER_COLUMN * (k + len(zero)):
+                raise RuntimeError("Maximum number of iterations reached.")
+            if all(value > 0.0 for value in z.values()):
+                break
+            alpha, first = min((x[v] / (x[v] - z[v]), v) for v in x if z[v] <= 0.0)
+            x = {v: x[v] + alpha * (z[v] - x[v]) for v in x if v != first}
+            x = {v: value for v, value in x.items() if value > 0.0}
+            z = fit(x)
+        x = z
 
 
 def _kkt_report(

@@ -235,3 +235,17 @@ def package_env():
     package_parent = str(Path(shipload.__file__).resolve().parent.parent)
     pythonpath = filter(None, [package_parent, os.environ.get("PYTHONPATH")])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+
+
+def scipy_nnls(gradients, rates, at_zero):
+    """(lam, nu, residual norm) of the multiplier fit by ``scipy.optimize.nnls``.
+
+    The columns are ``gradients``, then -e_i for every cargo ``at_zero``:
+    the fit that ``solver._nnls`` solves, under its limit of 3 * columns
+    iterations.  There must be a column; SciPy 1.17 crashes without one.
+    """
+    from scipy.optimize import nnls
+
+    columns = np.column_stack([*gradients, -np.eye(rates.size)[:, at_zero]])
+    coef, rnorm = nnls(columns, rates, maxiter=3 * columns.shape[1])
+    return coef[: len(gradients)], coef[len(gradients):], rnorm

@@ -530,9 +530,32 @@ class TestConsoleScript:
 
 
 class TestLazyScipyImport:
-    """No command and no library call imports the scipy.optimize package."""
+    """No command and no library call imports SciPy, and all of them run without it."""
 
-    UNLOADED = "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+    UNLOADED = (
+        "assert not [name for name in sys.modules if name.partition('.')[0] == 'scipy'], "
+        "'scipy was imported'\n"
+    )
+    TWO_CARGOES = (
+        "import numpy as np\n"
+        "from shipload import *\n"
+        "problem = assemble_problem(\n"
+        "    Vessel(200.0, 25.0, 45000.0, 120000.0, 15000.0, 2.0), Environment(),\n"
+        "    StabilityPolicy(4.0), (CargoType('type1', 0.8, 4.5), CargoType('type4', 0.45, 5.5)),\n"
+        "    LoadingOrder.reverse(), True,\n"
+        ")\n"
+    )
+    # type1 alone at the deadweight cap: the plain fit prices type4 below
+    # its rate, a negative nu, so the nonnegative fit runs, once.
+    NNLS_KKT = (
+        "from shipload import solver\n"
+        "calls = []\n"
+        "nnls = solver._nnls\n"
+        "solver._nnls = lambda *args: calls.append(args) or nnls(*args)\n"
+        "x = np.where(np.array(problem.labels) == 'type1', problem.deadweight_cap, 0.0)\n"
+        "assert not kkt_verify(problem, x).satisfied\n"
+        "assert len(calls) == 1, calls\n"
+    )
 
     @classmethod
     def run(cls, code):
@@ -566,12 +589,9 @@ class TestLazyScipyImport:
         ids=["lp", "solve-normal", "solve-reverse", "oracle", "sensitivity-reverse"],
     )
     def test_command_leaves_scipy_optimize_unloaded(self, argv, code):
-        # The case-study solves answer in closed form, so SciPy's compiled
-        # SLSQP/NNLS extension, some 2.5 MB resident, stays unloaded too.
         result = self.run(
             "import shipload.cli\n"
             f"assert shipload.cli.main({argv!r} + ['--format', 'json']) == {code}\n"
-            "assert 'scipy.optimize._slsqplib' not in sys.modules, '_slsqplib was loaded'\n"
         )
         assert json.loads(result.stdout)["command"] == argv[0]
 
@@ -579,15 +599,13 @@ class TestLazyScipyImport:
     @pytest.mark.parametrize("order", ["normal", "reverse"])
     def test_case_study_leaves_numpy_random_unloaded(self, command, order):
         # Importing numpy.random costs some 5 MB of resident memory, and
-        # SciPy's compiled NNLS extension some 2.5 MB; nothing on these
-        # paths needs either.
+        # nothing on these paths needs it.
         argv = [command, "clarkson3500.json", "--order", order, "--format", "json"]
         result = self.run(
             "import shipload.cli\n"
             f"code = shipload.cli.main({argv!r})\n"
             "assert code in (0, 2), code\n"
             "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
-            "assert 'scipy.optimize._slsqplib' not in sys.modules, '_slsqplib was loaded'\n"
         )
         assert json.loads(result.stdout)["command"] == command
 
@@ -611,24 +629,39 @@ class TestLazyScipyImport:
 
     def test_library_solve_and_raw_vector_kkt(self):
         self.run(
-            "import numpy as np\n"
-            "from shipload import *\n"
-            "problem = assemble_problem(\n"
-            "    Vessel(200.0, 25.0, 45000.0, 120000.0, 15000.0, 2.0), Environment(),\n"
-            "    StabilityPolicy(4.0), (CargoType('type1', 0.8, 4.5), CargoType('type4', 0.45, 5.5)),\n"
-            "    LoadingOrder.reverse(), True,\n"
-            ")\n"
-            "solution = solve(problem)\n"
+            self.TWO_CARGOES
+            + "solution = solve(problem)\n"
             "assert solution.status is SolverStatus.LOCAL_ONLY\n"
             "assert kkt_verify(problem, solution).satisfied\n"
-            "assert 'scipy.optimize._slsqplib' not in sys.modules, '_slsqplib was loaded'\n"
             "# Raw loads come without multipliers: at a KKT point the plain\n"
             "# least-squares fit recovers them, with no NNLS.\n"
             "assert kkt_verify(problem, np.array(solution.x)).satisfied\n"
-            "assert 'scipy.optimize._slsqplib' not in sys.modules, '_slsqplib was loaded'\n"
-            "# type1 alone at the deadweight cap: the fit prices type4 below its\n"
-            "# rate, a negative nu, so NNLS runs.\n"
-            "x = np.where(np.array(problem.labels) == 'type1', problem.deadweight_cap, 0.0)\n"
-            "assert not kkt_verify(problem, x).satisfied\n"
-            "assert 'scipy.optimize._slsqplib' in sys.modules\n"
+            + self.NNLS_KKT
+        )
+
+    def test_commands_and_nnls_run_with_scipy_blocked(self):
+        # A finder ahead of all others refuses scipy and every submodule, as
+        # an environment without SciPy would.
+        self.run(
+            "class NoScipy:\n"
+            "    @staticmethod\n"
+            "    def find_spec(name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'scipy':\n"
+            "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+            "sys.meta_path.insert(0, NoScipy)\n"
+            "try:\n"
+            "    import scipy.optimize\n"
+            "except ModuleNotFoundError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('scipy was not blocked')\n"
+            "import shipload.cli\n"
+            "for scenario in ('clarkson3500.json', 'coastal_feeder.json'):\n"
+            "    for order in ('normal', 'reverse'):\n"
+            "        for command in ('classify', 'lp', 'solve', 'oracle', 'sensitivity'):\n"
+            "            argv = [command, scenario, '--order', order, '--format', 'json']\n"
+            "            local = order == 'reverse' and command in ('solve', 'sensitivity')\n"
+            "            assert shipload.cli.main(argv) == (2 if local else 0), argv\n"
+            + self.TWO_CARGOES
+            + self.NNLS_KKT
         )

@@ -115,6 +115,20 @@ class TestHydroState:
         assert a.keel_to_metacenter == pytest.approx(b.keel_to_metacenter, rel=1e-14)
         assert a.keel_to_mass != b.keel_to_mass
 
+    def test_validates_the_loads_once(self, assemble_case, monkeypatch):
+        problem = assemble_case(4.0)
+        calls = []
+        check = type(problem).check_vector
+        monkeypatch.setattr(
+            type(problem), "check_vector", lambda self, x: calls.append(x) or check(self, x)
+        )
+        state = hydro_state(problem, CASE1_LOADS)
+        assert len(calls) == 1
+        assert state.keel_to_mass == center_of_mass(problem, CASE1_LOADS)
+        # A negative load is refused even where the total is not negative.
+        with pytest.raises(ValueError, match="negative entry"):
+            hydro_state(problem, np.array([-1.0, 2.0, 0.0, 0.0, 0.0]))
+
 
 class TestConstraintSlack:
     def test_case1_binding_after_rounding(self, assemble_case):

@@ -1,5 +1,6 @@
 """LP baseline, closed-form quadratically constrained solves, and KKT checks."""
 
+import dataclasses
 import logging
 import subprocess
 import sys
@@ -38,6 +39,7 @@ from conftest import (
     package_env,
     pinned_stack_inputs,
     pinned_stacks,
+    scipy_nnls,
 )
 
 
@@ -339,7 +341,7 @@ class TestKktVerify:
         report = kkt_verify(problem, np.asarray(solution.x))
         assert report.satisfied
 
-    def test_least_squares_fit_matches_nnls(self, monkeypatch):
+    def test_least_squares_fit_matches_nnls(self):
         """Where the plain fit is taken it is the NNLS minimum: same multipliers, same verdict."""
         rng = np.random.default_rng(71)
         orders = (LoadingOrder.normal(), LoadingOrder.reverse(), "explicit")
@@ -370,9 +372,9 @@ class TestKktVerify:
                 taken = self._fitted(problem, x)
                 point = solver._Loading(problem, x)
                 recovered = solver._recover_multipliers(problem, point)
-                with monkeypatch.context() as patch:
-                    patch.setattr(solver, "_sign_feasible_fit", lambda *args: None)
-                    reference = solver._recover_multipliers(problem, point)
+                binding, gradients, at_zero = _nnls_system(problem, point)
+                fit = scipy_nnls(gradients, problem.objective, at_zero)[:2]
+                reference = _full_multipliers(binding, *fit, at_zero)
                 rate = problem.objective.max()
                 assert recovered[:3] == pytest.approx(reference[:3], rel=1e-8, abs=1e-10 * rate)
                 assert recovered[3] == pytest.approx(reference[3], rel=1e-8, abs=1e-10 * rate)
@@ -651,9 +653,9 @@ class TestKktSeed:
         assert solution.revenue == pytest.approx(449277.143373, rel=1e-9)
 
     def test_large_reverse_stacks_leave_numpy_random_unloaded(self):
-        # Importing numpy.random costs some 5 MB of resident memory, and
-        # SciPy's compiled NNLS extension some 2.5 MB; no solve here needs
-        # either.  The child builds the same problems from their inputs.
+        # Importing numpy.random costs some 5 MB of resident memory, and no
+        # solve here needs it, nor SciPy.  The child builds the same
+        # problems from their inputs.
         inputs = [arguments for arguments, _ in pinned_stack_inputs().values()]
         for n in (21, 41, 60):
             problem = large_reverse_stack(n)
@@ -668,7 +670,8 @@ class TestKktSeed:
             "    solution = solve(assemble_problem(*arguments))\n"
             "    assert solution.kkt.satisfied and solution.starts_used == 1\n"
             "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
-            "assert 'scipy.optimize._slsqplib' not in sys.modules, '_slsqplib was loaded'\n"
+            "assert not [name for name in sys.modules if name.partition('.')[0] == 'scipy'], "
+            "'scipy was imported'\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code],
@@ -1013,77 +1016,94 @@ class TestRateUnits:
         assert scaled.revenue == pytest.approx(1e3 * base.revenue, rel=1e-9)
 
 
-class TestKernelLoader:
-    """SciPy's compiled extension that holds NNLS, loaded without ``scipy.optimize``."""
+def _nnls_system(problem, point):
+    """The binding flags, the active gradients and the empty cargoes of the multiplier fit."""
+    *binding, at_zero = solver._active(problem, point)
+    every = (np.ones(problem.n), problem.volume_coeffs, point.gradient)
+    return binding, [g for g, on in zip(every, binding) if on], at_zero
 
-    def test_nnls_matches_public_wrapper(self, assemble_case, monkeypatch):
-        from scipy.optimize import nnls
 
-        kernel = solver._slsqplib()
-        systems = []
+def _full_multipliers(binding, lam, nu, at_zero):
+    """(lam_C, lam_V, lam_S, nu) from a fit's coefficients on the active columns."""
+    lam = iter(lam)
+    full = np.zeros(at_zero.size)
+    full[at_zero] = nu
+    return (*(float(next(lam)) if on else 0.0 for on in binding), full)
 
-        class Recording:
-            @staticmethod
-            def nnls(columns, rates, iterations):
-                systems.append((columns.copy(), rates.copy(), iterations))
-                return kernel.nnls(columns, rates, iterations)
 
-        monkeypatch.setattr(solver, "_slsqplib", lambda: Recording)
-        # Every fit goes to NNLS, also where the least-squares fit would do.
-        monkeypatch.setattr(solver, "_sign_feasible_fit", lambda *args: None)
-        problems = [
-            assemble_case(mu, order=order)
-            for order in (LoadingOrder.normal(), LoadingOrder.reverse())
-            for mu in (4.0, 6.0)
-        ]
-        rng = np.random.default_rng(61)
-        problems += [draw_random_problem(rng, sizes=(1, 9)) for _ in range(20)]
-        for problem in problems:
-            kkt_verify(problem, np.array(solve(problem).x))
-        assert len(systems) == len(problems)  # the kkt_verify of each answer's loads
-        for columns, rates, iterations in systems:
-            assert iterations == 3 * columns.shape[1]
-            coef, rnorm, info = kernel.nnls(columns, rates, iterations)
-            public_coef, public_rnorm = nnls(columns, rates)
-            assert info != 3
-            assert np.array_equal(coef, public_coef)
-            assert rnorm == public_rnorm
+class TestNnls:
+    """The Lawson-Hanson NNLS of multiplier recovery, against ``scipy.optimize.nnls``."""
 
-    def test_scipy_optimize_reuses_the_loaded_kernel(self):
-        code = (
-            "import sys\n"
-            "import numpy as np\n"
-            "from shipload import solver\n"
-            "kernel = solver._slsqplib()\n"
-            "assert 'scipy.optimize' not in sys.modules\n"
-            "import scipy.optimize\n"
-            "import scipy.optimize._slsqplib as imported\n"
-            "assert imported is kernel\n"
-            "x, residual = scipy.optimize.nnls(np.eye(2), np.array([1.0, -2.0]))\n"
-            "assert np.array_equal(x, [1.0, 0.0]) and residual == 2.0, (x, residual)\n"
-            "assert solver._slsqplib() is kernel\n"
+    def test_matches_scipy_nnls(self):
+        rng = np.random.default_rng(83)
+        orders = (LoadingOrder.normal(), LoadingOrder.reverse(), "explicit")
+        counts = dict.fromkeys(("loadings", "nonzero", "dependent", "no_gradient"), 0)
+        verdicts = set()
+        for draw in range(240):
+            drawn = draw_random_problem(
+                rng, sizes=(1, 13), orders=orders, room=(0.3, 2.0), degenerate=draw % 3 == 0
+            )
+            for problem, x in self._loadings(drawn, rng):
+                point = solver._Loading(problem, x)
+                binding, gradients, at_zero = _nnls_system(problem, point)
+                if not gradients and not at_zero.any():
+                    continue
+                p = problem.objective
+                lam, nu = solver._nnls(gradients, p, at_zero)
+                ref_lam, ref_nu, rnorm = scipy_nnls(gradients, p, at_zero)
+                columns = np.column_stack([*gradients, -np.eye(problem.n)[:, at_zero]])
+                coef, reference = np.array([*lam, *nu]), np.concatenate([ref_lam, ref_nu])
+                scale = max(1.0, float(p.max()))
+                residual = np.linalg.norm(columns @ coef - p)
+                assert residual == pytest.approx(rnorm, rel=1e-10, abs=1e-10 * scale)
+                # The minimum is unique where the columns are independent.
+                dependent = np.linalg.matrix_rank(columns) < columns.shape[1]
+                if not dependent:
+                    assert np.abs(coef - reference).max() <= 1e-10 * scale, (draw, x)
+                reports = [
+                    solver._kkt_report(problem, point, *_full_multipliers(binding, *fit, at_zero))
+                    for fit in ((lam, nu), (ref_lam, ref_nu))
+                ]
+                assert reports[0].satisfied == reports[1].satisfied, (draw, x)
+                verdicts.add(reports[0].satisfied)
+                counts["loadings"] += 1
+                counts["nonzero"] += bool(reference.any())
+                counts["dependent"] += bool(dependent)
+                counts["no_gradient"] += not gradients
+        assert counts["loadings"] >= 1500 and counts["nonzero"] >= 400, counts
+        assert counts["dependent"] >= 100 and counts["no_gradient"] >= 100, counts
+        assert verdicts == {True, False}
+
+    @staticmethod
+    def _loadings(problem, rng):
+        """(problem, loads) pairs: answers, vertices, spreads, the empty vessel, one stacked cargo.
+
+        The last pair loads one cargo, and every cargo of its density, to
+        both caps of a copy of the problem whose hold those loads fill:
+        the deadweight and volume gradients are then dependent on the
+        loaded rows.
+        """
+        n, cap, v = problem.n, problem.deadweight_cap, problem.volume_coeffs
+        answer = np.array(solve(problem).x)
+        spread = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.5)
+        spread *= cap / max(spread.sum(), 1e-300)
+        loads = [answer, np.array(solve_lp(problem).x), spread, 0.5 * spread, np.zeros(n)]
+        loads.append(answer * (1.0 + 1e-9 * rng.standard_normal(n)))
+        i = int(rng.integers(n))
+        units = kkt_enumeration.scaled_units(problem)
+        loads += [point[0] for point in kkt_enumeration.support_points(units, [i])]
+        # A density that two cargoes share, where there is one.
+        values, counts = np.unique(v, return_counts=True)
+        i = int(np.flatnonzero(v == values[counts.argmax()])[0])
+        vessel = dataclasses.replace(problem.vessel, volume_capacity=cap * v[i])
+        filled = assemble_problem(
+            vessel, problem.environment, problem.policy, problem.cargoes,
+            LoadingOrder.explicit(range(n)), False,
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env=package_env(),
-        )
-        assert result.returncode == 0, result.stderr
-
-    def test_missing_extension_names_the_scipy_floor(self, monkeypatch):
-        monkeypatch.delitem(sys.modules, "scipy.optimize._slsqplib", raising=False)
-        monkeypatch.setattr(solver.importlib.util, "find_spec", lambda name: None)
-        with pytest.raises(ImportError, match=r"SciPy >= 1\.16"):
-            solver._slsqplib()
+        twins = (v == v[i]).astype(float)
+        return [(problem, x) for x in loads] + [(filled, twins * cap / twins.sum())]
 
     def test_raises_when_nnls_runs_out_of_iterations(self, assemble_case, monkeypatch):
-        class Exhausted:
-            @staticmethod
-            def nnls(columns, rates, iterations):
-                return np.zeros(columns.shape[1]), 0.0, 3
-
         problem = assemble_case(4.0)
         # The cheapest cargo alone at the deadweight cap: the least-squares
         # fit prices a dearer cargo below its rate, so NNLS must run.
@@ -1091,6 +1111,7 @@ class TestKernelLoader:
         x[np.argmin(np.where(problem.objective > 0.0, problem.objective, np.inf))] = (
             problem.deadweight_cap
         )
-        monkeypatch.setattr(solver, "_slsqplib", lambda: Exhausted)
+        assert not kkt_verify(problem, x).satisfied
+        monkeypatch.setattr(solver, "_NNLS_STEPS_PER_COLUMN", 0)
         with pytest.raises(RuntimeError, match="Maximum number of iterations"):
             kkt_verify(problem, x)

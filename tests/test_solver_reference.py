@@ -24,7 +24,7 @@ from shipload import (
 )
 from shipload.solver import KktReport, stability_gradient
 
-from conftest import draw_random_problem
+from conftest import draw_random_problem, scipy_nnls
 
 ORDERS = (LoadingOrder.normal(), LoadingOrder.reverse(), "explicit")
 
@@ -91,15 +91,7 @@ def _reference_multipliers(problem, x):
             dense = np.asarray_chkfinite(np.column_stack([gradients[k] for k in active]))
             fit = solver._sign_feasible_fit(dense, rates, at_zero)
         if fit is None:
-            units = np.zeros((n, zero.size))
-            units[zero, np.arange(zero.size)] = -1.0
-            columns = np.asarray_chkfinite(
-                np.column_stack([*(gradients[k] for k in active), units]),
-                dtype=np.float64, order="C",
-            )
-            coef, _, info = solver._slsqplib().nnls(columns, rates, 3 * columns.shape[1])
-            assert info != 3
-            fit = coef[: len(active)], coef[len(active):]
+            fit = scipy_nnls([gradients[k] for k in active], rates, at_zero)[:2]
         for k, value in zip(active, fit[0]):
             lam[k] = float(value)
         nu[zero] = fit[1]
