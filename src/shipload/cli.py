@@ -34,7 +34,7 @@ from .model import (
     Vessel,
     assemble_problem,
 )
-from .oracle import LatticeSpec, certifies, grid_search
+from .oracle import LatticeSpec, _certify
 from .solver import (
     SolverStatus,
     active_set,
@@ -374,8 +374,8 @@ def _build_parser() -> _Parser:
         "--max-points",
         type=int,
         default=LatticeSpec(1.0).max_points,
-        help="most lattice rows the search may build; past it the command "
-        "fails with exit code 1 and prints no report",
+        help="most lattice rows the bounded search may build, and most levels "
+        "per cargo; past it the command fails with exit code 1 and prints no report",
     )
     sensitivity = commands.add_parser(
         "sensitivity", help="compare the multiplier prediction against a re-solve"
@@ -493,7 +493,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
         _log.info("solving %s", name)
         solution = solve(problem)
         report = _solution_report("solve", name, scenario, problem, solution)
-        return report, _exit_code(solution.status, certified=None)
+        return report, _exit_code(solution.status)
 
     if args.command == "oracle":
         problem = _problem_from(scenario)
@@ -502,12 +502,11 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
         report = _solution_report("oracle", name, scenario, problem, solution)
         if solution.status is SolverStatus.INFEASIBLE:
             return report, 3
-        _log.info("enumerating the %s t lattice", args.step)
-        best_x, best_revenue, points = grid_search(problem, spec)
-        certified = certifies(solution.revenue, best_revenue)
+        _log.info("certifying against the %s t lattice", args.step)
+        certified, lattice_revenue, points = _certify(problem, solution, spec)
         report["certification"] = {
             "step": spec.step,
-            "lattice_revenue": None if best_x is None else best_revenue,
+            "lattice_revenue": lattice_revenue,
             "points_evaluated": points,
             "certified": certified,
         }
@@ -553,16 +552,12 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
             "actual_drop": actual,
             "relative_gap": abs(actual - predicted) / abs(actual) if actual else None,
         }
-        code = max(
-            _exit_code(base.status, certified=None),
-            _exit_code(second.status, certified=None),
-        )
-        return report, code
+        return report, max(_exit_code(base.status), _exit_code(second.status))
 
     raise ScenarioError(f"unknown command {args.command!r}")
 
 
-def _exit_code(status: SolverStatus, certified: bool | None) -> int:
+def _exit_code(status: SolverStatus, certified: bool | None = None) -> int:
     if status is SolverStatus.INFEASIBLE:
         return 3
     if status is SolverStatus.OPTIMAL:
@@ -574,16 +569,15 @@ def _exit_code(status: SolverStatus, certified: bool | None) -> int:
 # rendering
 
 
-_MASS_KEYS = ("total_load", "deadweight_cap", "load", "displacement")
-
-
 def _to_kilotons(report: dict) -> dict:
+    if "mass_unit" not in report:
+        return report
     scaled = json.loads(json.dumps(report))  # deep copy of plain data
     for load in scaled.get("loads", ()):
-        load["load"] = load["load"] / 1000.0
-    for key in _MASS_KEYS:
-        if key in scaled and isinstance(scaled[key], (int, float)):
-            scaled[key] = scaled[key] / 1000.0
+        load["load"] /= 1000.0
+    for key in ("total_load", "deadweight_cap", "displacement"):
+        if key in scaled:
+            scaled[key] /= 1000.0
     scaled["mass_unit"] = "kt"
     return scaled
 
@@ -633,10 +627,6 @@ def _flatten(report: dict) -> list[tuple[str, object]]:
 
     walk("", report)
     return rows
-
-
-def _render_json(report: dict) -> str:
-    return json.dumps(report, indent=2)
 
 
 def _render_csv(report: dict) -> str:
@@ -692,7 +682,7 @@ def render_report(report: dict, fmt: str, kilotons: bool = False) -> str:
     if kilotons:
         report = _to_kilotons(report)
     if fmt == "json":
-        return _render_json(report)
+        return json.dumps(report, indent=2)
     if fmt == "csv":
         return _render_csv(report)
     return _render_table(report)

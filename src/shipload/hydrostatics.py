@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Environment, Problem, Vessel, _stacking
+from .model import Environment, Problem, Vessel
 
 __all__ = [
     "HydroState",
@@ -80,30 +80,28 @@ def keel_to_metacenter(vessel: Vessel, draft: float) -> float:
     return vessel.beam**2 / (12.0 * draft) + draft / 2.0
 
 
-def _center_of_mass(problem: Problem, x: np.ndarray, total: float) -> float:
-    """KG of loads that ``check_vector`` has converted, ``total`` being their sum."""
-    if np.any(x < 0):
-        raise ValueError("loading vector has a negative entry")
-    vessel = problem.vessel
-    # Vertical moment of the cargo stack about the keel: x'Wx / (2 B L).
-    moment = float(x @ _stacking(problem.volume_coeffs) @ x) / (2.0 * vessel.waterplane_area)
-    return (vessel.light_kg * vessel.light_mass + moment) / (total + vessel.light_mass)
-
-
 def center_of_mass(problem: Problem, x) -> float:
     """Height KG of the loaded vessel's center of mass above the keel."""
-    arr = problem.check_vector(x)
-    return _center_of_mass(problem, arr, float(arr.sum()))
+    return hydro_state(problem, x).keel_to_mass
 
 
 def hydro_state(problem: Problem, x) -> HydroState:
     """Full upright-equilibrium state for the loading vector ``x``."""
     arr = problem.check_vector(x)
+    if np.any(arr < 0):
+        raise ValueError("loading vector has a negative entry")
+    vessel = problem.vessel
     total = float(arr.sum())
-    t = draft(problem.vessel, problem.environment, total)
+    t = draft(vessel, problem.environment, total)
     kb = t / 2.0
-    bm = problem.vessel.beam**2 / (12.0 * t)
-    kg = _center_of_mass(problem, arr, total)
+    bm = vessel.beam**2 / (12.0 * t)
+    # Stack moment about the keel, x'Wx / (2 B L), in O(n): W[i][j] = v[min(i, j)]
+    # for v = 1/d gives x'Wx = sum_k dv_k S_k^2, dv the steps of v, S the suffix sums.
+    suffix = np.cumsum(arr[::-1])[::-1]
+    steps = problem.volume_coeffs.copy()
+    steps[1:] -= problem.volume_coeffs[:-1]
+    moment = float(steps @ suffix**2) / (2.0 * vessel.waterplane_area)
+    kg = (vessel.light_kg * vessel.light_mass + moment) / (total + vessel.light_mass)
     return HydroState(
         draft=t,
         keel_to_buoyancy=kb,
@@ -111,7 +109,7 @@ def hydro_state(problem: Problem, x) -> HydroState:
         keel_to_metacenter=kb + bm,
         keel_to_mass=kg,
         metacentric_height=kb + bm - kg,
-        displacement_mass=total + problem.vessel.light_mass,
+        displacement_mass=total + vessel.light_mass,
     )
 
 

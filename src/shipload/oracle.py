@@ -45,7 +45,7 @@ import numpy as np
 from .model import Problem, revenue
 from .solver import Solution, _Loading, _plan_multipliers
 
-__all__ = ["LatticeSpec", "grid_search", "certifies", "certify"]
+__all__ = ["LatticeSpec", "grid_search", "certify"]
 
 # Relative slack of the certification rule, and the worst relative
 # constraint violation of a plan that can be certified.  Read when called,
@@ -286,9 +286,10 @@ def grid_search(
 
     If no lattice point is feasible (possible when the empty vessel fails
     the stability margin) the best point is ``None`` with revenue -inf.
-    Raises ``ValueError`` when ``above`` is NaN, and during the search when
-    the lattice rows it has built, prefixes and (prefix, u) rows alike,
-    exceed ``spec.max_points``.
+    Raises ``ValueError`` when ``above`` is NaN, before anything is built
+    when a coordinate has ``spec.max_points`` levels or more, and during
+    the search when the lattice rows it has built, prefixes and (prefix,
+    u) rows alike, exceed ``spec.max_points``.
     """
     above = float(above)
     if math.isnan(above):
@@ -296,6 +297,12 @@ def grid_search(
     n = problem.n
     cap = problem.deadweight_cap
     step = spec.step
+    # For n > 1 the root's children alone are levels + 1 rows.
+    if not cap / step < spec.max_points:
+        raise ValueError(
+            f"a step of {step} t gives more than {spec.max_points} lattice levels "
+            "per cargo; raise max_points or coarsen the step"
+        )
     levels = int(math.floor(cap / step + 1e-9))
     values = step * np.arange(levels + 1)
     p = problem.objective
@@ -466,7 +473,7 @@ def grid_search(
     return best_x, best_revenue, examined
 
 
-def certifies(value: float, best_revenue: float) -> bool:
+def _certifies(value: float, best_revenue: float) -> bool:
     """The certification rule: ``value`` is no worse than the lattice best.
 
     The comparison allows a relative slack of ``CERTIFY_TOLERANCE`` on
@@ -523,28 +530,32 @@ def certify(problem: Problem, solution, spec: LatticeSpec) -> bool:
 
     ``solution`` may be a :class:`Solution` or a raw loading vector.  A plan
     whose worst relative constraint violation exceeds ``CERTIFY_TOLERANCE``
-    is never certified.  Otherwise the verdict is :func:`certifies` on the
-    plan's revenue and the lattice best; a vacuously empty lattice
-    certifies trivially.  The rule is monotone in the best revenue, so it
-    is first applied to :func:`_lagrangian_bound` with the plan's
-    multipliers (a Solution's own, else recovered as :func:`kkt_verify`
-    does), which settles a convex plan in O(n).  Otherwise the search asks
-    only whether a point beats the plan: ``grid_search(problem, spec,
-    above=value)`` skips every subtree that cannot.  This is the library's certificate for a LocalOnly plan.
-    ``shipload oracle`` reports the lattice best itself, so it runs
-    :func:`grid_search` without a threshold and applies :func:`certifies`.
+    is never certified.  Otherwise the verdict is :func:`_certifies` on the
+    plan's revenue and the lattice best.  The rule is monotone in the best
+    revenue, so it is first applied to :func:`_lagrangian_bound` with the
+    plan's multipliers (a Solution's own, else recovered as
+    :func:`kkt_verify` does), which settles a convex plan in O(n).
+    Otherwise ``grid_search(problem, spec, above=value)`` asks only whether
+    a point beats the plan.  ``shipload oracle`` reports this decision
+    through :func:`_certify`.
     """
+    return _certify(problem, solution, spec)[0]
+
+
+def _certify(problem: Problem, solution, spec: LatticeSpec) -> tuple[bool, float | None, int]:
+    """:func:`certify`'s verdict, the lattice best if the search found one that beats
+    the plan (else None), and the points the search covered (0 if it did not run)."""
     x = problem.check_vector(solution.x if isinstance(solution, Solution) else solution)
     point = _Loading(problem, x)
     if not point.violation <= CERTIFY_TOLERANCE:
-        return False
+        return False, None, 0
     value = solution.revenue if isinstance(solution, Solution) else revenue(problem, x)
     try:
         multipliers = _plan_multipliers(problem, solution, point)
     except (RuntimeError, ValueError):
         pass  # the search needs no multipliers
     else:
-        if certifies(value, _lagrangian_bound(problem, x, multipliers)):
-            return True
-    _, best_revenue, _ = grid_search(problem, spec, above=value)
-    return certifies(value, best_revenue)
+        if _certifies(value, _lagrangian_bound(problem, x, multipliers)):
+            return True, None, 0
+    best_x, best_revenue, points = grid_search(problem, spec, above=value)
+    return _certifies(value, best_revenue), None if best_x is None else best_revenue, points

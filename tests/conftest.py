@@ -230,6 +230,11 @@ def local_trap(problem):
     return solver._solution(problem, x, multipliers, report, SolverStatus.LOCAL_ONLY, 1, 0)
 
 
+def refuse_search(*args, **kwargs):
+    """Stand-in for ``oracle.grid_search`` where the root bound must decide."""
+    raise AssertionError("certify searched the lattice")
+
+
 def package_env():
     """Environment for a fresh interpreter that imports the package under test."""
     package_parent = str(Path(shipload.__file__).resolve().parent.parent)

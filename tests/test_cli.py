@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 import shipload
-from shipload import LoadingOrder
+from shipload import (
+    Environment,
+    LatticeSpec,
+    LoadingOrder,
+    StabilityPolicy,
+    assemble_problem,
+    grid_search,
+    oracle,
+)
 from shipload.cli import (
     Scenario,
     ScenarioError,
@@ -23,7 +31,7 @@ from shipload.cli import (
     scenario_to_json,
 )
 
-from conftest import local_trap, package_env
+from conftest import local_trap, package_env, refuse_search
 
 
 def run_cli(capsys, *args):
@@ -241,6 +249,15 @@ class TestSolveCommand:
         assert float(b["total_load"]) == pytest.approx(float(a["total_load"]) / 1000.0)
         assert b["mass_unit"] == "kt"
 
+    def test_kilotons_leaves_a_report_without_masses_alone(self, capsys):
+        # classify reports densities and a diagonal, no mass to relabel.
+        _, plain, _ = run_cli(capsys, "classify", "coastal_feeder.json", "--format", "json")
+        _, scaled, _ = run_cli(
+            capsys, "classify", "coastal_feeder.json", "--format", "json", "--kilotons"
+        )
+        assert "mass_unit" not in json.loads(plain)
+        assert json.loads(scaled) == json.loads(plain)
+
     def test_explicit_order_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "solve", "clarkson3500.json", "--order", "perm=4,3,2,1", "--format", "csv"
@@ -297,6 +314,15 @@ class TestLpCommand:
         assert rows["stability_satisfied_at_vertex"] == "false"
 
 
+# The bundled scenarios with the margins their oracle rows run at; None
+# keeps the scenario's own.
+BUNDLED_MARGINS = [
+    ("coastal_feeder.json", None),
+    ("clarkson3500.json", 4.0),
+    ("clarkson3500.json", 6.0),
+]
+
+
 class TestOracleCommand:
     def test_certified_run(self, capsys):
         code, out, _ = run_cli(
@@ -305,7 +331,9 @@ class TestOracleCommand:
         assert code == 0
         rows = csv_rows(out)
         assert rows["certification.certified"] == "true"
-        assert float(rows["certification.lattice_revenue"]) <= float(rows["revenue"]) + 1e-6
+        # The root bound decides: no lattice point is searched or reported.
+        assert rows["certification.lattice_revenue"] == ""
+        assert rows["certification.points_evaluated"] == "0"
 
     def test_uncertified_local_trap(self, capsys, monkeypatch):
         # solve starts at the enumerated optimum, so the command is handed the trap.
@@ -329,7 +357,8 @@ class TestOracleCommand:
 
     def test_default_step_certifies_the_case_study(self, capsys):
         # The step-250 lattice of the n = 5 case study holds about 1.7e9
-        # points; branch and bound covers a sliver of it.
+        # points.  No point beats the plan's 226 331.04, and the search
+        # bounded by it prunes every subtree before its last coordinate.
         code, out, _ = run_cli(
             capsys, "oracle", "clarkson3500.json", "--mu", "4", "--order", "reverse",
             "--format", "json",
@@ -338,7 +367,59 @@ class TestOracleCommand:
         certification = json.loads(out)["certification"]
         assert certification["step"] == 250.0
         assert certification["certified"] is True
-        assert certification["lattice_revenue"] == 226275.0
+        assert certification["lattice_revenue"] is None
+        assert certification["points_evaluated"] == 0
+
+    @pytest.mark.parametrize("step", [250.0, 2000.0])
+    @pytest.mark.parametrize("order", ["normal", "reverse"])
+    @pytest.mark.parametrize(
+        "name, mu", BUNDLED_MARGINS, ids=["coastal", "clarkson-mu4", "clarkson-mu6"]
+    )
+    def test_verdict_is_the_rule_on_the_exhaustive_search(self, capsys, name, mu, order, step):
+        flags = ["--mu", str(mu)] if mu else []
+        code, out, _ = run_cli(
+            capsys, "oracle", name, *flags, "--order", order, "--step", str(step),
+            "--format", "json",
+        )
+        report = json.loads(out)
+        scenario = load_bundled_scenario(name)
+        problem = assemble_problem(
+            scenario.vessel, Environment(scenario.water_density),
+            StabilityPolicy(mu or scenario.mu), scenario.cargoes,
+            LoadingOrder.reverse() if order == "reverse" else LoadingOrder.normal(),
+            scenario.include_ballast,
+        )
+        best_revenue = grid_search(problem, LatticeSpec(step))[1]
+        expected = oracle._certifies(report["revenue"], best_revenue)
+        assert report["certification"]["certified"] is expected
+        assert code == (0 if expected else 2)
+        if best_revenue <= report["revenue"]:
+            assert report["certification"]["lattice_revenue"] is None
+
+    @pytest.mark.parametrize(
+        "name, mu", BUNDLED_MARGINS, ids=["coastal", "clarkson-mu4", "clarkson-mu6"]
+    )
+    def test_convex_rows_certify_without_a_search(self, capsys, monkeypatch, name, mu):
+        monkeypatch.setattr(oracle, "grid_search", refuse_search)
+        flags = ["--mu", str(mu)] if mu else []
+        code, out, _ = run_cli(capsys, "oracle", name, *flags, "--format", "json")
+        report = json.loads(out)
+        assert report["definiteness"] == "PositiveSemidefinite"
+        assert code == 0
+        assert report["certification"] == {
+            "step": 250.0, "lattice_revenue": None, "points_evaluated": 0, "certified": True
+        }
+
+    @pytest.mark.parametrize("step", ["1e-9", "5e-324"])
+    def test_fine_step_refused(self, capsys, step):
+        # The row reaches the search; a step this fine once crashed there.
+        code, out, err = run_cli(
+            capsys, "oracle", "clarkson3500.json", "--mu", "4", "--order", "reverse",
+            "--step", step,
+        )
+        assert code == 1
+        assert out == ""
+        assert f"error: a step of {float(step)} t gives more than 100000000 lattice levels" in err
 
     def test_row_cap_stops_the_search(self, capsys):
         code, out, err = run_cli(
@@ -473,7 +554,7 @@ class TestProgressLogging:
                 capsys, "oracle", "coastal_feeder.json", "--step", "50", "--format", "json"
             )
             assert code == 0
-            assert err == "enumerating the 50.0 t lattice\n"
+            assert err == "certifying against the 50.0 t lattice\n"
         assert (package.handlers, package.level) == (handlers, level)
 
     def test_module_entry_point_shows_progress(self):

@@ -6,7 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import closed_form_optimum, draw_nonneg_loading, draw_random_problem, local_trap
+from conftest import (
+    closed_form_optimum,
+    draw_nonneg_loading,
+    draw_random_problem,
+    local_trap,
+    refuse_search,
+)
 
 from shipload import (
     CargoType,
@@ -26,7 +32,6 @@ from shipload import (
 )
 from shipload import oracle
 from shipload.cli import load_bundled_scenario
-from shipload.oracle import certifies
 from shipload.solver import _Loading
 
 
@@ -178,10 +183,6 @@ def count_rows(monkeypatch):
         oracle, "_expand", lambda counts: built.append(int(counts.sum())) or expand(counts)
     )
     return built
-
-
-def refuse_search(*args, **kwargs):
-    raise AssertionError("certify searched the lattice")
 
 
 def count_searches(monkeypatch):
@@ -400,15 +401,41 @@ class TestGridSearch:
     def test_cap_counts_rows_not_covered_points(self, assemble_case, monkeypatch):
         # Above the plan's revenue the search covers almost no points but
         # builds many rows to rule the lattice out; the cap stops it all the
-        # same.
+        # same.  A cap below the 91 levels per cargo is refused up front.
         problem = assemble_case(4.0, order=LoadingOrder.reverse())
         plan = solve(problem).revenue
         built = count_rows(monkeypatch)
         points = grid_search(problem, LatticeSpec(500.0), above=plan)[2]
-        cap = max(points, 1)
+        cap = max(points, 91)
         assert cap < sum(built)
-        with pytest.raises(ValueError, match="lattice rows"):
+        with pytest.raises(ValueError, match=f"built more than {cap} lattice rows"):
             grid_search(problem, LatticeSpec(500.0, max_points=cap), above=plan)
+
+    @pytest.mark.parametrize("cargoes, ballast", [(1, False), (4, True)])
+    @pytest.mark.parametrize("step", [1e-7, 1e-9, 5e-324])
+    def test_fine_step_refused_before_the_search(
+        self, carrier, market, monkeypatch, cargoes, ballast, step
+    ):
+        # A step this fine once crashed with MemoryError or OverflowError
+        # while the lattice's level values were laid out.
+        problem = assemble_problem(
+            carrier, Environment(), StabilityPolicy(4.0), market[:cargoes],
+            LoadingOrder.reverse(), ballast,
+        )
+        built = count_rows(monkeypatch)
+        with pytest.raises(ValueError, match="more than 100000000 lattice levels per cargo"):
+            grid_search(problem, LatticeSpec(step))
+        assert built == []
+
+    def test_level_refusal_ends_where_the_row_cap_starts(self, assemble_case):
+        # A step of 500 t gives 91 levels: a cap of 90 refuses them up
+        # front, and a cap of 91 lets the search start and stop at its
+        # next row.
+        problem = assemble_case(4.0)
+        with pytest.raises(ValueError, match="lattice levels"):
+            grid_search(problem, LatticeSpec(500.0, max_points=90))
+        with pytest.raises(ValueError, match="built more than 91 lattice rows"):
+            grid_search(problem, LatticeSpec(500.0, max_points=91))
 
     def test_respects_custom_max_points(self, assemble_case):
         problem = assemble_case(4.0)
@@ -490,7 +517,8 @@ class TestCertify:
     def test_verdict_matches_the_exhaustive_search(self):
         # certify asks a bounded question; its verdict must be the rule's
         # verdict on the lattice best, for optimal plans and for plans the
-        # lattice beats.
+        # lattice beats, and the lattice best it reports for shipload
+        # oracle must be the exhaustive one whenever that beats the plan.
         rng = np.random.default_rng(99)
         verdicts = set()
         for _ in range(200):
@@ -503,7 +531,10 @@ class TestCertify:
             assert _Loading(problem, worse).violation <= 1e-6
             for plan, value in ((solution, solution.revenue), (worse, problem.objective @ worse)):
                 verdict = certify(problem, plan, spec)
-                assert verdict == certifies(value, best_revenue)
+                assert verdict == oracle._certifies(value, best_revenue)
+                assert oracle._certify(problem, plan, spec)[:2] == (
+                    verdict, best_revenue if best_revenue > value else None
+                )
                 verdicts.add(verdict)
         assert verdicts == {True, False}
 
@@ -523,7 +554,7 @@ class TestCertify:
         overloaded = np.full(problem.n, 1e6)
         assert certify(problem, overloaded, LatticeSpec(500.0)) is False
         # The rule on its own still certifies against an empty lattice.
-        assert certifies(0.0, -math.inf) is True
+        assert oracle._certifies(0.0, -math.inf) is True
 
 
 def root_bound_problems(carrier, market):
