@@ -123,14 +123,16 @@ winner.
 A root t > 0 carries the multipliers of its point: lam_S = 1 / (2 s t),
 lam_C = (c - b / (2 s)) / t and lam_V = w / t, which
 :func:`binding_optimum` returns for its winner.  :func:`support_points`
-solves the lines along which t moves for one support in scalar
-arithmetic; the solver's support exchange calls it.
+solves the lines along which t moves for one support in Python floats,
+each of its four patterns from three sums over the support's steps; the
+solver's support exchange calls it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -142,9 +144,9 @@ from .solver import relaxation_vertices
 # Most linear systems that one enumeration may solve, counted before the
 # incumbent prune: four constraint patterns per support, two for a support
 # of exactly K cargoes.  Reverse stacks of up to 43 cargoes fit; 41 cargoes
-# count 24 768 systems, of which the prune leaves a third to a half on
-# the benchmark's market stacks, at about 0.5 us each.  A larger
-# enumeration is truncated to smaller supports.
+# count 24 768 systems, of which the prune leaves 8 311 on the benchmark's
+# seed-1 market stack, at about 0.23 us each in the batch kernel (Xeon,
+# NumPy 2.4).  A larger enumeration is truncated to smaller supports.
 SYSTEM_BUDGET = 30_000
 # Supports per batch.  On the market n = 41 stack 512 beat 256, 1024 and 2048.
 CHUNK = 512
@@ -170,7 +172,7 @@ class Units(NamedTuple):
     V / (C max(v)).  In y the stability constraint reads
     qa y'Dy + qb y_1 <= r.  ``v``, ``p`` and ``generator`` are divided by
     their largest entries, and each has one more entry, 0, for the dummy
-    cargo n that pads a batch.
+    cargo n that pads a batch; ``columns`` holds the three as lists.
     """
 
     n: int
@@ -187,6 +189,7 @@ class Units(NamedTuple):
     v: np.ndarray
     p: np.ndarray
     generator: np.ndarray
+    columns: list[list[float]]
 
 
 def scaled_units(problem: Problem) -> Units:
@@ -217,6 +220,7 @@ def scaled_units(problem: Problem) -> Units:
         v=padded[0],
         p=padded[1],
         generator=padded[2],
+        columns=padded.tolist(),
     )
 
 
@@ -447,66 +451,67 @@ def _batch_rows(
 
 def support_points(
     units: Units, support: list[int]
-) -> list[tuple[np.ndarray, float, float, float]]:
+) -> list[tuple[list[float], float, float, float]]:
     """The points of one support where stationarity meets the stability boundary with t > 0.
 
     ``support`` lists cargo indices in stacking order.  Solves the rows
     that :func:`binding_optimum` solves, D y + c e_1 + w dv = t dp, for
-    each of the four patterns of the caps, one support at a time and in
-    scalar arithmetic: neighbours of equal density in the support are
-    merged first (:func:`_merge_twins`), and a pattern is skipped where
-    a row fixes t (D_1 = 0 with both caps slack, a volume row without w),
-    which only the batch rows solve, and where the stability quadratic
-    does not depend on t.  Returns (loads, lam_C, lam_V, lam_S) for every
-    root t > 0, whether or not the loads are feasible.
+    the four patterns of the caps in Python floats, once neighbours of
+    equal density are merged (:func:`_merge_twins`).  In every pattern the
+    slots i >= 2 give y_i = t u_i - w f_i with f = dv / D and u = dp / D,
+    which the volume row and the stability quadratic read through three
+    sums over them, Svv = dv.f, Svp = dv.u and Spp = dp.u; the bottom slot
+    adds its own terms.  So a support costs O(k) once and O(1) a pattern,
+    except where both caps bind: there w = Svp / Svv, and the leading
+    term Spp - Svp^2 / Svv, which would cancel, is summed as
+    (dp - w dv)^2 / D.  A pattern is skipped where a row fixes t (D_1 = 0
+    with both caps slack, a volume row without w), which only the batch
+    rows solve, and where stability does not depend on t.  Returns
+    (z, lam_C, lam_V, lam_S) for every root t > 0, feasible or not, with
+    z the loads over C in the order of ``support``.
     """
-    g = units.generator[support]
-    steps = g.copy()
-    steps[1:] -= g[:-1]
-    positions, merged = _merge_twins(steps, units.p[support])
+    v, p, g = units.columns
+    steps = [g[support[0]]] + [g[j] - g[i] for i, j in zip(support, support[1:])]
+    positions, (d0, *d) = _merge_twins(steps, [p[i] for i in support])
     cargoes = [support[i] for i in positions]
-    d = merged.tolist()
-    v = units.v[cargoes].tolist()
-    p = units.p[cargoes].tolist()
-    k = len(cargoes)
-    dv = [v[0]] + [v[i] - v[i - 1] for i in range(1, k)]
-    dp = [p[0]] + [p[i] - p[i - 1] for i in range(1, k)]
+    v0, p0 = v[cargoes[0]], p[cargoes[0]]
+    dv = [v[j] - v[i] for i, j in zip(cargoes, cargoes[1:])]
+    dp = [p[j] - p[i] for i, j in zip(cargoes, cargoes[1:])]
+    f = [a / b for a, b in zip(dv, d)]
+    u = [a / b for a, b in zip(dp, d)]
+    svv, svp = sum(map(operator.mul, dv, f)), sum(map(operator.mul, dv, u))
+    spp = sum(map(operator.mul, dp, u))
     slack_dw, room, qa, qb, r = units.slack_dw, units.room, units.qa, units.qb, units.r
     flat_tol = ZERO_TOLERANCE * max(1.0, abs(r))
 
     points = []
-    for dw, vol in zip(_DEADWEIGHT_ON.tolist(), _VOLUME_ON.tolist()):
-        bottom = not dw and abs(d[0]) <= ZERO_TOLERANCE
-        if bottom and not vol:
-            continue
-        # y = base + t u - w f on the rows that give y_i.
-        base, u, f = [0.0] * k, [0.0] * k, [0.0] * k
-        for i in range(1, k):
-            u[i], f[i] = dp[i] / d[i], dv[i] / d[i]
-        if dw:
-            base[0] = 1.0
-        elif not bottom:
-            base[0], u[0], f[0] = -slack_dw / d[0], dp[0] / d[0], dv[0] / d[0]
-        # w = w0 + t w1.
+    for dw, vol in ((False, False), (True, False), (False, True), (True, True)):
+        bottom = not dw and abs(d0) <= ZERO_TOLERANCE
+        # Row 1 gives y_1 = base + t u1 - w f1, and w = w0 + t w1.
+        base, u1, f1 = (1.0, 0.0, 0.0) if dw or bottom else (-slack_dw / d0, p0 / d0, v0 / d0)
         if bottom:
-            # Row 1 gives w, and the volume row gives y_1 below.
-            w0, w1 = -slack_dw / dv[0], dp[0] / dv[0]
+            if not vol:
+                continue
+            # Row 1 gives w instead, and the volume row y_1 = base + t u1.
+            w0, w1 = -slack_dw / v0, p0 / v0
+            base, u1 = (room + w0 * svv) / v0, (w1 * svv - svp) / v0
         elif vol:
-            den = sum(a * b for a, b in zip(dv, f))
+            den = svv + v0 * f1
             if abs(den) <= ZERO_TOLERANCE:
                 continue
-            w0 = (sum(a * b for a, b in zip(dv, base)) - room) / den
-            w1 = sum(a * b for a, b in zip(dv, u)) / den
+            w0, w1 = (v0 * base - room) / den, (svp + v0 * u1) / den
         else:
             w0 = w1 = 0.0
-        y0 = [b - w0 * c for b, c in zip(base, f)]
-        y1 = [b - w1 * c for b, c in zip(u, f)]
-        if bottom:
-            y0[0] = (room - sum(a * b for a, b in zip(dv[1:], y0[1:]))) / dv[0]
-            y1[0] = -sum(a * b for a, b in zip(dv[1:], y1[1:])) / dv[0]
-        a2 = qa * sum(di * b * b for di, b in zip(d, y1))
-        a1 = 2.0 * qa * sum(di * b * c for di, b, c in zip(d, y0, y1)) + qb * y1[0]
-        a0 = qa * sum(di * b * b for di, b in zip(d, y0)) + qb * y0[0] - r
+        # y_1 = y0 + t y1, and the stability constraint, minus r, a2 t^2 + a1 t + a0.
+        y0, y1 = base - w0 * f1, u1 - w1 * f1
+        if dw and vol:
+            # w1 = Svp / Svv: the term in t vanishes, and Spp - w1 Svp is summed afresh.
+            a2, slope = sum((b - w1 * a) ** 2 / c for a, b, c in zip(dv, dp, d)), 0.0
+        else:
+            a2, slope = (w1 * svv - 2.0 * svp) * w1 + spp, w1 * svv - svp
+        a2 = qa * (a2 + d0 * y1 * y1)
+        a1 = 2.0 * qa * (w0 * slope + d0 * y0 * y1) + qb * y1
+        a0 = qa * (w0 * w0 * svv + d0 * y0 * y0) + qb * y0 - r
         if max(abs(a2), abs(a1)) <= flat_tol:
             # Stability does not depend on t: no root, or all of them.
             continue
@@ -522,31 +527,32 @@ def support_points(
         for t in sorted(roots):
             if not (t > 0.0 and math.isfinite(t)):
                 continue
-            y = [b + t * c for b, c in zip(y0, y1)] + [0.0]
             w = w0 + t * w1
-            c = t * dp[0] - d[0] - w * dv[0] if dw else slack_dw
-            x = np.zeros(units.n)
-            x[cargoes] = [units.cap * (y[i] - y[i + 1]) for i in range(k)]
-            points.append((x, *_multipliers(units, t, c, w)))
+            y = [y0 + t * y1] + [t * b - w * a for a, b in zip(f, u)] + [0.0]
+            c = t * p0 - d0 - w * v0 if dw else slack_dw
+            z = [0.0] * len(support)
+            for i, a, b in zip(positions, y, y[1:]):
+                z[i] = a - b
+            points.append((z, *_multipliers(units, t, c, w)))
     return points
 
 
-def _merge_twins(steps: np.ndarray, rates: np.ndarray) -> tuple[list[int], np.ndarray]:
+def _merge_twins(steps: np.ndarray | list, rates) -> tuple[list[int], np.ndarray | list]:
     """The cargoes left when each run of equal-density neighbours keeps its best rate.
 
-    ``steps`` is the scaled congruent diagonal; a step of at most
-    ``ZERO_TOLERANCE`` joins a cargo to the run below it.  Of the cargoes
-    that tie for the best rate, the lowest stays.  Returns them with the
-    congruent diagonal of the merged stack: ``steps`` without the joins.
+    ``steps``, an array or a list, is the scaled congruent diagonal; a step
+    of at most ``ZERO_TOLERANCE`` joins a cargo to the run below it.  Of
+    the cargoes that tie for the best rate, the lowest stays.  Returns them
+    with the merged stack's diagonal: ``steps`` without the joins, alike.
     """
     kept, starts = [0], [0]
-    for i in range(1, rates.size):
+    for i in range(1, len(rates)):
         if abs(steps[i]) > ZERO_TOLERANCE:
             kept.append(i)
             starts.append(i)
         elif rates[i] > rates[kept[-1]]:
             kept[-1] = i
-    return kept, steps[starts]
+    return kept, steps[starts] if isinstance(steps, np.ndarray) else [steps[i] for i in starts]
 
 
 def _support_rule(diagonal: np.ndarray) -> tuple[int, bool]:

@@ -52,6 +52,14 @@ def _require_finite(value: float, name: str) -> float:
     return value
 
 
+def _require_density(value: float, name: str) -> float:
+    """A finite positive density whose reciprocal, the volume of a ton, is finite too."""
+    density = _require_finite(value, name)
+    if not (density > 0 and 1.0 / density < math.inf):
+        raise ValueError(f"{name} must be positive with a finite reciprocal, got {density}")
+    return density
+
+
 @dataclass(frozen=True)
 class Vessel:
     """Box-hull geometry and lightship properties.
@@ -102,9 +110,7 @@ class CargoType:
     def __post_init__(self) -> None:
         if not isinstance(self.label, str) or not self.label:
             raise ValueError("cargo label must be a nonempty string")
-        density = _require_finite(self.density, "density")
-        if density <= 0:
-            raise ValueError(f"density must be positive, got {density}")
+        density = _require_density(self.density, "density")
         rate = _require_finite(self.freight_rate, "freight_rate")
         if rate < 0:
             raise ValueError(f"freight_rate must be nonnegative, got {rate}")
@@ -119,9 +125,7 @@ class Environment:
     water_density: float = 1.0
 
     def __post_init__(self) -> None:
-        rho = _require_finite(self.water_density, "water_density")
-        if rho <= 0:
-            raise ValueError(f"water_density must be positive, got {rho}")
+        rho = _require_density(self.water_density, "water_density")
         object.__setattr__(self, "water_density", rho)
 
 
@@ -267,7 +271,12 @@ def stacking_matrix(densities) -> np.ndarray:
     if not (d.min() > 0.0 and d.max() < math.inf):
         i = int(np.argmin((d > 0.0) & (d < math.inf)))
         raise ValueError(f"density at index {i} must be positive, got {d[i]}")
-    return _stacking(1.0 / d)
+    with np.errstate(over="ignore"):
+        v = 1.0 / d
+    if v.max() == math.inf:
+        i = int(np.argmax(v))
+        raise ValueError(f"density at index {i} has no finite reciprocal, got {d[i]}")
+    return _stacking(v)
 
 
 def _stacking(volume_coeffs: np.ndarray) -> np.ndarray:

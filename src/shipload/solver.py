@@ -594,13 +594,16 @@ def _exchange(
 
     The exchange starts from ``start``, loads on ``support`` with their
     (lam_C, lam_V, lam_S), or, when that is None, from the best valid
-    point of ``support``.  Each step solves a support in closed form
-    (:func:`~shipload.kkt_enumeration.support_points`) and keeps its best
+    point of ``support``.  Each step solves a support in closed form, each
+    pattern of the caps from three sums
+    (:func:`~shipload.kkt_enumeration.support_points`), and keeps its best
     valid point: loads at least -``FEASIBILITY_TOLERANCE`` times the
     deadweight cap, lam_C and lam_V at least -``KKT_TOLERANCE`` times
     max(1, max p), and both caps met to ``FEASIBILITY_TOLERANCE``
-    relative.  A support without one gives way to the best of its subsets
-    that drop one cargo.  The cargoes outside the support are then priced,
+    relative.  The points are ranked in the scaled units, as floats over
+    the support, and only the one kept becomes a vector of loads.  A
+    support without one gives way to the best of its subsets that drop
+    one cargo.  The cargoes outside the support are then priced,
     nu_j = lam_C + lam_V v_j + lam_S g_j - p_j with g the stability
     gradient; when none is below -``KKT_TOLERANCE`` times max(1, max p)
     the point is a KKT point and the exchange stops.  Else the most
@@ -615,42 +618,45 @@ def _exchange(
     # Built for the first support solved: a start that prices out needs none.
     units = None
     p, v = problem.objective, problem.volume_coeffs
-    cap, room = problem.deadweight_cap, problem.volume_cap
     tolerance = FEASIBILITY_TOLERANCE
     price_tol = KKT_TOLERANCE * max(1.0, float(p.max()))
     over = 1.0 + tolerance
 
     def best_point(support):
-        # The points lie on the stability boundary; solve checks the answer's feasibility.
+        # Scaled (revenue, loads, multipliers) or None; solve checks the answer's feasibility.
         nonlocal units
         units = units or scaled_units(problem)
+        scaled_v, scaled_p, room = units.columns[0], units.columns[1], units.room
         best = None
-        for loads, lam_c, lam_v, lam_s in support_points(units, support):
-            if loads.min() < -tolerance * cap or min(lam_c, lam_v) < -price_tol:
+        for z, lam_c, lam_v, lam_s in support_points(units, support):
+            if min(z) < -tolerance or min(lam_c, lam_v) < -price_tol:
                 continue
-            loads = np.maximum(loads, 0.0)
-            if loads.sum() > cap * over or v @ loads > room * over:
+            z = [a if a > 0.0 else 0.0 for a in z]
+            if sum(z) > over or sum([scaled_v[i] * a for i, a in zip(support, z)]) > room * over:
                 continue
-            if best is None or p @ loads > p @ best[0]:
-                best = (loads, (lam_c, lam_v, lam_s))
+            value = sum([scaled_p[i] * a for i, a in zip(support, z)])
+            if best is None or value > best[0]:
+                best = (value, z, (lam_c, lam_v, lam_s))
         return best
 
     def settle(support):
-        """(point, support): the best valid point of ``support`` or of a subset one smaller."""
-        point = best_point(support)
-        if point is not None:
-            return point, support
-        smaller = [support[:k] + support[k + 1:] for k in range(len(support))]
-        found = [(best_point(s), s) for s in smaller if s]
-        found = [(q, s) for q, s in found if q is not None]
-        return max(found, key=lambda item: p @ item[0][0]) if found else None
+        """(point, lams, support): the best valid point of ``support`` or of one cargo less."""
+        found = [(best_point(support), support)]
+        if found[0][0] is None:
+            smaller = [support[:k] + support[k + 1:] for k in range(len(support))]
+            found = [(q, s) for q, s in ((best_point(s), s) for s in smaller if s) if q is not None]
+        if not found:
+            return None
+        (_, z, lams), support = max(found, key=lambda item: item[0][0])
+        x = np.zeros(problem.n)
+        x[support] = z
+        return _Loading(problem, problem.deadweight_cap * x), lams, support
 
     if start is None:
         settled = settle(support)
         if settled is None:
             return []
-        (x, lams), support = settled
-        start = _Loading(problem, x), lams
+        *start, support = settled
     point, (lam_c, lam_v, lam_s) = start
     points = []
     for _ in range(2 * problem.n + _EXCHANGE_EXTRA_STEPS):
@@ -663,8 +669,7 @@ def _exchange(
         settled = settle(sorted(support + [j]))
         if settled is None:
             break
-        (x, (lam_c, lam_v, lam_s)), support = settled
-        point = _Loading(problem, x)
+        point, (lam_c, lam_v, lam_s), support = settled
     return points
 
 

@@ -212,6 +212,16 @@ def draw_nonneg_loading(problem, rng):
     return weights * problem.deadweight_cap * rng.uniform()
 
 
+def support_loads(units, support):
+    """``kkt_enumeration.support_points`` with each point's loads as tonnes of every cargo."""
+    points = []
+    for z, *lams in kkt_enumeration.support_points(units, support):
+        x = np.zeros(units.n)
+        x[support] = z
+        points.append((units.cap * x, *lams))
+    return points
+
+
 def local_trap(problem):
     """Type4 alone at its best point on the stability boundary, as a Solution with its multipliers.
 
@@ -222,7 +232,7 @@ def local_trap(problem):
     """
     units = kkt_enumeration.scaled_units(problem)
     x, *lams = max(
-        kkt_enumeration.support_points(units, [0]), key=lambda point: problem.objective @ point[0]
+        support_loads(units, [0]), key=lambda point: problem.objective @ point[0]
     )
     point = solver._Loading(problem, x)
     multipliers = solver._closed_form_multipliers(problem, point, lams)

@@ -517,6 +517,19 @@ class TestExitCodes:
         assert run_cli(capsys, "solve", "clarkson3500.json", "--starts", "4")[0] == 1
         assert run_cli(capsys, "solve", "clarkson3500.json", "--seed", "3")[0] == 1
 
+    @pytest.mark.parametrize("command", ["solve", "classify"])
+    def test_density_with_an_overflowing_reciprocal_refused(self, capsys, tmp_path, command):
+        # 1 / 1e-320 overflows to inf, which the support exchange divides by
+        # and classify would report as a congruent step.
+        message = "must be positive with a finite reciprocal, got 1e-320"
+        doc = json.loads(scenario_to_json(load_bundled_scenario("clarkson3500.json")))
+        doc["cargoes"][0]["density"] = 1e-320
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, command, str(path)) == (
+            1, "", f"error: cargoes[0]: density {message}\n"
+        )
+
     @pytest.mark.parametrize(
         "flag, message",
         [
@@ -689,6 +702,16 @@ class TestLazyScipyImport:
             "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
         )
         assert json.loads(result.stdout)["command"] == command
+
+    def test_import_leaves_the_enumeration_and_logging_unloaded(self):
+        # What every benchmark setup does: import the package and assemble.
+        # The enumeration loads with the first unstable relaxation, and
+        # logging with the first incomplete enumeration.
+        self.run(
+            self.TWO_CARGOES
+            + "assert 'shipload.kkt_enumeration' not in sys.modules, 'enumeration imported'\n"
+            "assert 'logging' not in sys.modules, 'logging was imported'\n"
+        )
 
     def test_case_study_solve_leaves_logging_unloaded(self):
         # The package logs only in the CLI and where an enumeration is

@@ -20,7 +20,9 @@ from shipload import kkt_enumeration, solver
 from shipload.model import BALLAST_LABEL
 from shipload.quadratic_analysis import SIGN_TOLERANCE
 
-from conftest import closed_form_optimum, draw_random_problem, large_reverse_stack, pinned_stacks
+from conftest import (
+    closed_form_optimum, draw_random_problem, large_reverse_stack, pinned_stacks, support_loads,
+)
 
 
 def _inertia_rule(diagonal):
@@ -137,7 +139,7 @@ def _check_support(problem, support):
     and the scalar points that are feasible.
     """
     units = kkt_enumeration.scaled_units(problem)
-    points = kkt_enumeration.support_points(units, support)
+    points = support_loads(units, support)
     roots = _batch_roots(problem, support)
     cap, rate = problem.deadweight_cap, float(problem.objective.max()) or 1.0
     # lam_S = 1 / (2 s t) unscaled, so t * lam_S is this constant in scaled t.
@@ -239,6 +241,35 @@ class TestSupportPoints:
         assert problem.objective @ best[0] == pytest.approx(value, rel=1e-12)
         assert best[1:] == pytest.approx(multipliers, rel=1e-9)
         assert best[1] > 0.0 and best[2] == 0.0  # deadweight binds, volume does not
+
+
+class TestPinnedPair:
+    """Two cargoes at both caps have their loads pinned, however close their densities."""
+
+    def test_no_root_binds_both_caps_on_a_pair(self):
+        # With both caps binding, the line through two cargoes moves t and w
+        # alone, so stability is flat along it.  Its coefficients come from
+        # Svv, Svp and Spp, which grow as 1 / D where the densities nearly
+        # coincide; summed slot by slot, as the batch rows sum them, their
+        # rounding leaves roots with t near 1e12 on about one pair in twenty.
+        rng = np.random.default_rng(31)
+        points = 0
+        for _ in range(400):
+            drawn = draw_random_problem(rng, sizes=(2, 6), room=(0.3, 2.0))
+            cargoes = [c for c in drawn.cargoes if c.label != BALLAST_LABEL]
+            twin = cargoes[int(rng.integers(len(cargoes)))]
+            gap = 10.0 ** rng.uniform(-9.0, -5.0)
+            cargoes.append(CargoType("near", twin.density * (1.0 + gap), rng.uniform(0.0, 10.0)))
+            problem = assemble_problem(
+                drawn.vessel, drawn.environment, drawn.policy, tuple(cargoes),
+                LoadingOrder.normal(), False,
+            )
+            support = sorted([problem.labels.index("near"), problem.labels.index(twin.label)])
+            found = kkt_enumeration.support_points(kkt_enumeration.scaled_units(problem), support)
+            # Only a point that binds both caps has lam_C and lam_V both nonzero.
+            assert not [p for p in found if p[1] != 0.0 and p[2] != 0.0], (gap, support, found)
+            points += len(found)
+        assert points >= 400, points
 
 
 class TestBatchComposition:

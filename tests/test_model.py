@@ -53,6 +53,24 @@ class TestCargoType:
         with pytest.raises(ValueError, match="density must be positive"):
             CargoType("x", 0.0, 1.0)
 
+    @pytest.mark.parametrize("density", [1e-320, 5e-324, 5.5e-309])
+    def test_density_needs_a_finite_reciprocal(self, density):
+        message = f"must be positive with a finite reciprocal, got {density!r}"
+        with pytest.raises(ValueError, match=f"^density {re.escape(message)}$"):
+            CargoType("x", density, 1.0)
+        with pytest.raises(ValueError, match=f"^water_density {re.escape(message)}$"):
+            Environment(density)
+        message = f"density at index 1 has no finite reciprocal, got {density!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            stacking_matrix(np.array([0.5, density, 1e-320]))
+
+    def test_smallest_density_with_a_finite_reciprocal_accepted(self):
+        density = 5.6e-309
+        assert math.isfinite(1.0 / density)
+        assert CargoType("x", density, 1.0).density == density
+        assert Environment(density).water_density == density
+        assert stacking_matrix(np.array([density]))[0, 0] == 1.0 / density
+
     def test_rate_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="freight_rate"):
             CargoType("x", 0.5, -1.0)

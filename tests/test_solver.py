@@ -40,6 +40,7 @@ from conftest import (
     pinned_stack_inputs,
     pinned_stacks,
     scipy_nnls,
+    support_loads,
 )
 
 
@@ -367,7 +368,7 @@ class TestKktVerify:
                 loads += [pair] if pair.min() >= 0.0 else []
             # One cargo where stationarity meets the stability boundary.
             units = kkt_enumeration.scaled_units(problem)
-            loads += [point[0] for point in kkt_enumeration.support_points(units, [i])]
+            loads += [point[0] for point in support_loads(units, [i])]
             for x in loads:
                 taken = self._fitted(problem, x)
                 point = solver._Loading(problem, x)
@@ -1091,7 +1092,7 @@ class TestNnls:
         loads.append(answer * (1.0 + 1e-9 * rng.standard_normal(n)))
         i = int(rng.integers(n))
         units = kkt_enumeration.scaled_units(problem)
-        loads += [point[0] for point in kkt_enumeration.support_points(units, [i])]
+        loads += [point[0] for point in support_loads(units, [i])]
         # A density that two cargoes share, where there is one.
         values, counts = np.unique(v, return_counts=True)
         i = int(np.flatnonzero(v == values[counts.argmax()])[0])

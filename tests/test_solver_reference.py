@@ -3,13 +3,16 @@
 The references are the earlier implementations, which computed the slacks
 and the stability gradient once per use and the loads and duals of every
 basis of the relaxation.  Same formulas in the same order of operations
-give the same bits, so every comparison here is exact: a float must have
+give the same bits, so these comparisons are exact: a float must have
 the same value and sign, an array the same bytes, and NaN stays NaN.
+The scalar solve of one support, whose three sums add its terms in
+another order, is held to its slot-by-slot reference within a tolerance.
 """
 
 import math
 
 import numpy as np
+import pytest
 
 from shipload import (
     CargoType,
@@ -310,3 +313,174 @@ class TestRelaxationReference:
             arguments = units.p, units.v, densities, 1.0 + 1e-6, room
             revenue = solver.relaxation_vertices(*arguments)
             assert _same(revenue, _reference_vertices(*arguments)[-1])
+
+
+# ---------------------------------------------------------------------------
+# reference: the scalar solve of one support, slot by slot
+
+
+def _reference_support_points(units, support):
+    """The scalar solve of one support before the three sums: every pattern's
+    coefficients summed slot by slot, and loads as a vector of every cargo."""
+    g = units.generator[support]
+    steps = g.copy()
+    steps[1:] -= g[:-1]
+    positions, merged = kkt_enumeration._merge_twins(steps, units.p[support])
+    cargoes = [support[i] for i in positions]
+    d = merged.tolist()
+    v = units.v[cargoes].tolist()
+    p = units.p[cargoes].tolist()
+    k = len(cargoes)
+    dv = [v[0]] + [v[i] - v[i - 1] for i in range(1, k)]
+    dp = [p[0]] + [p[i] - p[i - 1] for i in range(1, k)]
+    slack_dw, room, qa, qb, r = units.slack_dw, units.room, units.qa, units.qb, units.r
+    flat_tol = kkt_enumeration.ZERO_TOLERANCE * max(1.0, abs(r))
+
+    points = []
+    patterns = kkt_enumeration._DEADWEIGHT_ON.tolist(), kkt_enumeration._VOLUME_ON.tolist()
+    for dw, vol in zip(*patterns):
+        bottom = not dw and abs(d[0]) <= kkt_enumeration.ZERO_TOLERANCE
+        if bottom and not vol:
+            continue
+        # y = base + t u - w f on the rows that give y_i.
+        base, u, f = [0.0] * k, [0.0] * k, [0.0] * k
+        for i in range(1, k):
+            u[i], f[i] = dp[i] / d[i], dv[i] / d[i]
+        if dw:
+            base[0] = 1.0
+        elif not bottom:
+            base[0], u[0], f[0] = -slack_dw / d[0], dp[0] / d[0], dv[0] / d[0]
+        # w = w0 + t w1.
+        if bottom:
+            # Row 1 gives w, and the volume row gives y_1 below.
+            w0, w1 = -slack_dw / dv[0], dp[0] / dv[0]
+        elif vol:
+            den = sum(a * b for a, b in zip(dv, f))
+            if abs(den) <= kkt_enumeration.ZERO_TOLERANCE:
+                continue
+            w0 = (sum(a * b for a, b in zip(dv, base)) - room) / den
+            w1 = sum(a * b for a, b in zip(dv, u)) / den
+        else:
+            w0 = w1 = 0.0
+        y0 = [b - w0 * c for b, c in zip(base, f)]
+        y1 = [b - w1 * c for b, c in zip(u, f)]
+        if bottom:
+            y0[0] = (room - sum(a * b for a, b in zip(dv[1:], y0[1:]))) / dv[0]
+            y1[0] = -sum(a * b for a, b in zip(dv[1:], y1[1:])) / dv[0]
+        a2 = qa * sum(di * b * b for di, b in zip(d, y1))
+        a1 = 2.0 * qa * sum(di * b * c for di, b, c in zip(d, y0, y1)) + qb * y1[0]
+        a0 = qa * sum(di * b * b for di, b in zip(d, y0)) + qb * y0[0] - r
+        if max(abs(a2), abs(a1)) <= flat_tol:
+            # Stability does not depend on t: no root, or all of them.
+            continue
+        disc = a1 * a1 - 4.0 * a2 * a0
+        if disc < 0.0:
+            if disc < -1e-12 * (a1 * a1 + abs(4.0 * a2 * a0)):
+                continue
+            disc = 0.0
+        half = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1))
+        roots = {half / a2} if a2 != 0.0 else set()
+        if half != 0.0:
+            roots.add(a0 / half)
+        for t in sorted(roots):
+            if not (t > 0.0 and math.isfinite(t)):
+                continue
+            y = [b + t * c for b, c in zip(y0, y1)] + [0.0]
+            w = w0 + t * w1
+            c = t * dp[0] - d[0] - w * dv[0] if dw else slack_dw
+            x = np.zeros(units.n)
+            x[cargoes] = [units.cap * (y[i] - y[i + 1]) for i in range(k)]
+            points.append((x, *kkt_enumeration._multipliers(units, t, c, w)))
+    return points
+
+
+def _reference_in_scaled_loads(units, support):
+    """:func:`_reference_support_points` in the form of ``support_points``: loads over C."""
+    return [
+        ((x[support] / units.cap).tolist(), *lams)
+        for x, *lams in _reference_support_points(units, support)
+    ]
+
+
+def _random_support(problem, rng):
+    """A support of 1 to 9 cargoes in stacking order, about one in three holding the ballast."""
+    size = int(rng.integers(1, min(problem.n, 9) + 1))
+    support = rng.choice(problem.n, size=size, replace=False).tolist()
+    ballast = problem.ballast_index
+    if ballast is not None and ballast not in support and rng.random() < 1.0 / 3.0:
+        support[0] = ballast
+    return sorted(support)
+
+
+class TestSupportPointsReference:
+    """``support_points``' three sums against the slot-by-slot reference.
+
+    Not bit for bit: the sums add the same terms in another order.  Loads
+    and multipliers agree to 1e-10 relative, and a point that binds both
+    caps may lose as much again as its volume row cancels.  There w solves
+    Svv w = c, and Svv, a sum over the steps i >= 2 of dv_i^2 / D_i, whose
+    ratio dv_i / D_i is one constant, is that constant times v_k - v_1,
+    the difference between the top and bottom cargo of the support, out of
+    terms as large as sum |dv_i|.  On supports whose top and bottom
+    densities nearly coincide both solves stray from a 60-digit solve by
+    up to about 3e-10.
+    """
+
+    def test_matches_the_reference_on_random_supports(self):
+        rng = np.random.default_rng(24)
+        supports = water = twins = points = 0
+        for draw in range(700):
+            problem = draw_random_problem(
+                rng, sizes=(1, 12), orders=ORDERS, room=(0.3, 2.0), degenerate=draw % 2 == 0
+            )
+            units = kkt_enumeration.scaled_units(problem)
+            for _ in range(3):
+                support = _random_support(problem, rng)
+                new = kkt_enumeration.support_points(units, support)
+                reference = _reference_in_scaled_loads(units, support)
+                assert len(new) == len(reference), (draw, support)
+                v = units.v[support].tolist()
+                spread, steps = abs(v[-1] - v[0]), sum(abs(b - a) for a, b in zip(v, v[1:]))
+                cancel = max(1.0, steps / spread) if spread else 1.0
+                for (z, *lams), (z_ref, *lams_ref) in zip(new, reference):
+                    both_caps = lams_ref[0] != 0.0 and lams_ref[1] != 0.0
+                    tol = 1e-10 * (cancel if both_caps else 1.0)
+                    scale = max(map(abs, z_ref))
+                    assert max(abs(a - b) for a, b in zip(z, z_ref)) <= tol * scale, (draw, support)
+                    assert lams == pytest.approx(lams_ref, rel=tol, abs=0.0), (draw, support)
+                    points += 1
+                supports += 1
+                water += bool(units.generator[support[0]] == 0.0)
+                steps = np.diff(units.generator[support], prepend=0.0)
+                kept, _ = kkt_enumeration._merge_twins(steps, units.p[support])
+                twins += len(kept) < len(support)
+        assert supports >= 2000 and points >= 2000, (supports, points)
+        assert water >= 200 and twins >= 100, (water, twins)
+
+    @pytest.mark.parametrize(
+        "draw, least_calls",
+        [
+            # The first 1 200 rng-5 draws of ROADMAP.md: mostly nonconvex, so
+            # the exchange grows the enumerated winner, which seldom needs a step.
+            (dict(sizes=(2, 42), orders=ORDERS, room=(0.3, 2.0)), 30),
+            # Small stacks of the default draw, where about one in eight
+            # reaches the exchange from the relaxation's vertex.
+            ({}, 150),
+        ],
+        ids=["rng-5-draws", "small-draws"],
+    )
+    def test_solve_with_the_reference_gives_the_same_answers(self, monkeypatch, draw, least_calls):
+        rng = np.random.default_rng(5)
+        draws = [draw_random_problem(rng, **draw) for _ in range(1200)]
+        answers = [solve(problem) for problem in draws]
+        calls = []
+        monkeypatch.setattr(
+            kkt_enumeration, "support_points",
+            lambda units, support: calls.append(1) or _reference_in_scaled_loads(units, support),
+        )
+        for k, (problem, answer) in enumerate(zip(draws, answers)):
+            reference = solve(problem)
+            assert reference.status is answer.status, k
+            assert reference.kkt.satisfied == answer.kkt.satisfied, k
+            assert answer.revenue == pytest.approx(reference.revenue, rel=1e-12, abs=0.0), k
+        assert len(calls) >= least_calls, len(calls)
