@@ -98,27 +98,49 @@ steps loses it:
 One step drops supports and loses nothing: the incumbent prune.  After
 the first batch, a support is solved only when its bound reaches the
 incumbent, the best scaled revenue of the batches before.  Its bound is
-the relaxation's LP over the support alone, attained at a basis of one or
-two of its cargoes, with both caps widened by ``MARGIN``.  A candidate
+the smaller of two, and each is at least every candidate of the support
 that passes the checks, with loads down to -``TOLERANCE`` and each cap
-met to ``TOLERANCE``, is feasible for that LP, since ``MARGIN`` is far
-above the (K + 1) ``TOLERANCE`` it can need, so a support whose bound is
-strictly below the incumbent holds no candidate that wins or ties.
+and the stability constraint met to ``TOLERANCE``:
 
-The supports go in batches of ``CHUNK``, in the scaled units x / C,
-c / (C a), w max(v) / (C a) and t max(p) / (C a) with a = max|A|, so that
-the tests against zero read O(1) numbers.  Supports of every size share
-one batch, in order of size and then lexicographically: a support of
-k < K cargoes fills its other slots with a dummy cargo whose steps are
-zero, so that its y stays 0.  A batch is solved as (slot, system)
-arrays: a sum over a support is K - 1 vector adds in slot order, and the
-systems where D_1 = 0 or a row fixes t take their own steps only in a
-batch that holds one, so each system's rows are the same in any batch.
-Only the supports that pass the prune are packed, so every batch but
-the last is full.  Candidates are compared in their scaled revenue
-alone, and on a tie the earliest support wins, then the lower pattern,
-then the lower root, so neither ``CHUNK`` nor the prune can change the
-winner.
+* the relaxation's LP over the support alone, attained at a basis of one
+  or two of its cargoes, with both caps widened by ``MARGIN``: such a
+  candidate is feasible for it, since ``MARGIN`` is far above the
+  (K + 1) ``TOLERANCE`` it can need;
+* the stable-mass cut T_S max_{i in S} p_i.  The suffix sums of such a
+  candidate are at most y_1 + K ``TOLERANCE`` in size and the scaled
+  steps at most 2, so y'Dy >= alpha_S y_1^2 - 6 K^2 ``TOLERANCE`` with
+  alpha_S = D_1 + sum_{k>1} min(D_k, 0) along S, and its mass y_1 keeps
+  qa alpha_S y_1^2 + qb y_1 <= r + ``TOLERANCE`` (max(1, |r|) +
+  6 qa K^2).  T_S is the largest mass up to 1 + ``MARGIN`` that keeps
+  this with the right side r + ``MARGIN`` (max(1, |r|) + qa K^2 + |qb|),
+  far above, and widened by ``ROOM_MARGIN`` (|T_S| + 1)
+  (:func:`~shipload.solver.stable_mass_room`), so T_S >= y_1 +
+  K ``TOLERANCE``, while the candidate's revenue, sum p_i z_i, is at
+  most max p (y_1 + K ``TOLERANCE``).
+
+So a support whose bound is strictly below the incumbent holds no
+candidate that wins or ties.
+
+The supports are built in NumPy, size by size by prefix expansion, as
+one slot-major array of cargo indices in the smallest unsigned type that
+holds n; beside it the enumeration holds one float bound per support,
+and nothing between calls.  They go in batches of ``CHUNK``, in the
+scaled units x / C, c / (C a), w max(v) / (C a) and t max(p) / (C a)
+with a = max|A|, so that the tests against zero read O(1) numbers.
+Supports of every size share one batch, in order of size and then
+lexicographically: a support of k < K cargoes fills its other slots with
+a dummy cargo whose steps are zero, so that its y stays 0.  A batch is
+solved as (slot, system) arrays: a sum over a support is K - 1 vector
+adds in slot order, and the systems where D_1 = 0 or a row fixes t take
+their own steps only in a batch that holds one, so each system's rows
+are the same in any batch.  With more than ``CHUNK`` supports, the first
+batch holds the ``CHUNK`` with the highest bounds, so that the incumbent
+starts high, and the rest follow in their order, each batch packed from
+the supports whose bounds reach the incumbent when it is packed, so
+every batch but the last is full.  Candidates are compared in their
+scaled revenue alone, and on a tie the earliest support in that order
+wins, then the lower pattern, then the lower root, so neither
+``CHUNK``, the prune nor the order of the batches can change the winner.
 
 A root t > 0 carries the multipliers of its point: lam_S = 1 / (2 s t),
 lam_C = (c - b / (2 s)) / t and lam_V = w / t, which
@@ -130,7 +152,6 @@ solver's support exchange calls it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from typing import NamedTuple
@@ -139,14 +160,16 @@ import numpy as np
 
 from .model import Problem
 from .quadratic_analysis import SIGN_TOLERANCE
-from .solver import relaxation_vertices
+from .solver import _bases, relaxation_vertices, stable_mass_room
 
 # Most linear systems that one enumeration may solve, counted before the
 # incumbent prune: four constraint patterns per support, two for a support
 # of exactly K cargoes.  Reverse stacks of up to 43 cargoes fit; 41 cargoes
-# count 24 768 systems, of which the prune leaves 8 311 on the benchmark's
-# seed-1 market stack, at about 0.23 us each in the batch kernel (Xeon,
-# NumPy 2.4).  A larger enumeration is truncated to smaller supports.
+# count 24 768 systems, of which the prune leaves 5 000 on the benchmark's
+# seed-1 market stack (8 311 with the LP bound alone), at about 0.25 us
+# each in the batch kernel and 0.39 us each with the supports built,
+# bounded and packed (Xeon, NumPy 2.4).  A larger enumeration is
+# truncated to smaller supports.
 SYSTEM_BUDGET = 30_000
 # Supports per batch.  On the market n = 41 stack 512 beat 256, 1024 and 2048.
 CHUNK = 512
@@ -155,8 +178,9 @@ CHUNK = 512
 ZERO_TOLERANCE = 1e-10
 # Relative slack of the candidates' constraints and consistency tests.
 TOLERANCE = 1e-9
-# Relative widening of the caps of a support's LP bound: a candidate that
-# passes at TOLERANCE exceeds them by at most (K + 1) TOLERANCE.
+# Relative widening of the caps of a support's LP bound, and of the right
+# side of its stable-mass cut: a candidate that passes at TOLERANCE exceeds
+# the caps by at most (K + 1) TOLERANCE.
 MARGIN = 1e-6
 
 # (deadweight binds, volume binds) of the four patterns.
@@ -268,26 +292,31 @@ def binding_optimum(
         )
         largest, full_needs_volume = fit, False
 
+    slots, starts = _supports(kept, largest, n)
+    bounds = _support_bounds(units, slots, starts) if slots.shape[1] > CHUNK else None
+    # 1 in a slot that holds a real cargo, 0 in one that holds the dummy.
+    present = np.ones(n + 1)
+    present[n] = 0.0
     best_value, best_x, best_multipliers = 0.0, np.zeros(n + 1), (0.0, 0.0, 0.0)
-    # The winner's scaled revenue: candidates are compared in it alone, so
-    # that how the supports fall into batches cannot change the winner.
-    incumbent = 0.0
-    table = None
+    # The winner's scaled revenue and the place of its support in the order
+    # of the supports: candidates are compared in that revenue, and on a tie
+    # the earlier support wins, so that how the supports fall into batches
+    # cannot change the winner.  The empty vessel comes before every support.
+    incumbent, place = 0.0, (0, [])
 
-    def promising(chunk: np.ndarray) -> np.ndarray:
-        """Whether each support's LP bound reaches the incumbent."""
-        nonlocal table
-        if table is None:
-            table = _bound_table(units)
-        return _support_bounds(table, chunk) >= incumbent
-
-    for chunk, real in _batches(kept, largest, n, promising):
-        rows = _batch_rows(units, chunk, real, largest, full_needs_volume)
-        # Systems run support by support, then pattern by pattern: on a tie
-        # the earliest support wins, then the lower pattern, then the lower root.
+    for picks in _batches(slots.shape[1], bounds, lambda: incumbent):
+        chunk = slots[:, picks].astype(np.intp)
+        rows = _batch_rows(units, chunk, present[chunk], full_needs_volume)
+        # Systems run support by support, then pattern by pattern: within a
+        # batch, the earliest support wins a tie, then the lower pattern,
+        # then the lower root.
         k, root = divmod(int(rows.value.T.argmax()), rows.value.shape[0])
-        if rows.value[root, k] > incumbent:
-            incumbent = float(rows.value[root, k])
+        value = float(rows.value[root, k])
+        cargoes = rows.support[k].tolist()
+        # Supports go in order of size, then lexicographically.
+        order = (sum(i < n for i in cargoes), cargoes)
+        if value > incumbent or (value == incumbent and order < place):
+            incumbent, place = value, order
             best_x = np.zeros(n + 1)
             best_x[rows.support[k]] = units.cap * np.maximum(rows.z[root, k], 0.0)
             best_value = float(problem.objective @ best_x[:n])
@@ -300,6 +329,8 @@ def binding_optimum(
                     # Row 1 with y_1 = 1 gives c.
                     c = float(t * rows.dp[k, 0] - rows.d[k, 0] - w * rows.dv[k, 0])
                 best_multipliers = _multipliers(units, t, c, w)
+        # This batch's rows go before the next batch's are built.
+        del rows
     return best_value, best_x[:n], best_multipliers, reason
 
 
@@ -335,28 +366,30 @@ class _Rows(NamedTuple):
 
 
 def _batch_rows(
-    units: Units, chunk: np.ndarray, real: np.ndarray, largest: int, full_needs_volume: bool
+    units: Units, slots: np.ndarray, mask: np.ndarray, full_needs_volume: bool
 ) -> _Rows:
     """Every allowed system of one batch, solved.
 
-    Every support allows pattern 2, the volume cap alone binding, so no
-    batch is empty.
+    ``slots`` holds the batch's supports slot-major, (slot, support), as
+    :func:`_supports` does, and ``mask`` is 1.0 in a slot of a real cargo
+    and 0.0 in one of the dummy.  Every support allows pattern 2, the
+    volume cap alone binding, so no batch is empty.
     """
     slack_dw, room, qa, qb, r = units.slack_dw, units.room, units.qa, units.qb, units.r
-    slots, mask = chunk.T, real.T
     # Per (slot, support): the steps of v, p and the generator along it,
     # then f = dv / D and u = dp / D where row i of D y + c e_1 + w dv =
-    # t dp gives y_i, D_i != 0 with the deadweight cap slack, and 0 elsewhere.
-    per_slot = np.empty((5,) + slots.shape)
+    # t dp gives y_i, D_i != 0 with the deadweight cap slack, and 0
+    # elsewhere, and the divisor: D where row i gives y_i, else 1.
+    per_slot = np.empty((6,) + slots.shape)
     per_slot[:3] = np.take(np.array((units.v, units.p, units.generator)), slots, axis=1)
     per_slot[:3, 1:] -= per_slot[:3, :-1]
     per_slot[:3] *= mask
     flat = np.abs(per_slot[2]) <= ZERO_TOLERANCE
     gives = (mask > 0.0) & ~flat
-    safe = np.where(gives, per_slot[2], 1.0)
-    per_slot[3:] = np.where(gives, per_slot[:2] / safe, 0.0)
+    per_slot[5] = np.where(gives, per_slot[2], 1.0)
+    per_slot[3:5] = np.where(gives, per_slot[:2] / per_slot[5], 0.0)
     allowed = np.ones((4, slots.shape[1]), dtype=bool)
-    allowed[3] &= (mask[1] > 0.0) if largest > 1 else False
+    allowed[3] &= (mask[1] > 0.0) if slots.shape[0] > 1 else False
     if full_needs_volume:
         # Patterns 0 and 1 leave the volume cap slack.
         allowed[:2] &= mask[-1] == 0.0
@@ -364,8 +397,8 @@ def _batch_rows(
     dw, vol = _DEADWEIGHT_ON[pattern], _VOLUME_ON[pattern]
     per_slot = np.take(per_slot, item, axis=2)
     # With the deadweight cap binding, y_1 = 1 and row 1 only gives c.
-    per_slot[3:, 0, dw] = 0.0
-    dv, dp, d, f, u = per_slot
+    per_slot[3:5, 0, dw] = 0.0
+    dv, dp, d, f, u, divisor = per_slot
     # D_i = 0 for i > 1, equal densities adjacent in the support: skipped.
     keep = ~(flat[1:] & (mask[1:] > 0.0)).any(axis=0)[item]
     # D_1 = 0 (water density at the bottom) with the deadweight cap slack:
@@ -374,7 +407,7 @@ def _batch_rows(
     rare_bottom = np.count_nonzero(bottom)
     # y = base + t u - w f, with w = w0 + t w1; base is 0 beyond slot 1.
     base = np.zeros_like(d)
-    base[0] = np.where(dw, 1.0, np.where(bottom, 0.0, (-slack_dw / safe[0])[item]))
+    base[0] = np.where(dw, 1.0, np.where(bottom, 0.0, -slack_dw / divisor[0]))
     with np.errstate(divide="ignore", invalid="ignore"):
         # The volume row: dv . y = room.
         den = (dv * f).sum(axis=0)
@@ -419,6 +452,13 @@ def _batch_rows(
         a2 = qa * (d * y1 * y1).sum(axis=0)
         a1 = 2.0 * qa * (dy0 * y1).sum(axis=0) + qb * y1[0]
         a0 = qa * (dy0 * y0).sum(axis=0) + qb * y0[0] - r
+        # Both caps bind: w1 = Svp / Svv, so the term in s vanishes, and the
+        # leading term, which would cancel, is summed as (dp - w1 dv)^2 / D,
+        # as support_points sums it.
+        both = gives_w & dw
+        lead = dp[1:] - w1 * dv[1:]
+        a2 = np.where(both, qa * (lead * lead / divisor[1:]).sum(axis=0), a2)
+        a1 = np.where(both, 0.0, a1)
         disc = a1 * a1 - 4.0 * a2 * a0
         # A tangent root may come out a rounding error below zero.
         disc[(disc < 0.0) & (disc >= -1e-12 * (a1 * a1 + np.abs(4.0 * a2 * a0)))] = 0.0
@@ -444,8 +484,9 @@ def _batch_rows(
         ok[0] &= keep & ~fixed
         ok[1:] &= rooted
         value = np.where(ok, (y * dp).sum(axis=1), -np.inf)
+    support = np.take(slots, item, axis=1).T
     return _Rows(
-        chunk[item], pattern, rooted, fixed, d.T, dv.T, dp.T, w0, w1, s, t, z.swapaxes(1, 2), value
+        support, pattern, rooted, fixed, d.T, dv.T, dp.T, w0, w1, s, t, z.swapaxes(1, 2), value
     )
 
 
@@ -590,58 +631,127 @@ def _bound_table(units: Units) -> np.ndarray:
     )
     single = np.maximum(np.maximum(revenue[1 : m + 1], revenue[m + 1 : 2 * m + 1]), 0.0)
     table = np.maximum(single[:, None], single)
-    i, j = np.triu_indices(m, 1)
+    i, j, _, _ = _bases(m)
     table[i, j] = np.maximum(table[i, j], revenue[2 * m + 1 :])
     return table
 
 
-def _support_bounds(table: np.ndarray, chunk: np.ndarray) -> np.ndarray:
-    """The LP bound of each support of ``chunk``: the best basis on two of its slots.
+def _supports(kept: list[int], largest: int, n: int) -> tuple[np.ndarray, list[int]]:
+    """The supports of 1 to ``largest`` of the ``kept`` cargoes, slot-major.
+
+    Returns (slots, starts).  ``slots``, of shape (largest, supports), holds
+    cargo indices in the smallest unsigned type that holds n, the supports
+    in order of size and then lexicographically, and the dummy cargo n in
+    their free slots; slot j holds a real cargo from support ``starts[j]``
+    on.  Each size grows from the one below by prefix expansion: a support
+    whose last cargo is the e-th of the m kept has m - 1 - e children.
+    Only the last slot's positions are held as intp, one size at a time.
+    """
+    m = len(kept)
+    cargo = np.array(kept, dtype=np.min_scalar_type(n))
+    starts = [0]
+    for size in range(1, largest + 1):
+        starts.append(starts[-1] + math.comb(m, size))
+    slots = np.full((largest, starts.pop()), n, dtype=cargo.dtype)
+    slots[0, :m] = cargo
+    last = np.arange(m)
+    for size in range(1, largest):
+        # The supports of size + 1 go from ``at`` to ``end``.
+        at, end = starts[size], starts[size] + math.comb(m, size + 1)
+        children = m - 1 - last
+        first = children.cumsum() - children
+        slots[:size, at:end] = slots[:size, starts[size - 1] : at].repeat(children, axis=1)
+        last = np.arange(end - at) + (last + 1 - first).repeat(children)
+        slots[size, at:end] = cargo[last]
+    return slots, starts
+
+
+def _support_bounds(units: Units, slots: np.ndarray, starts: list[int]) -> np.ndarray:
+    """Each support's bound: the smaller of its pair-table LP bound and its stable-mass bound."""
+    bounds = _mass_bounds(units, slots, starts)
+    return np.minimum(bounds, _pair_bounds(_bound_table(units), slots, starts), out=bounds)
+
+
+def _pair_bounds(table: np.ndarray, slots: np.ndarray, starts: list[int]) -> np.ndarray:
+    """The LP bound of each support of :func:`_supports`: the best basis on two of its cargoes.
 
     Its slots hold cargo indices in increasing order, so every pair reads
-    the filled half of ``table``.
+    the filled half of ``table``, and a lone cargo reads its diagonal.  The
+    flat indices are formed in intp, whatever the type of ``slots``.
     """
-    pairs = list(itertools.combinations(range(chunk.shape[1]), 2)) or [(0, 0)]
-    return np.maximum.reduce([table[chunk[:, a], chunk[:, b]] for a, b in pairs])
+    m = table.shape[0]
+    flat = table.ravel()
+    bounds = np.take(flat, slots[0].astype(np.intp) * (m + 1))
+    for j in range(1, slots.shape[0]):
+        part = slice(starts[j], None)
+        for i in range(j):
+            index = slots[i, part].astype(np.intp) * m
+            index += slots[j, part]
+            np.maximum(bounds[part], np.take(flat, index), out=bounds[part])
+    return bounds
 
 
-def _batches(kept: list[int], largest: int, n: int, promising):
-    """The supports of 1 to ``largest`` of the ``kept`` cargoes, ``CHUNK`` to a batch.
+def _mass_bounds(units: Units, slots: np.ndarray, starts: list[int]) -> np.ndarray:
+    """The stable-mass bound of each support of :func:`_supports`: T_S max p.
 
-    Yields (cargo indices, 0/1 mask of the real slots), each of shape
-    (supports, largest), in order of size and then lexicographically; the
-    free slots hold the dummy cargo n.  Supports are read ``CHUNK`` at a
-    time; once the first batch has gone out, only the supports for which
-    ``promising`` is true are kept, and batches are packed from these
-    alone, so that each is full but the last, which has no more rows than
-    are left.  An enumeration of at most ``CHUNK`` supports never calls
-    ``promising``.
+    On a support S, y'Dy >= alpha_S y_1^2 with alpha_S its first step plus
+    its negative later ones, so a stable candidate of S loads at most T_S,
+    the stable-mass room (:func:`~shipload.solver.stable_mass_room`) of qa
+    alpha_S T^2 + qb T <= r within the widened cap 1 + ``MARGIN``; the
+    right side is widened by ``MARGIN`` (max(1, |r|) + qa K^2 + |qb|).
+    Since r >= 0, T = 0 is stable and T_S is never lost.  Steps and rates
+    are read slot by slot.
     """
-    pending, held, started = [], 0, False
-    for size in range(1, largest + 1):
-        supports = itertools.combinations(kept, size)
-        while True:
-            flat = np.fromiter(
-                itertools.chain.from_iterable(itertools.islice(supports, CHUNK)), np.intp
-            )
-            count = flat.size // size
-            if not count:
-                break
-            chunk = np.full((count, largest), n, dtype=np.intp)
-            chunk[:, :size] = flat.reshape(count, size)
-            # A 0/1 float mask: integer and boolean arithmetic would page in
-            # NumPy loops that nothing else on the solve path uses.
-            real = np.zeros((count, largest))
-            real[:, :size] = 1.0
-            if started:
-                keep = promising(chunk)
-                chunk, real = chunk[keep], real[keep]
-            pending.append((chunk, real))
-            held += chunk.shape[0]
-            if held >= CHUNK:
-                chunk, real = (np.concatenate(part) for part in zip(*pending))
-                yield chunk[:CHUNK], real[:CHUNK]
-                started = True
-                pending, held = [(chunk[CHUNK:], real[CHUNK:])], held - CHUNK
-    if held:
-        yield tuple(np.concatenate(part) for part in zip(*pending))
+    g, p = units.generator, units.p
+    cargo = slots[0].astype(np.intp)
+    alpha, top = np.take(g, cargo), np.take(p, cargo)
+    for j in range(1, slots.shape[0]):
+        part = slice(starts[j], None)
+        below, cargo = cargo[starts[j] - starts[j - 1] :], slots[j, part].astype(np.intp)
+        step = np.take(g, cargo)
+        step -= np.take(g, below)
+        alpha[part] += np.minimum(step, 0.0, out=step)
+        np.maximum(top[part], np.take(p, cargo), out=top[part])
+    largest = slots.shape[0]
+    relax = MARGIN * (max(1.0, abs(units.r)) + units.qa * largest * largest + abs(units.qb))
+    alpha *= units.qa
+    mass, _ = stable_mass_room(alpha, units.qb, -units.r - relax, 1.0 + MARGIN, 1.0)
+    return np.multiply(mass, top, out=mass)
+
+
+def _batches(count: int, bounds: np.ndarray | None, floor):
+    """The supports of each batch, as indices into the ``count`` supports in their order.
+
+    Without ``bounds``, the enumeration of at most ``CHUNK`` supports, all
+    of them form one batch, given as a slice.  Otherwise the first batch
+    holds the ``CHUNK`` supports with the highest bounds, ties going to
+    the earlier, in their order, and the rest follow in their order, each
+    read against ``floor()``, the live incumbent, when its batch is
+    packed: a support whose bound is below it is dropped.  Every batch but
+    the last is full.  ``bounds`` is consumed.
+    """
+    if bounds is None:
+        yield slice(None)
+        return
+    # Eight halvings leave a floor that at least CHUNK bounds reach, and
+    # only those few are sorted: np.argpartition or np.sort over all of
+    # them would page in 0.25-0.45 MB of NumPy code that no other step uses.
+    low, high = bounds.min(), bounds.max()
+    for _ in range(8):
+        middle = 0.5 * (low + high)
+        if np.count_nonzero(bounds >= middle) >= CHUNK:
+            low = middle
+        else:
+            high = middle
+    above = np.flatnonzero(bounds >= low)
+    best = np.zeros(count, dtype=bool)
+    best[above[np.argsort(-bounds[above], kind="stable")[:CHUNK]]] = True
+    yield np.flatnonzero(best)
+    bounds[best] = -np.inf
+    start = 0
+    while True:
+        picks = np.flatnonzero(bounds[start:] >= floor())[:CHUNK] + start
+        if not picks.size:
+            return
+        yield picks
+        start = int(picks[-1]) + 1

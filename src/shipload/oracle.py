@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import Problem, revenue
-from .solver import Solution, _Loading, _plan_multipliers
+from .solver import Solution, _Loading, _plan_multipliers, stable_mass_room
 
 __all__ = ["LatticeSpec", "grid_search", "certify"]
 
@@ -198,16 +198,18 @@ def _revenue_bound(problem: Problem, p: np.ndarray, vol: np.ndarray, a: np.ndarr
     with alpha_j = A_jj + sum_{k>j} min(D_k, 0).  The cross term with the
     prefix is 2 w T, the same for every k >= j.  A stable completion of
     suffix mass T therefore keeps s(Q + 2wT + alpha_j T^2) + b(mass + T) <=
-    r, and R_m is the largest such T in [0, C - mass]: C - mass when the
+    r, and R_m is the largest such T in [0, C - mass], the stable-mass room
+    of :func:`~shipload.solver.stable_mass_room`: C - mass when the
     quadratic holds there, else its up-crossing root in the non-cancelling
     form the last coordinate uses, and no T (the row is dropped) when that
-    root lies outside.
+    root lies outside.  The KKT enumeration bounds its supports with the
+    same room.
 
     Margins: the rooms are widened by _MARGIN times the caps, the stability
-    right side by _MARGIN times |r| + s max|A| C^2 + |b| C, the root by
-    _MARGIN times its size plus C, each lambda_C by _MARGIN times the
-    largest rate plus max(vol) lambda_V, and the bound by the relative
-    _MARGIN.  These dominate the rounding of the float predicate and of
+    right side by _MARGIN times |r| + s max|A| C^2 + |b| C, the root by the
+    helper's ``ROOM_MARGIN``, also 1e-6, times its size plus C, each
+    lambda_C by _MARGIN times the largest rate plus max(vol) lambda_V, and
+    the bound by the relative _MARGIN.  These dominate the rounding of the float predicate and of
     the root, so every lattice point the search would accept lies under
     the bound.
     """
@@ -222,23 +224,9 @@ def _revenue_bound(problem: Problem, p: np.ndarray, vol: np.ndarray, a: np.ndarr
     def bound(j, mass, volume, quad, w, gain):
         room = np.maximum(cap - mass, 0.0) + _MARGIN * cap
         vol_room = np.maximum(vol_cap - volume, 0.0) + _MARGIN * vol_cap
-        sa = s * alpha[j]
         beta = 2.0 * s * w + b
         gamma = s * quad + b * mass - r - relax
-        short = (sa * room + beta) * room + gamma > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root_d = np.sqrt(beta * beta - 4.0 * sa * gamma)
-            crossing = np.where(
-                beta >= 0.0, 2.0 * gamma / (-beta - root_d), (root_d - beta) / (2.0 * sa)
-            )
-        # Infinite crossings become finite ones outside [0, C].
-        crossing = np.clip(crossing, -2.0 * cap, 2.0 * cap)
-        widen = _MARGIN * (np.abs(crossing) + cap)
-        # No real root: the quadratic is positive everywhere when it opens
-        # upward and never positive when it opens downward.
-        outside = (crossing + widen < 0.0) | (crossing - widen > room)
-        lost = short & (outside | (np.isnan(crossing) & (sa > 0)))
-        room = np.where(short, np.fmin(room, crossing + widen), room)
+        room, lost = stable_mass_room(s * alpha[j], beta, gamma, room, cap)
         lam_c, lam_v = duals[j]
         lp = (room[:, None] * lam_c + vol_room[:, None] * lam_v).min(axis=1)
         return np.where(lost, -math.inf, (gain + lp) * (1.0 + _MARGIN))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,9 +100,13 @@ def classify_constraint_matrix(densities, water_density: float) -> DefinitenessC
     d = np.asarray(densities, dtype=float)
     if d.ndim != 1 or d.size == 0:
         raise ValueError("densities must be a nonempty vector")
-    if not d.min() > 0.0:
+    lowest = float(d.min())
+    if not lowest > 0.0:
         i = int(np.argmin(d > 0.0))
         raise ValueError(f"density at index {i} must be positive, got {d[i]}")
+    if not 1.0 / lowest < math.inf:
+        i = int(np.argmin(d))
+        raise ValueError(f"density at index {i} has no finite reciprocal, got {d[i]}")
     if not (water_density > 0):
         raise ValueError(f"water density must be positive, got {water_density}")
 

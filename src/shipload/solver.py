@@ -75,6 +75,9 @@ KKT_TOLERANCE = 1e-6
 _LP_TOLERANCE = 1e-9
 # NNLS raises RuntimeError at this many steps per column, as scipy.optimize.nnls does.
 _NNLS_STEPS_PER_COLUMN = 3
+# Relative widening of the root in stable_mass_room: far above its
+# rounding, about sqrt(ulp) at a double root.
+ROOM_MARGIN = 1e-6
 # Most steps of the support exchange are 2 n plus this many.  The measured
 # convex answers took at most 3.
 _EXCHANGE_EXTRA_STEPS = 6
@@ -402,6 +405,54 @@ def _pair_loads(v_i, v_j, cap: float, room: float):
     """The loads of cargoes i and j with both caps binding, for arrays and scalars alike."""
     gap = v_i - v_j
     return (room - v_j * cap) / gap, (v_i * cap - room) / gap
+
+
+def stable_mass_room(quad, lin, const, room, cap: float):
+    """The largest mass T in [0, ``room``] with quad T^2 + lin T + const <= 0, widened.
+
+    The stable-mass room of a stack's suffix, or of a support: with its
+    suffix sums at most its mass T, y'Dy >= alpha T^2 for alpha the first
+    step plus the negative later ones, so no stable completion holds more
+    than this T for quad = s alpha.  Broadcasts over arrays.  Returns (T,
+    lost): ``room`` where the quadratic holds there, else its up-crossing
+    root, in the form that does not cancel, widened by ``ROOM_MARGIN``
+    (|root| + ``cap``) and clipped to ``room``; ``lost`` is true where no
+    T in [0, ``room``] is left.  ``cap`` scales the widening and the clip
+    of an infinite root to +-2 ``cap``.
+    """
+    # The root is 2 const / (-lin - root_d) where lin >= 0 and
+    # (root_d - lin) / (2 quad) elsewhere, with root_d = sqrt(lin^2 -
+    # 4 quad const); each expression is evaluated in place, in the order
+    # written, so that at most four arrays of the broadcast shape are live.
+    work = np.multiply(quad, room)
+    work += lin
+    work *= room
+    work += const
+    short = work > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.multiply(quad, 4.0, out=work)
+        work *= const
+        root_d = np.subtract(lin * lin, work, out=work)
+        np.sqrt(root_d, out=root_d)
+        crossing = np.subtract(-lin, root_d)
+        np.divide(2.0 * const, crossing, out=crossing)
+        root_d -= lin
+        root_d /= 2.0 * quad
+        np.copyto(crossing, root_d, where=lin < 0.0)
+    # Infinite crossings become finite ones outside [0, cap].
+    np.clip(crossing, -2.0 * cap, 2.0 * cap, out=crossing)
+    widen = np.abs(crossing, out=root_d)
+    widen += cap
+    widen *= ROOM_MARGIN
+    top = crossing + widen
+    bottom = np.subtract(crossing, widen, out=widen)
+    # No real root: the quadratic is positive everywhere when it opens
+    # upward and never positive when it opens downward.
+    outside = (top < 0.0) | (bottom > room)
+    lost = short & (outside | (np.isnan(crossing) & (quad > 0)))
+    np.fmin(room, top, out=top)
+    np.copyto(top, room, where=~short)
+    return top, lost
 
 
 def _lp_optimum(problem: Problem) -> tuple[np.ndarray, float, float]:

@@ -3,6 +3,7 @@ its scalar per-support solve against its batch rows, its batch rows against the 
 solved one per batch, and its incumbent prune against the enumeration without it."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,10 +116,10 @@ def _batch_roots(problem, support):
     diagonal = problem.classification.evidence.diagonal / units.a
     _, merged = kkt_enumeration._merge_twins(diagonal, problem.objective)
     largest, full_needs_volume = kkt_enumeration._support_rule(merged)
-    chunk = np.full((1, largest), problem.n, dtype=np.intp)
-    chunk[0, : len(support)] = support
+    chunk = np.full((largest, 1), problem.n, dtype=np.intp)
+    chunk[: len(support), 0] = support
     real = (chunk < problem.n).astype(float)
-    rows = kkt_enumeration._batch_rows(units, chunk, real, largest, full_needs_volume)
+    rows = kkt_enumeration._batch_rows(units, chunk, real, full_needs_volume)
     roots = []
     for root in (1, 2):
         moving = rows.rooted & ~rows.fixed
@@ -250,8 +251,9 @@ class TestPinnedPair:
         # With both caps binding, the line through two cargoes moves t and w
         # alone, so stability is flat along it.  Its coefficients come from
         # Svv, Svp and Spp, which grow as 1 / D where the densities nearly
-        # coincide; summed slot by slot, as the batch rows sum them, their
-        # rounding leaves roots with t near 1e12 on about one pair in twenty.
+        # coincide; summed from dv / D and dp / D slot by slot, their
+        # rounding left roots with t near 1e12 on about one pair in twenty,
+        # in the scalar solve and in the batch rows alike.
         rng = np.random.default_rng(31)
         points = 0
         for _ in range(400):
@@ -269,6 +271,9 @@ class TestPinnedPair:
             # Only a point that binds both caps has lam_C and lam_V both nonzero.
             assert not [p for p in found if p[1] != 0.0 and p[2] != 0.0], (gap, support, found)
             points += len(found)
+            # The batch rows: pattern 3 binds both caps.
+            both_caps = [t for pattern, _, t in _batch_roots(problem, support) if pattern == 3]
+            assert not [t for t in both_caps if t > 1e6], (gap, support, both_caps)
         assert points >= 400, points
 
 
@@ -291,11 +296,14 @@ class TestBatchComposition:
         diagonal = problem.classification.evidence.diagonal / units.a
         kept, merged = kkt_enumeration._merge_twins(diagonal, problem.objective)
         largest, full_needs_volume = kkt_enumeration._support_rule(merged)
-        ((chunk, real),) = kkt_enumeration._batches(kept, largest, problem.n, None)
+        slots, _ = kkt_enumeration._supports(kept, largest, problem.n)
+        # The whole enumeration is one batch.
+        assert slots.shape[1] <= kkt_enumeration.CHUNK
+        real = (slots < problem.n).astype(float)
 
         def solve(rows):
             return kkt_enumeration._batch_rows(
-                units, chunk[rows], real[rows], largest, full_needs_volume
+                units, slots[:, rows], real[:, rows], full_needs_volume
             )
 
         batch, backward = solve(slice(None)), solve(slice(None, None, -1))
@@ -311,7 +319,7 @@ class TestBatchComposition:
 
         # Each support alone, then within the batch and within the batch
         # with its supports in reverse order.
-        alone = [solve(slice(i, i + 1)) for i in range(chunk.shape[0])]
+        alone = [solve(slice(i, i + 1)) for i in range(slots.shape[1])]
         sizes = [rows.pattern.size for rows in alone]
         ends = np.cumsum(sizes), np.cumsum(sizes[::-1])[::-1]
         assert ends[0][-1] == batch.pattern.size == backward.pattern.size
@@ -325,13 +333,9 @@ class TestBatchComposition:
 
 
 def _unpruned(problem):
-    """``binding_optimum`` with the bound taken away: every support reaches a batch."""
-
-    def no_bound(units):
-        return np.full((units.n + 1, units.n + 1), np.inf)
-
+    """``binding_optimum`` with all supports in one batch, in their order: no bound is built."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kkt_enumeration, "_bound_table", no_bound)
+        patch.setattr(kkt_enumeration, "CHUNK", math.inf)
         return kkt_enumeration.binding_optimum(problem)
 
 
@@ -369,7 +373,7 @@ def _assert_unchanged_by_the_prune(problem):
 
 
 class TestIncumbentPrune:
-    """Supports whose two-cap LP bound cannot reach the incumbent are not solved."""
+    """Supports whose LP or stable-mass bound cannot reach the incumbent are not solved."""
 
     def test_same_answers_without_the_prune(self):
         rng = np.random.default_rng(2026)
@@ -423,11 +427,53 @@ class TestIncumbentPrune:
         # 12 + 66 + 220 supports, within one batch.
         assert tables == 0 and systems == _counted(_unpruned, problem)[0]
 
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_stable_mass_cut_on_a_reverse_stack_of_41(self, seed):
+        # 41 cargoes and the ballast, whose two-cap LP bounds alone left
+        # 25 622 and 25 150 of their systems to solve.
+        problem = draw_random_problem(
+            np.random.default_rng(seed), sizes=(41, 42), orders=(LoadingOrder.reverse(),)
+        )
+        systems, _, _ = _counted(kkt_enumeration.binding_optimum, problem)
+        assert systems < 5000, systems
+        bounded, reason = _assert_unchanged_by_the_prune(problem)
+        assert bounded and reason is None
+
+    @pytest.mark.parametrize("seed", [0, None])
+    def test_ties_go_to_the_earliest_support_in_any_batch_order(self, seed):
+        # Revenues floored to quarters tie across many supports, and the
+        # supports go to the batches in a random order, so that an earlier
+        # support that ties with the winner of a batch often comes later.
+        if seed is None:
+            problem = large_reverse_stack(41)
+        else:
+            problem = draw_random_problem(
+                np.random.default_rng(seed), sizes=(41, 42), orders=(LoadingOrder.reverse(),)
+            )
+        batch_rows = kkt_enumeration._batch_rows
+
+        def floored(*args):
+            rows = batch_rows(*args)
+            return rows._replace(value=np.floor(rows.value * 4.0) / 4.0)
+
+        def shuffled(count, bounds, floor):
+            order = np.random.default_rng(3).permutation(count)
+            for start in range(0, count, kkt_enumeration.CHUNK):
+                yield np.sort(order[start : start + kkt_enumeration.CHUNK])
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kkt_enumeration, "_batch_rows", floored)
+            reference = _unpruned(problem)
+            patch.setattr(kkt_enumeration, "_batches", shuffled)
+            value, x, multipliers, reason = kkt_enumeration.binding_optimum(problem)
+        assert (value, multipliers, reason) == (reference[0], reference[2], reference[3])
+        assert x.tobytes() == reference[1].tobytes()
+
     def test_bound_covers_every_candidate_of_its_support(self):
-        """The LP bound of a support is at least each candidate that passes the batch checks."""
+        """Both bounds of a support are at least each candidate that passes the batch checks."""
         rng = np.random.default_rng(5)
         orders = (LoadingOrder.normal(), LoadingOrder.reverse(), "explicit")
-        candidates = 0
+        candidates = tighter = 0
         for draw in range(200):
             room = (0.3, 0.8) if draw % 2 else (0.5, 2.0)
             problem = draw_random_problem(rng, sizes=(2, 9), orders=orders, room=room)
@@ -435,14 +481,51 @@ class TestIncumbentPrune:
             diagonal = problem.classification.evidence.diagonal / units.a
             kept, merged = kkt_enumeration._merge_twins(diagonal, problem.objective)
             largest, full_needs_volume = kkt_enumeration._support_rule(merged)
-            every = kkt_enumeration._batches(kept, largest, problem.n, lambda c: c[:, 0] >= 0)
-            chunk = np.concatenate([chunk for chunk, _ in every])
-            real = (chunk < problem.n).astype(float)
-            rows = kkt_enumeration._batch_rows(units, chunk, real, largest, full_needs_volume)
+            slots, _ = kkt_enumeration._supports(kept, largest, problem.n)
+            real = (slots < problem.n).astype(float)
+            rows = kkt_enumeration._batch_rows(units, slots, real, full_needs_volume)
+            # The support of each system, slot-major, and where each slot
+            # starts to hold a real cargo: the systems keep the supports' order.
+            supports = np.ascontiguousarray(rows.support.T)
+            sizes = (supports < problem.n).sum(axis=0)
+            starts = np.searchsorted(sizes, np.arange(1, largest + 1)).tolist()
             table = kkt_enumeration._bound_table(units)
-            bounds = kkt_enumeration._support_bounds(table, rows.support)
+            pair = kkt_enumeration._pair_bounds(table, supports, starts)
+            mass = kkt_enumeration._mass_bounds(units, supports, starts)
             # The best candidate of each system, -inf where none passes.
             best = rows.value.max(axis=0)
-            assert (best <= bounds).all()
+            assert (best <= pair).all() and (best <= mass).all()
             candidates += int(np.isfinite(best).sum())
+            tighter += int(np.count_nonzero(np.isfinite(best) & (mass < pair)))
         assert candidates >= 1000, candidates
+        # The cut is the smaller bound on systems that hold candidates.
+        assert tighter >= 100, tighter
+
+
+class TestMemory:
+    """The enumeration holds one float bound and a few small integers per support."""
+
+    # tracemalloc peaks, in MiB, of the enumeration whose supports came from
+    # itertools in batches (NumPy 2.4, Python 3.11).
+    @pytest.mark.parametrize("name, before", [("large reverse stack", 1.386), ("rng 0", 1.849)])
+    def test_peak_of_a_stack_of_41(self, name, before):
+        if name == "rng 0":
+            problem = draw_random_problem(
+                np.random.default_rng(0), sizes=(41, 42), orders=(LoadingOrder.reverse(),)
+            )
+        else:
+            problem = large_reverse_stack(41)
+        # Caches fill on the first call.
+        kkt_enumeration.binding_optimum(problem)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            kkt_enumeration.binding_optimum(problem)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 1.1 * before * 2**20, peak / 2**20

@@ -105,6 +105,13 @@ class TestClassifyConstraintMatrix:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             classify_constraint_matrix(np.array(densities), 1.0)
 
+    def test_density_without_a_finite_reciprocal_rejected(self):
+        # As stacking_matrix refuses it: 1 / 1e-320 overflows, and the
+        # diagonal would read [1, inf].
+        message = "density at index 1 has no finite reciprocal, got 1e-320"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            classify_constraint_matrix(np.array([0.5, 1e-320]), 1.0)
+
     def test_nonpositive_water_density_rejected(self):
         with pytest.raises(ValueError, match="water density"):
             classify_constraint_matrix(np.array([0.5]), 0.0)

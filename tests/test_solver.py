@@ -1116,3 +1116,47 @@ class TestNnls:
         monkeypatch.setattr(solver, "_NNLS_STEPS_PER_COLUMN", 0)
         with pytest.raises(RuntimeError, match="Maximum number of iterations"):
             kkt_verify(problem, x)
+
+
+class TestStableMassRoom:
+    """``stable_mass_room``: the largest mass T <= room with quad T^2 + lin T + const <= 0."""
+
+    def test_room_root_or_none(self):
+        # Per case (quad, lin, const) on [0, 1], and T before the widening,
+        # or None where no T is left.
+        cases = [
+            ((1.0, 0.0, -0.25), 0.5),  # convex, holds up to 0.5
+            ((1.0, 0.0, -4.0), 1.0),  # convex, holds at the room
+            ((-1.0, 2.0, -0.5), 1.0 - 0.5**0.5),  # concave, holds below its first root
+            ((-1.0, 0.0, 0.25), 1.0),  # concave, holds from 0.5 on
+            ((0.0, 1.0, -0.5), 0.5),  # linear, rising
+            ((0.0, -1.0, 2.0), None),  # linear, falling, positive on [0, 1]
+            ((1.0, 0.0, 0.5), None),  # convex, no real root
+            ((1.0, -4.0, 3.5), None),  # convex, both roots above the room
+        ]
+        quad, lin, const = (np.array(column) for column in zip(*(case for case, _ in cases)))
+        room, lost = solver.stable_mass_room(quad, lin, const, 1.0, 1.0)
+        for (case, expected), t, none in zip(cases, room, lost):
+            assert none == (expected is None), case
+            if expected is not None:
+                widening = solver.ROOM_MARGIN * (expected + 1.0)
+                assert expected <= t <= min(expected + widening * (1.0 + 1e-9), 1.0), case
+
+    def test_the_lattice_bound_and_the_enumeration_call_it(self, monkeypatch):
+        from shipload import oracle
+
+        calls = {"oracle": 0, "enumeration": 0}
+
+        def counted(caller):
+            def room(*args):
+                calls[caller] += 1
+                return solver.stable_mass_room(*args)
+
+            return room
+
+        monkeypatch.setattr(oracle, "stable_mass_room", counted("oracle"))
+        monkeypatch.setattr(kkt_enumeration, "stable_mass_room", counted("enumeration"))
+        grid_search(large_reverse_stack(3), LatticeSpec(2000.0))
+        # 21 + 210 + 1330 supports: more than one batch, so they are bounded.
+        kkt_enumeration.binding_optimum(large_reverse_stack(21))
+        assert calls["oracle"] > 0 and calls["enumeration"] == 1, calls
