@@ -12,9 +12,7 @@ lattice-certified) result, 2 for a result that is only locally verified,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import logging
 import sys
@@ -24,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .hydrostatics import constraint_slack, hydro_state
 from .model import (
     CargoType,
     Environment,
@@ -33,14 +30,6 @@ from .model import (
     StabilityPolicy,
     Vessel,
     assemble_problem,
-)
-from .oracle import LatticeSpec, _certify
-from .solver import (
-    SolverStatus,
-    active_set,
-    mu_sensitivity,
-    solve,
-    solve_lp,
 )
 
 __all__ = [
@@ -373,7 +362,7 @@ def _build_parser() -> _Parser:
     oracle.add_argument(
         "--max-points",
         type=int,
-        default=LatticeSpec(1.0).max_points,
+        default=None,
         help="most lattice rows the bounded search may build, and most levels "
         "per cargo; past it the command fails with exit code 1 and prints no report",
     )
@@ -410,6 +399,9 @@ def _problem_from(scenario: Scenario, need_mu: bool = True) -> Problem:
 
 
 def _solution_report(command: str, name: str, scenario: Scenario, problem: Problem, solution) -> dict:
+    from .hydrostatics import constraint_slack, hydro_state
+    from .solver import active_set
+
     x = np.asarray(solution.x, dtype=float)
     state = hydro_state(problem, x)
     total = float(x.sum())
@@ -482,6 +474,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
         return report, 0
 
     if args.command == "lp":
+        from .solver import solve_lp
+
         problem = _problem_from(scenario)
         solution = solve_lp(problem)
         report = _solution_report("lp", name, scenario, problem, solution)
@@ -489,6 +483,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
         return report, 0
 
     if args.command == "solve":
+        from .solver import solve
+
         problem = _problem_from(scenario)
         _log.info("solving %s", name)
         solution = solve(problem)
@@ -496,8 +492,13 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
         return report, _exit_code(solution.status)
 
     if args.command == "oracle":
+        from .oracle import LatticeSpec, _certify
+        from .solver import SolverStatus, solve
+
         problem = _problem_from(scenario)
-        spec = LatticeSpec(step=args.step, max_points=args.max_points)
+        # Without --max-points the cap is LatticeSpec's own default.
+        caps = {} if args.max_points is None else {"max_points": args.max_points}
+        spec = LatticeSpec(step=args.step, **caps)
         solution = solve(problem)
         report = _solution_report("oracle", name, scenario, problem, solution)
         if solution.status is SolverStatus.INFEASIBLE:
@@ -513,6 +514,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
         return report, _exit_code(solution.status, certified=certified)
 
     if args.command == "sensitivity":
+        from .solver import SolverStatus, mu_sensitivity, solve
+
         problem = _problem_from(scenario)
         base = solve(problem)
         if base.status is SolverStatus.INFEASIBLE:
@@ -557,7 +560,9 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
     raise ScenarioError(f"unknown command {args.command!r}")
 
 
-def _exit_code(status: SolverStatus, certified: bool | None = None) -> int:
+def _exit_code(status, certified: bool | None = None) -> int:
+    from .solver import SolverStatus
+
     if status is SolverStatus.INFEASIBLE:
         return 3
     if status is SolverStatus.OPTIMAL:
@@ -630,6 +635,9 @@ def _flatten(report: dict) -> list[tuple[str, object]]:
 
 
 def _render_csv(report: dict) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["key", "value"])

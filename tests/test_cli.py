@@ -323,6 +323,32 @@ BUNDLED_MARGINS = [
 ]
 
 
+ORACLE_HELP = """\
+usage: shipload oracle [-h] [--mu MU] [--order ORDER] [--no-ballast]
+                       [--format {table,csv,json}] [--kilotons] [--step STEP]
+                       [--max-points MAX_POINTS]
+                       scenario
+
+positional arguments:
+  scenario              scenario file path or bundled scenario name
+
+options:
+  -h, --help            show this help message and exit
+  --mu MU               stability margin in meters
+  --order ORDER         loading order: normal, reverse, or perm=i,j,...
+                        (positions from 1)
+  --no-ballast          do not add the zero-rate ballast type
+  --format {table,csv,json}
+                        output format (default table)
+  --kilotons            display masses in thousands of tons
+  --step STEP           lattice spacing in tons
+  --max-points MAX_POINTS
+                        most lattice rows the bounded search may build, and
+                        most levels per cargo; past it the command fails with
+                        exit code 1 and prints no report
+"""
+
+
 class TestOracleCommand:
     def test_certified_run(self, capsys):
         code, out, _ = run_cli(
@@ -337,7 +363,7 @@ class TestOracleCommand:
 
     def test_uncertified_local_trap(self, capsys, monkeypatch):
         # solve starts at the enumerated optimum, so the command is handed the trap.
-        monkeypatch.setattr(shipload.cli, "solve", local_trap)
+        monkeypatch.setattr(shipload.solver, "solve", local_trap)
         code, out, _ = run_cli(
             capsys,
             "oracle",
@@ -429,6 +455,40 @@ class TestOracleCommand:
         assert code == 1
         assert out == ""
         assert "the search built more than 1000 lattice rows" in err
+
+    def test_max_points_defaults_to_the_lattice_spec(self, capsys, monkeypatch):
+        specs = []
+        certify = oracle._certify
+
+        def recording(problem, solution, spec):
+            specs.append(spec)
+            return certify(problem, solution, spec)
+
+        monkeypatch.setattr(oracle, "_certify", recording)
+        args = ("oracle", "coastal_feeder.json", "--step", "50")
+        left_out = run_cli(capsys, *args)
+        given = run_cli(capsys, *args, "--max-points", "100000000")
+        assert left_out == given
+        assert left_out[0] == 0
+        assert specs == [LatticeSpec(50.0), LatticeSpec(50.0, max_points=100_000_000)]
+        assert specs[0].max_points == LatticeSpec.max_points
+
+    def test_zero_max_points_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "oracle", "coastal_feeder.json", "--step", "50", "--max-points", "0"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: max_points must be finite and at least 1, got 0\n"
+
+    def test_help_text(self):
+        # The parser states no default for --max-points; LatticeSpec holds it.
+        result = subprocess.run(
+            [sys.executable, "-m", "shipload.cli", "oracle", "--help"],
+            capture_output=True, text=True, timeout=120, env={**package_env(), "COLUMNS": "80"},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == ORACLE_HELP
 
     def test_infinite_step_refused(self, capsys):
         # An infinite step used to empty the lattice and certify any plan.
@@ -769,3 +829,117 @@ class TestLazyScipyImport:
             + self.TWO_CARGOES
             + self.NNLS_KKT
         )
+
+
+class TestColdStart:
+    """A fresh process loads only the submodules that it runs."""
+
+    @staticmethod
+    def run(code):
+        """Run ``code`` in a fresh interpreter; the ``shipload`` modules loaded at its end."""
+        result = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys\n" + code + "\nprint(sorted(m for m in sys.modules "
+                "if m.partition('.')[0] == 'shipload'), file=sys.stderr)\n",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=package_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        return set(eval(result.stderr.splitlines()[-1]))
+
+    def test_import_loads_no_submodule(self):
+        assert self.run("import shipload") == {"shipload"}
+
+    def test_classify_loads_the_model_alone(self):
+        loaded = self.run(
+            "import shipload.cli\n"
+            "assert shipload.cli.main(['classify', 'clarkson3500.json']) == 0\n"
+        )
+        assert loaded == {
+            "shipload", "shipload.cli", "shipload.model", "shipload.quadratic_analysis"
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "coastal_feeder.json"],
+            ["lp", "coastal_feeder.json"],
+            ["solve", "coastal_feeder.json"],
+            ["oracle", "coastal_feeder.json", "--step", "50"],
+            ["sensitivity", "coastal_feeder.json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_only_oracle_loads_the_oracle(self, argv):
+        loaded = self.run(
+            "import shipload.cli\n"
+            f"assert shipload.cli.main({argv!r} + ['--format', 'json']) == 0\n"
+        )
+        assert ("shipload.oracle" in loaded) is (argv[0] == "oracle")
+
+    def test_help_loads_the_model_alone(self):
+        loaded = self.run(
+            "import shipload.cli\n"
+            "for argv in (['--help'], ['oracle', '--help']):\n"
+            "    try:\n"
+            "        shipload.cli.main(argv)\n"
+            "    except SystemExit as stop:\n"
+            "        assert stop.code == 0, stop.code\n"
+        )
+        assert loaded == {
+            "shipload", "shipload.cli", "shipload.model", "shipload.quadratic_analysis"
+        }
+
+    def test_public_names_are_their_home_objects(self):
+        self.run(
+            "import importlib, shipload\n"
+            "assert len(shipload.__all__) == 33\n"
+            "for name in shipload.__all__:\n"
+            "    home = 'shipload.' + shipload._HOME[name]\n"
+            "    value = getattr(shipload, name)\n"
+            "    assert value is getattr(importlib.import_module(home), name), name\n"
+            "    assert getattr(value, '__module__', home) == home, name\n"
+            "    assert vars(shipload)[name] is value, name\n"
+            "    assert name in dir(shipload), name\n"
+        )
+
+    def test_star_import_binds_every_public_name(self):
+        self.run(
+            "import shipload\n"
+            "namespace = {}\n"
+            "exec('from shipload import *', namespace)\n"
+            "assert sorted(set(namespace) - {'__builtins__'}) == shipload.__all__\n"
+            "for name in shipload.__all__:\n"
+            "    assert namespace[name] is getattr(shipload, name), name\n"
+        )
+
+    def test_submodules_resolve_after_a_bare_import(self):
+        loaded = self.run(
+            "import shipload\n"
+            "assert shipload.oracle is sys.modules['shipload.oracle']\n"
+            "assert shipload.quadratic_analysis is sys.modules['shipload.quadratic_analysis']\n"
+        )
+        assert "shipload.cli" not in loaded
+
+    def test_unknown_name_raises_attribute_error(self):
+        loaded = self.run(
+            "import shipload\n"
+            "try:\n"
+            "    shipload.no_such_name\n"
+            "except AttributeError as err:\n"
+            "    assert str(err) == \"module 'shipload' has no attribute 'no_such_name'\", err\n"
+            "else:\n"
+            "    raise AssertionError('no AttributeError')\n"
+            "assert not hasattr(shipload, 'no_such_name')\n"
+            "try:\n"
+            "    from shipload import no_such_name\n"
+            "except ImportError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('no ImportError')\n"
+        )
+        assert loaded == {"shipload"}
