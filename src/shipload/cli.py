@@ -697,7 +697,22 @@ def render_report(report: dict, fmt: str, kilotons: bool = False) -> str:
 
 
 def main(argv=None) -> int:
-    """Run one command; progress logged by shipload at INFO goes to standard error."""
+    """Run one command; progress logged by shipload at INFO goes to standard error.
+
+    ``argv`` None means the process's own command line: the ``shipload``
+    console script and ``python -m shipload.cli`` call ``main()`` so, and
+    the process ends with the command.  Then ``gc.freeze`` runs at exit,
+    before the interpreter's final collections, so they skip the objects
+    that NumPy and the package built; refcounting still frees them, and
+    stdio and logging flush as before.  A freeze also skips the finalizers
+    of objects in reference cycles, so library and test callers, which
+    pass ``argv``, keep their collector as it was.
+    """
+    if argv is None:
+        import atexit
+        import gc
+
+        atexit.register(gc.freeze)
     package = logging.getLogger("shipload")
     stderr = logging.StreamHandler(sys.stderr)
     stderr.setLevel(logging.INFO)

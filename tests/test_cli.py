@@ -656,9 +656,28 @@ class TestConsoleScript:
         with (Path(__file__).resolve().parents[1] / "pyproject.toml").open("rb") as f:
             return tomllib.load(f)["project"]["scripts"]
 
-    def run(self, command, **kwargs):
+    # At exit, after main's own handlers: whether the heap was frozen, and
+    # whether the collector is as it was before main ran.
+    PROBE = (
+        "import atexit, gc, sys\n"
+        "enabled = gc.isenabled()\n"
+        "atexit.register(lambda: print('probe', gc.get_freeze_count() > 0,"
+        " gc.isenabled() == enabled, file=sys.stderr))\n"
+    )
+
+    def run(self, command, args=ARGS, **kwargs):
         return subprocess.run(
-            [*command, *self.ARGS], capture_output=True, text=True, timeout=120, **kwargs
+            [*command, *args], capture_output=True, text=True, timeout=120, **kwargs
+        )
+
+    def wrapper(self):
+        """What a setuptools console-script wrapper runs, against the code under test."""
+        target = self.declared_scripts()["shipload"]
+        assert target == "shipload.cli:main"
+        module, attr = target.split(":")
+        return (
+            f"import sys; from {module} import {attr}; "
+            f"sys.argv[0] = 'shipload'; sys.exit({attr}())"
         )
 
     @staticmethod
@@ -668,19 +687,40 @@ class TestConsoleScript:
         assert report["definiteness"] == "PositiveSemidefinite", result.stderr
 
     def test_installed_entry_point(self):
-        target = self.declared_scripts()["shipload"]
-        assert target == "shipload.cli:main"
-        module, attr = target.split(":")
-        # What a setuptools console-script wrapper runs, against the code under test.
-        wrapper = (
-            f"import sys; from {module} import {attr}; "
-            f"sys.argv[0] = 'shipload'; sys.exit({attr}())"
+        self.assert_classifies_psd(
+            self.run([sys.executable, "-c", self.wrapper()], env=package_env())
         )
-        self.assert_classifies_psd(self.run([sys.executable, "-c", wrapper], env=package_env()))
 
         installed = shutil.which("shipload")
         if installed:
             self.assert_classifies_psd(self.run([installed]))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "clarkson3500.json", "--mu", "4", "--order", "reverse", "--format", "json"],
+            ["oracle", "coastal_feeder.json", "--step", "50", "--format", "json"],
+        ],
+        ids=["solve-reverse", "oracle"],
+    )
+    def test_console_report_matches_in_process(self, capsys, args):
+        result = self.run([sys.executable, "-c", self.wrapper()], args, env=package_env())
+        code, out, _ = run_cli(capsys, *args)
+        assert result.returncode == code, result.stderr
+        assert json.loads(result.stdout) == json.loads(out)
+
+    def test_only_the_console_path_freezes_the_heap(self):
+        console = self.run([sys.executable, "-c", self.PROBE + self.wrapper()], env=package_env())
+        self.assert_classifies_psd(console)
+        assert console.stderr.splitlines()[-1] == "probe True True"
+
+        library = self.run(
+            [sys.executable, "-c", self.PROBE + "from shipload.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n"],
+            env=package_env(),
+        )
+        self.assert_classifies_psd(library)
+        assert library.stderr.splitlines()[-1] == "probe False True"
 
 
 class TestLazyScipyImport:
