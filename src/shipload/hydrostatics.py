@@ -121,13 +121,12 @@ def metacentric_height(problem: Problem, x) -> float:
 def constraint_slack(problem: Problem, x) -> float:
     """Room left in the stability constraint, in ton-meters.
 
-    Evaluates rhs - (quad_scale * x'Ax + linear_coeff * sum(x)).  This is
+    Evaluates rhs - (quad_scale * x'Ax + linear_coeff * sum(x)), the
+    stability slack of the solver's own loading evaluation.  This is
     the GM condition multiplied through by the displacement, so the value
     is nonnegative exactly when the loading keeps GM at or above the
     required margin.
     """
-    arr = problem.check_vector(x)
-    lhs = problem.quad_scale * float(arr @ problem.quad_matrix @ arr) + (
-        problem.linear_coeff * float(arr.sum())
-    )
-    return problem.rhs - lhs
+    from .solver import _Loading
+
+    return _Loading(problem, problem.check_vector(x)).slacks[2]

@@ -103,20 +103,23 @@ that passes the checks, with loads down to -``TOLERANCE`` and each cap
 and the stability constraint met to ``TOLERANCE``:
 
 * the relaxation's LP over the support alone, attained at a basis of one
-  or two of its cargoes, with both caps widened by ``MARGIN``: such a
-  candidate is feasible for it, since ``MARGIN`` is far above the
-  (K + 1) ``TOLERANCE`` it can need;
-* the stable-mass cut T_S max_{i in S} p_i.  The suffix sums of such a
-  candidate are at most y_1 + K ``TOLERANCE`` in size and the scaled
-  steps at most 2, so y'Dy >= alpha_S y_1^2 - 6 K^2 ``TOLERANCE`` with
-  alpha_S = D_1 + sum_{k>1} min(D_k, 0) along S, and its mass y_1 keeps
-  qa alpha_S y_1^2 + qb y_1 <= r + ``TOLERANCE`` (max(1, |r|) +
-  6 qa K^2).  T_S is the largest mass up to 1 + ``MARGIN`` that keeps
-  this with the right side r + ``MARGIN`` (max(1, |r|) + qa K^2 + |qb|),
-  far above, and widened by ``ROOM_MARGIN`` (|T_S| + 1)
-  (:func:`~shipload.solver.stable_mass_room`), so T_S >= y_1 +
-  K ``TOLERANCE``, while the candidate's revenue, sum p_i z_i, is at
-  most max p (y_1 + K ``TOLERANCE``).
+  or two of its cargoes, with both caps widened by the solver's
+  ``MARGIN``, 1e-6: such a candidate is feasible for it, since
+  ``MARGIN`` is far above the (K + 1) ``TOLERANCE`` it can need;
+* the stable-mass cut T_S max_{i in S} p_i.  Every entry of the scaled
+  block G of A along S is one of its diagonal entries, so 0 <= G_ij -
+  alpha_S <= 2 with alpha_S the least of them.  The loads z of such a
+  candidate are at least -``TOLERANCE`` = -tau and sum to its mass y_1
+  <= 1 + tau, so in z'Gz - alpha_S y_1^2 = sum (G_ij - alpha_S) z_i z_j
+  the negative products sum to at least -4 K tau (1 + 3 K tau), and
+  z'Gz >= alpha_S y_1^2 - 6 K^2 tau.  Its mass therefore keeps qa
+  alpha_S y_1^2 + qb y_1 <= r + tau (max(1, |r|) + 6 qa K^2).  T_S is
+  the largest mass up to 1 + ``MARGIN`` that keeps this with the right
+  side r + ``MARGIN`` (max(1, |r|) + qa K^2 + |qb|), far above, and
+  widened by ``MARGIN`` (|T_S| + 1)
+  (:func:`~shipload.solver.stable_mass_room`), so T_S >= y_1 + K tau,
+  while the candidate's revenue, sum p_i z_i, is at most max p (y_1 +
+  K tau).
 
 So a support whose bound is strictly below the incumbent holds no
 candidate that wins or ties.
@@ -160,7 +163,7 @@ import numpy as np
 
 from .model import Problem
 from .quadratic_analysis import SIGN_TOLERANCE
-from .solver import _bases, relaxation_vertices, stable_mass_room
+from .solver import MARGIN, _bases, relaxation_vertices, stable_mass_room
 
 # Most linear systems that one enumeration may solve, counted before the
 # incumbent prune: four constraint patterns per support, two for a support
@@ -177,11 +180,10 @@ CHUNK = 512
 # at most this large count as zero.
 ZERO_TOLERANCE = 1e-10
 # Relative slack of the candidates' constraints and consistency tests.
+# The support bounds widen the caps and the stability right side by the
+# solver's MARGIN, far above the (K + 1) TOLERANCE by which a candidate
+# that passes can exceed a cap.
 TOLERANCE = 1e-9
-# Relative widening of the caps of a support's LP bound, and of the right
-# side of its stable-mass cut: a candidate that passes at TOLERANCE exceeds
-# the caps by at most (K + 1) TOLERANCE.
-MARGIN = 1e-6
 
 # (deadweight binds, volume binds) of the four patterns.
 _DEADWEIGHT_ON = np.array([False, True, False, True])
@@ -694,23 +696,22 @@ def _pair_bounds(table: np.ndarray, slots: np.ndarray, starts: list[int]) -> np.
 def _mass_bounds(units: Units, slots: np.ndarray, starts: list[int]) -> np.ndarray:
     """The stable-mass bound of each support of :func:`_supports`: T_S max p.
 
-    On a support S, y'Dy >= alpha_S y_1^2 with alpha_S its first step plus
-    its negative later ones, so a stable candidate of S loads at most T_S,
-    the stable-mass room (:func:`~shipload.solver.stable_mass_room`) of qa
-    alpha_S T^2 + qb T <= r within the widened cap 1 + ``MARGIN``; the
-    right side is widened by ``MARGIN`` (max(1, |r|) + qa K^2 + |qb|).
-    Since r >= 0, T = 0 is stable and T_S is never lost.  Steps and rates
-    are read slot by slot.
+    Every entry of A_SS is one of its diagonal entries, so on a support S
+    y'Dy >= alpha_S y_1^2 with alpha_S the least generator entry along S,
+    and a stable candidate of S loads at most T_S, the stable-mass room
+    (:func:`~shipload.solver.stable_mass_room`) of qa alpha_S T^2 + qb T
+    <= r within the widened cap 1 + ``MARGIN``; the right side is widened
+    by ``MARGIN`` (max(1, |r|) + qa K^2 + |qb|).  Since r >= 0, T = 0 is
+    stable and T_S is never lost.  Generator entries and rates are read
+    slot by slot.
     """
     g, p = units.generator, units.p
     cargo = slots[0].astype(np.intp)
     alpha, top = np.take(g, cargo), np.take(p, cargo)
     for j in range(1, slots.shape[0]):
         part = slice(starts[j], None)
-        below, cargo = cargo[starts[j] - starts[j - 1] :], slots[j, part].astype(np.intp)
-        step = np.take(g, cargo)
-        step -= np.take(g, below)
-        alpha[part] += np.minimum(step, 0.0, out=step)
+        cargo = slots[j, part].astype(np.intp)
+        np.minimum(alpha[part], np.take(g, cargo), out=alpha[part])
         np.maximum(top[part], np.take(p, cargo), out=top[part])
     largest = slots.shape[0]
     relax = MARGIN * (max(1.0, abs(units.r)) + units.qa * largest * largest + abs(units.qb))

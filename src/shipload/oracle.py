@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import Problem, revenue
-from .solver import Solution, _Loading, _plan_multipliers, stable_mass_room
+from .solver import MARGIN, Solution, _Loading, _plan_multipliers, stable_mass_room
 
 __all__ = ["LatticeSpec", "grid_search", "certify"]
 
@@ -133,12 +133,6 @@ def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return parent, level
 
 
-# Relative widening of every quantity the branch-and-bound bound is built
-# from, far above the rounding of the float lattice predicate (a few ulp)
-# and of the stability root (about sqrt(ulp) at a double root).
-_MARGIN = 1e-6
-
-
 def _dual_vertices(p: np.ndarray, vol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vertices (lambda_C, lambda_V) of the dual of the suffix LP.
 
@@ -174,7 +168,7 @@ def _dual_vertices(p: np.ndarray, vol: np.ndarray) -> tuple[np.ndarray, np.ndarr
         break
     lam_v = np.array(lam)
     envelope = np.maximum((p[:, None] - vol[:, None] * lam_v).max(axis=0), 0.0)
-    lam_c = envelope + _MARGIN * (top + vol.max() * lam_v)
+    lam_c = envelope + MARGIN * (top + vol.max() * lam_v)
     return lam_c, lam_v
 
 
@@ -192,44 +186,41 @@ def _revenue_bound(problem: Problem, p: np.ndarray, vol: np.ndarray, a: np.ndarr
     :func:`_dual_vertices`, which are computed once per depth.
 
     R_m is tightened by stability.  The matrix is c_min(i,k) in stack order,
-    as ``assemble_problem`` builds it, so with the suffix masses S_k =
-    x_k + ... + x_{m-1} <= T = S_j its suffix block is sum_k D_k S_k^2 with
-    D_j = A_jj and D_k = A_kk - A_{k-1,k-1}, which is at least alpha_j * T^2
-    with alpha_j = A_jj + sum_{k>j} min(D_k, 0).  The cross term with the
-    prefix is 2 w T, the same for every k >= j.  A stable completion of
-    suffix mass T therefore keeps s(Q + 2wT + alpha_j T^2) + b(mass + T) <=
-    r, and R_m is the largest such T in [0, C - mass], the stable-mass room
-    of :func:`~shipload.solver.stable_mass_room`: C - mass when the
-    quadratic holds there, else its up-crossing root in the non-cancelling
-    form the last coordinate uses, and no T (the row is dropped) when that
-    root lies outside.  The KKT enumeration bounds its supports with the
-    same room.
+    as ``assemble_problem`` builds it, so each entry of its suffix block is
+    one of the block's diagonal entries, and the suffix loads of mass T
+    keep x'Ax >= alpha_j T^2 over the block, with alpha_j = min_{k>=j}
+    A_kk.  The cross term with the prefix is 2 w T, the same for every
+    k >= j.  A stable completion of suffix mass T therefore keeps s(Q +
+    2wT + alpha_j T^2) + b(mass + T) <= r, and R_m is the largest such T
+    in [0, C - mass], the stable-mass room of
+    :func:`~shipload.solver.stable_mass_room`: C - mass when the quadratic
+    holds there, else its up-crossing root, and no T (the row is dropped)
+    when that root lies outside.  The last coordinate and the KKT
+    enumeration's supports take their rooms from the same helper.
 
-    Margins: the rooms are widened by _MARGIN times the caps, the stability
-    right side by _MARGIN times |r| + s max|A| C^2 + |b| C, the root by the
-    helper's ``ROOM_MARGIN``, also 1e-6, times its size plus C, each
-    lambda_C by _MARGIN times the largest rate plus max(vol) lambda_V, and
-    the bound by the relative _MARGIN.  These dominate the rounding of the float predicate and of
-    the root, so every lattice point the search would accept lies under
-    the bound.
+    Margins, each ``MARGIN`` = 1e-6 relative: the rooms are widened by
+    MARGIN times the caps, the stability right side by MARGIN times |r| +
+    s max|A| C^2 + |b| C, the root by MARGIN times its size plus C, each
+    lambda_C by MARGIN times the largest rate plus max(vol) lambda_V, and
+    the bound by the relative MARGIN.  These dominate the rounding of the
+    float predicate and of the root, so every lattice point the search
+    would accept lies under the bound.
     """
     cap, vol_cap = problem.deadweight_cap, problem.volume_cap
     s, b, r = problem.quad_scale, problem.linear_coeff, problem.rhs
     duals = [_dual_vertices(p[j:], vol[j:]) for j in range(p.size)]
-    diag = np.diag(a)
-    drops = np.minimum(np.diff(diag), 0.0)
-    alpha = diag + np.r_[np.cumsum(drops[::-1])[::-1], 0.0]
-    relax = _MARGIN * (abs(r) + s * np.abs(a).max() * cap * cap + abs(b) * cap)
+    alpha = np.minimum.accumulate(np.diag(a)[::-1])[::-1]
+    relax = MARGIN * (abs(r) + s * np.abs(a).max() * cap * cap + abs(b) * cap)
 
     def bound(j, mass, volume, quad, w, gain):
-        room = np.maximum(cap - mass, 0.0) + _MARGIN * cap
-        vol_room = np.maximum(vol_cap - volume, 0.0) + _MARGIN * vol_cap
+        room = np.maximum(cap - mass, 0.0) + MARGIN * cap
+        vol_room = np.maximum(vol_cap - volume, 0.0) + MARGIN * vol_cap
         beta = 2.0 * s * w + b
         gamma = s * quad + b * mass - r - relax
         room, lost = stable_mass_room(s * alpha[j], beta, gamma, room, cap)
         lam_c, lam_v = duals[j]
         lp = (room[:, None] * lam_c + vol_room[:, None] * lam_v).min(axis=1)
-        return np.where(lost, -math.inf, (gain + lp) * (1.0 + _MARGIN))
+        return np.where(lost, -math.inf, (gain + lp) * (1.0 + MARGIN))
 
     return bound
 
@@ -252,11 +243,12 @@ def grid_search(
     so revenue cannot fall as it grows and its best level is the highest
     feasible one, or the first level tying it.  The mass and volume
     caps give an upper level in closed form.  If the stability quadratic
-    alpha*v^2 + beta*v + gamma <= 0 fails there, the answer is the floor of
-    the root where the quadratic turns positive, 2*gamma/(-beta - sqrt(D)),
-    which covers alpha > 0, alpha < 0 and alpha = 0.  Every level found in
-    closed form is re-checked with the exact lattice predicate and moved
-    to the last fitting level, so no infeasible point is returned.
+    alpha*v^2 + beta*v + gamma <= 0 fails there, the guess is the floor of
+    its stable-mass room below that level
+    (:func:`~shipload.solver.stable_mass_room`), or none when no room is
+    left.  Every level found in closed form is re-checked with the exact
+    lattice predicate and moved to the last fitting level, so no
+    infeasible point is returned.
 
     The search is branch and bound (Land and Doig, 1960).  The incumbent is
     the best revenue found so far, or ``above`` while that is larger, and a
@@ -403,23 +395,11 @@ def grid_search(
         v_best = v_top.copy()
         short = np.flatnonzero(~stable(slice(None), v_top))
         if short.size:
-            alpha = s * avv
             beta = s * (lin_v[short] + cross_v[short]) + b
             gamma = s * (quad_u[short] + sq_u[short]) + b * mass_u[short] - r
-            with np.errstate(divide="ignore", invalid="ignore"):
-                root_d = np.sqrt(beta * beta - 4.0 * alpha * gamma)
-                # The root where the quadratic turns positive, in the form
-                # without cancellation for the sign of beta.
-                crossing = np.where(
-                    beta >= 0.0,
-                    2.0 * gamma / (-beta - root_d),
-                    (root_d - beta) / (2.0 * alpha),
-                )
             under = v_top[short]
-            guess = _guess(crossing, step, under)
-            # A crossing at the failing upper level leaves the level below
-            # it; one further up leaves no level at all.
-            guess = np.where(guess == under, under - 1, np.where(guess > under, -1, guess))
+            limit, lost = stable_mass_room(s * avv, beta, gamma, values[under], cap)
+            guess = np.where(lost, -1, _guess(limit, step, under))
             v_best[short] = _settle(guess, under, lambda i, k: stable(short[i], k))
         gain_u = rows.gain[parent] + p[iu] * u
         gains = np.where(v_best >= 0, gain_u + p[iv] * values[np.maximum(v_best, 0)], -math.inf)

@@ -75,9 +75,11 @@ KKT_TOLERANCE = 1e-6
 _LP_TOLERANCE = 1e-9
 # NNLS raises RuntimeError at this many steps per column, as scipy.optimize.nnls does.
 _NNLS_STEPS_PER_COLUMN = 3
-# Relative widening of the root in stable_mass_room: far above its
-# rounding, about sqrt(ulp) at a double root.
-ROOM_MARGIN = 1e-6
+# Relative widening of every bound that must dominate a float predicate:
+# the root in stable_mass_room, the lattice search's revenue bound and the
+# enumeration's support bounds.  Far above the rounding it covers, a few
+# ulp or about sqrt(ulp) at a double root.
+MARGIN = 1e-6
 # Most steps of the support exchange are 2 n plus this many.  The measured
 # convex answers took at most 3.
 _EXCHANGE_EXTRA_STEPS = 6
@@ -146,8 +148,7 @@ def stability_gradient(problem: Problem, x) -> np.ndarray:
 class _Loading:
     """One evaluation of a loading ``x``: its slacks, stability gradient and violation.
 
-    The slacks are the deadweight, volume and stability ones, the last by
-    :func:`~shipload.hydrostatics.constraint_slack`'s expression.  The
+    The slacks are the deadweight, volume and stability ones.  The
     violation is the largest of 0, of each slack's negative over its scale
     (C, V and max(1, |r|)) and of the lowest load's negative over
     max(1, C); NaN when the loads hold a NaN.
@@ -410,15 +411,18 @@ def _pair_loads(v_i, v_j, cap: float, room: float):
 def stable_mass_room(quad, lin, const, room, cap: float):
     """The largest mass T in [0, ``room``] with quad T^2 + lin T + const <= 0, widened.
 
-    The stable-mass room of a stack's suffix, or of a support: with its
-    suffix sums at most its mass T, y'Dy >= alpha T^2 for alpha the first
-    step plus the negative later ones, so no stable completion holds more
-    than this T for quad = s alpha.  Broadcasts over arrays.  Returns (T,
-    lost): ``room`` where the quadratic holds there, else its up-crossing
-    root, in the form that does not cancel, widened by ``ROOM_MARGIN``
-    (|root| + ``cap``) and clipped to ``room``; ``lost`` is true where no
-    T in [0, ``room``] is left.  ``cap`` scales the widening and the clip
-    of an infinite root to +-2 ``cap``.
+    The stable-mass room of a stack's suffix or of a support: every entry
+    of the min-index matrix A, and of any block of it, is one of that
+    block's diagonal entries, so loads x >= 0 of mass T keep x'Ax >=
+    alpha T^2 with alpha the block's least diagonal entry, and no stable
+    completion holds more than this T for quad = s alpha.  With one
+    cargo left the inequality is exact, and the lattice search guesses
+    its last coordinate's level from T.  Broadcasts over arrays.  Returns
+    (T, lost): ``room`` where the quadratic holds there, else its
+    up-crossing root, in the form that does not cancel, widened by
+    ``MARGIN`` (|root| + ``cap``) and clipped to ``room``; ``lost`` is
+    true where no T in [0, ``room``] is left.  ``cap`` scales the
+    widening and the clip of an infinite root to +-2 ``cap``.
     """
     # The root is 2 const / (-lin - root_d) where lin >= 0 and
     # (root_d - lin) / (2 quad) elsewhere, with root_d = sqrt(lin^2 -
@@ -443,7 +447,7 @@ def stable_mass_room(quad, lin, const, room, cap: float):
     np.clip(crossing, -2.0 * cap, 2.0 * cap, out=crossing)
     widen = np.abs(crossing, out=root_d)
     widen += cap
-    widen *= ROOM_MARGIN
+    widen *= MARGIN
     top = crossing + widen
     bottom = np.subtract(crossing, widen, out=widen)
     # No real root: the quadratic is positive everywhere when it opens

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -649,10 +650,6 @@ class TestConsoleScript:
 
     @staticmethod
     def declared_scripts():
-        if sys.version_info >= (3, 11):
-            import tomllib
-        else:
-            tomllib = pytest.importorskip("tomli")
         with (Path(__file__).resolve().parents[1] / "pyproject.toml").open("rb") as f:
             return tomllib.load(f)["project"]["scripts"]
 

@@ -501,6 +501,44 @@ class TestIncumbentPrune:
         # The cut is the smaller bound on systems that hold candidates.
         assert tighter >= 100, tighter
 
+    def test_least_diagonal_cut_is_below_the_step_cut(self):
+        """The stable-mass bound with alpha_S the least generator entry along S is never
+        above the one with alpha_S the first step plus the negative later steps, and is
+        below it on supports whose generator rises and later falls."""
+        rng = np.random.default_rng(5)
+        orders = (LoadingOrder.normal(), LoadingOrder.reverse(), "explicit")
+        supports = below = 0
+        for draw in range(200):
+            room = (0.3, 0.8) if draw % 2 else (0.5, 2.0)
+            problem = draw_random_problem(rng, sizes=(2, 9), orders=orders, room=room)
+            units = kkt_enumeration.scaled_units(problem)
+            diagonal = problem.classification.evidence.diagonal / units.a
+            kept, merged = kkt_enumeration._merge_twins(diagonal, problem.objective)
+            largest, _ = kkt_enumeration._support_rule(merged)
+            slots, starts = kkt_enumeration._supports(kept, largest, problem.n)
+            mass = kkt_enumeration._mass_bounds(units, slots, starts)
+            # The step alpha_S, summed slot by slot over the real cargoes.
+            cargo = slots.astype(np.intp)
+            g = units.generator[cargo]
+            alpha = g[0].copy()
+            for j in range(1, largest):
+                step = np.minimum(g[j] - g[j - 1], 0.0)
+                alpha += np.where(cargo[j] < problem.n, step, 0.0)
+            relax = solver.MARGIN * (
+                max(1.0, abs(units.r)) + units.qa * largest * largest + abs(units.qb)
+            )
+            reference, _ = solver.stable_mass_room(
+                units.qa * alpha, units.qb, -units.r - relax, 1.0 + solver.MARGIN, 1.0
+            )
+            reference *= units.p[cargo].max(axis=0)
+            # The two alphas agree up to rounding where the generator never
+            # falls after a rise along S; scaled bounds are at most 1 + MARGIN.
+            assert (mass <= reference + 1e-12).all()
+            supports += mass.size
+            below += int(np.count_nonzero(mass < reference - 1e-9))
+        assert supports >= 10_000, (supports, below)
+        assert below >= 1000, (supports, below)
+
 
 class TestMemory:
     """The enumeration holds one float bound and a few small integers per support."""

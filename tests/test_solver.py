@@ -1139,7 +1139,7 @@ class TestStableMassRoom:
         for (case, expected), t, none in zip(cases, room, lost):
             assert none == (expected is None), case
             if expected is not None:
-                widening = solver.ROOM_MARGIN * (expected + 1.0)
+                widening = solver.MARGIN * (expected + 1.0)
                 assert expected <= t <= min(expected + widening * (1.0 + 1e-9), 1.0), case
 
     def test_the_lattice_bound_and_the_enumeration_call_it(self, monkeypatch):
