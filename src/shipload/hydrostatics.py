@@ -127,6 +127,7 @@ def constraint_slack(problem: Problem, x) -> float:
     is nonnegative exactly when the loading keeps GM at or above the
     required margin.
     """
-    from .solver import _Loading
+    from .solver import _stability_slack
 
-    return _Loading(problem, problem.check_vector(x)).slacks[2]
+    x = problem.check_vector(x)
+    return _stability_slack(problem, x, float(x.sum()))

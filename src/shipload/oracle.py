@@ -12,7 +12,9 @@ witness.
 The search enumerates the first n - 1 coordinates as NumPy arrays of
 lattice prefixes and solves the last coordinate in closed form for every
 prefix.  Each closed-form level is re-checked with the exact lattice
-predicate.
+predicate.  The stability matrix is A_kj = g_min(k,j), g the stack's
+generator 1/d - 1/rho, so all coordinates still free share one cross sum,
+sum_j g_j x_j over the fixed ones, and the search never reads A itself.
 
 The search is branch and bound (Land and Doig, 1960).  A row of fixed
 leading coordinates is skipped with its whole subtree when its revenue so
@@ -73,14 +75,17 @@ class LatticeSpec:
 
 
 class _Prefixes(NamedTuple):
-    """Lattice prefixes in lexicographic order with their running sums."""
+    """Lattice prefixes in lexicographic order with their running sums.
+
+    One cross sum ``w`` serves every free coordinate k, as A_kj = g_j for k > j.
+    """
 
     levels: np.ndarray  # (rows, depth) lattice level of each fixed coordinate
     mass: np.ndarray
     volume: np.ndarray
     quad: np.ndarray  # x'Ax over the fixed coordinates
+    w: np.ndarray  # sum_j g_j x_j over the fixed coordinates
     gain: np.ndarray
-    y: np.ndarray  # (rows, free) column sums A x of the free coordinates
 
 
 def _guess(limit: np.ndarray, unit: float, top) -> np.ndarray:
@@ -172,26 +177,27 @@ def _dual_vertices(p: np.ndarray, vol: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return lam_c, lam_v
 
 
-def _revenue_bound(problem: Problem, p: np.ndarray, vol: np.ndarray, a: np.ndarray):
+def _revenue_bound(problem: Problem, p: np.ndarray, vol: np.ndarray, g: np.ndarray):
     """Revenue bound on every completion of a row whose coordinates below j are fixed.
 
-    ``p``, ``vol`` and ``a`` are the search's rates, volume coefficients and
-    matrix, padded for n = 1.  The returned ``bound(j, mass, volume, quad,
-    w, gain)`` takes a row's running sums, with ``w`` = sum_{i<j} A_ij x_i,
-    and gives gain + UB, or -inf when no completion can be stable.
+    ``p``, ``vol`` and ``g`` are the search's rates, volume coefficients and
+    generator, padded for n = 1.  The returned ``bound(j, mass, volume,
+    quad, w, gain)`` takes a row's running sums, with ``w`` = sum_{i<j} g_i
+    x_i, the cross sum sum_{i<j} A_ki x_i of every k >= j, and gives gain +
+    UB, or -inf when no completion can be stable.
 
     UB is the value of the two-constraint LP over the cargoes j..m-1 with
     mass room R_m and volume room R_v = V - volume, taken as the least of
     lambda_C * R_m + lambda_V * R_v over the dual vertices of
     :func:`_dual_vertices`, which are computed once per depth.
 
-    R_m is tightened by stability.  The matrix is c_min(i,k) in stack order,
-    as ``assemble_problem`` builds it, so each entry of its suffix block is
-    one of the block's diagonal entries, and the suffix loads of mass T
-    keep x'Ax >= alpha_j T^2 over the block, with alpha_j = min_{k>=j}
-    A_kk.  The cross term with the prefix is 2 w T, the same for every
-    k >= j.  A stable completion of suffix mass T therefore keeps s(Q +
-    2wT + alpha_j T^2) + b(mass + T) <= r, and R_m is the largest such T
+    R_m is tightened by stability.  The matrix is A_ik = g_min(i,k) in
+    stack order, as ``assemble_problem`` builds it, so each entry of its
+    suffix block is one of the block's diagonal entries, and the suffix
+    loads of mass T keep x'Ax >= alpha_j T^2 over the block, with alpha_j
+    = min_{k>=j} g_k.  The cross term with the prefix is 2 w T, the same
+    for every k >= j.  A stable completion of suffix mass T therefore keeps
+    s(Q + 2wT + alpha_j T^2) + b(mass + T) <= r, and R_m is the largest such T
     in [0, C - mass], the stable-mass room of
     :func:`~shipload.solver.stable_mass_room`: C - mass when the quadratic
     holds there, else its up-crossing root, and no T (the row is dropped)
@@ -200,7 +206,7 @@ def _revenue_bound(problem: Problem, p: np.ndarray, vol: np.ndarray, a: np.ndarr
 
     Margins, each ``MARGIN`` = 1e-6 relative: the rooms are widened by
     MARGIN times the caps, the stability right side by MARGIN times |r| +
-    s max|A| C^2 + |b| C, the root by MARGIN times its size plus C, each
+    s max|g| C^2 + |b| C, the root by MARGIN times its size plus C, each
     lambda_C by MARGIN times the largest rate plus max(vol) lambda_V, and
     the bound by the relative MARGIN.  These dominate the rounding of the
     float predicate and of the root, so every lattice point the search
@@ -209,8 +215,8 @@ def _revenue_bound(problem: Problem, p: np.ndarray, vol: np.ndarray, a: np.ndarr
     cap, vol_cap = problem.deadweight_cap, problem.volume_cap
     s, b, r = problem.quad_scale, problem.linear_coeff, problem.rhs
     duals = [_dual_vertices(p[j:], vol[j:]) for j in range(p.size)]
-    alpha = np.minimum.accumulate(np.diag(a)[::-1])[::-1]
-    relax = MARGIN * (abs(r) + s * np.abs(a).max() * cap * cap + abs(b) * cap)
+    alpha = np.minimum.accumulate(g[::-1])[::-1]
+    relax = MARGIN * (abs(r) + s * np.abs(g).max() * cap * cap + abs(b) * cap)
 
     def bound(j, mass, volume, quad, w, gain):
         room = np.maximum(cap - mass, 0.0) + MARGIN * cap
@@ -238,7 +244,9 @@ def grid_search(
 
     The first n - 1 coordinates are enumerated as arrays of prefixes, grown
     one coordinate at a time and cut to at most a fixed number of rows per
-    chunk, which bounds memory whatever the lattice size.  For each prefix
+    chunk, which bounds memory whatever the lattice size.  Each prefix
+    holds one cross sum w = sum_j g_j x_j over its fixed coordinates j, the
+    cross sum of every later coordinate k, as A_kj = g_j.  For each prefix
     the last coordinate is not enumerated: freight rates are nonnegative,
     so revenue cannot fall as it grows and its best level is the highest
     feasible one, or the first level tying it.  The mass and volume
@@ -288,7 +296,7 @@ def grid_search(
     p = problem.objective
     vol = problem.volume_coeffs
     vol_cap = problem.volume_cap
-    a = problem.quad_matrix
+    g = problem.classification.evidence.generator
     s = problem.quad_scale
     b = problem.linear_coeff
     r = problem.rhs
@@ -296,12 +304,11 @@ def grid_search(
     # cargo is the v of a pair whose u is held at level zero.
     u_top = levels
     if n == 1:
-        p, vol, a = np.r_[0.0, p], np.r_[0.0, vol], np.pad(a, ((1, 0), (1, 0)))
+        p, vol, g = np.r_[0.0, p], np.r_[0.0, vol], np.r_[0.0, g]
         u_top = 0
-    m = p.size
-    iu, iv = m - 2, m - 1
-    auu, auv, avv = a[iu, iu], a[iu, iv], a[iv, iv]
-    bound = _revenue_bound(problem, p, vol, a)
+    iu, iv = p.size - 2, p.size - 1
+    auu, avv = g[iu], g[iv]
+    bound = _revenue_bound(problem, p, vol, g)
     # The incumbent: a point is only kept when it earns more than this.
     best_revenue = above
     built = 0
@@ -322,7 +329,7 @@ def grid_search(
         t = values[level]
         mass = rows.mass[parent] + t
         volume = rows.volume[parent] + vol[j] * t
-        quad = rows.quad[parent] + 2.0 * t * rows.y[parent, 0] + a[j, j] * t * t
+        quad = rows.quad[parent] + 2.0 * t * rows.w[parent] + g[j] * t * t
         keep = volume <= vol_cap
         parent, level, t = parent[keep], level[keep], t[keep]
         return _Prefixes(
@@ -330,13 +337,13 @@ def grid_search(
             mass[keep],
             volume[keep],
             quad[keep],
+            rows.w[parent] + g[j] * t,
             rows.gain[parent] + p[j] * t,
-            rows.y[parent, 1:] + t[:, None] * a[j + 1 :, j],
         )
 
     def prefixes(rows: _Prefixes, j: int):
         # Depth-first over chunks keeps the yield order lexicographic.
-        ub = bound(j, rows.mass, rows.volume, rows.quad, rows.y[:, 0], rows.gain)
+        ub = bound(j, *rows[1:])
         rows = rows._make(field[ub > best_revenue] for field in rows)
         if not rows.mass.size:
             return
@@ -354,62 +361,58 @@ def grid_search(
 
     def pairs(rows: _Prefixes, room: np.ndarray, parent: np.ndarray, u_level: np.ndarray, floor):
         # Covered points of one chunk of (prefix, u) rows, and its first best
-        # point when that earns more than floor.
+        # point when that earns more than floor.  Each row's sums at u are
+        # formed once; the bound and the last coordinate both read them.
         u = values[u_level]
-        y = rows.y[parent]
-        keep = bound(
-            iv,
-            rows.mass[parent] + u,
-            rows.volume[parent] + vol[iu] * u,
-            rows.quad[parent] + 2.0 * u * y[:, 0] + auu * u * u,
-            y[:, 1] + auv * u,
-            rows.gain[parent] + p[iu] * u,
-        ) > floor
-        parent, u_level, u = parent[keep], u_level[keep], u[keep]
-        c = room[parent]
+        mass = rows.mass[parent] + u
+        volume = rows.volume[parent] + vol[iu] * u
+        w = rows.w[parent]
+        quad = rows.quad[parent] + 2.0 * u * w
+        sq = auu * u * u
+        gain = rows.gain[parent] + p[iu] * u
+        kept = np.flatnonzero(bound(iv, mass, volume, quad + sq, w + auu * u, gain) > floor)
+        c, u_kept, volume_kept = room[parent[kept]], u[kept], volume[kept]
         v_mass = _settle(
-            _guess(c - u, step, levels), levels, lambda i, k: u[i] + values[k] <= c[i]
+            _guess(c - u_kept, step, levels), levels, lambda i, k: u_kept[i] + values[k] <= c[i]
         )
-        covered = int(v_mass.sum()) + u.size
-        w = rows.volume[parent] + vol[iu] * u
+        covered = int(v_mass.sum()) + kept.size
         v_top = _settle(
-            _guess((vol_cap - w) / vol[iv], step, v_mass),
+            _guess((vol_cap - volume_kept) / vol[iv], step, v_mass),
             v_mass,
-            lambda i, k: w[i] + vol[iv] * values[k] <= vol_cap,
+            lambda i, k: volume_kept[i] + vol[iv] * values[k] <= vol_cap,
         )
         live = v_top >= 0
         if not live.any():
             return covered, -math.inf, None
-        parent, u_level, u, v_top = parent[live], u_level[live], u[live], v_top[live]
-        quad_u = rows.quad[parent] + 2.0 * rows.y[parent, 0] * u
-        lin_v = 2.0 * rows.y[parent, 1]
-        sq_u = auu * u * u
-        cross_v = 2.0 * auv * u
-        mass_u = rows.mass[parent] + u
+        kept, v_top = kept[live], v_top[live]
+        parent, u_level, u, mass, w, quad, sq, gain = (
+            field[kept] for field in (parent, u_level, u, mass, w, quad, sq, gain)
+        )
+        lin_v = 2.0 * w
+        cross_v = 2.0 * auu * u
 
         def stable(i, k):
             v = values[k]
-            quad = quad_u[i] + lin_v[i] * v + sq_u[i] + cross_v[i] * v + avv * v * v
-            return s * quad + b * (mass_u[i] + v) <= r
+            q = quad[i] + lin_v[i] * v + sq[i] + cross_v[i] * v + avv * v * v
+            return s * q + b * (mass[i] + v) <= r
 
         v_best = v_top.copy()
         short = np.flatnonzero(~stable(slice(None), v_top))
         if short.size:
             beta = s * (lin_v[short] + cross_v[short]) + b
-            gamma = s * (quad_u[short] + sq_u[short]) + b * mass_u[short] - r
+            gamma = s * (quad[short] + sq[short]) + b * mass[short] - r
             under = v_top[short]
             limit, lost = stable_mass_room(s * avv, beta, gamma, values[under], cap)
             guess = np.where(lost, -1, _guess(limit, step, under))
             v_best[short] = _settle(guess, under, lambda i, k: stable(short[i], k))
-        gain_u = rows.gain[parent] + p[iu] * u
-        gains = np.where(v_best >= 0, gain_u + p[iv] * values[np.maximum(v_best, 0)], -math.inf)
+        gains = np.where(v_best >= 0, gain + p[iv] * values[np.maximum(v_best, 0)], -math.inf)
         row = int(np.argmax(gains))
         if not gains[row] > floor:
             return covered, -math.inf, None
         # The first of the row's fitting levels that ties its best.
         k = np.arange(v_best[row] + 1)
         row_gains = np.where(
-            stable(np.full(k.size, row), k), gain_u[row] + p[iv] * values[k], -math.inf
+            stable(np.full(k.size, row), k), gain[row] + p[iv] * values[k], -math.inf
         )
         v_level = int(np.argmax(row_gains))
         point = values[np.r_[rows.levels[parent[row]], u_level[row], v_level]]
@@ -417,14 +420,7 @@ def grid_search(
 
     best_x: np.ndarray | None = None
     examined = 0
-    root = _Prefixes(
-        np.zeros((1, 0), dtype=np.int64),
-        np.zeros(1),
-        np.zeros(1),
-        np.zeros(1),
-        np.zeros(1),
-        np.zeros((1, m)),
-    )
+    root = _Prefixes(np.zeros((1, 0), dtype=np.int64), *np.zeros((5, 1)))
     for rows in prefixes(root, 0):
         room = cap - rows.mass
         count = 1 + _settle(

@@ -145,6 +145,12 @@ def stability_gradient(problem: Problem, x) -> np.ndarray:
     return _Loading(problem, problem.check_vector(x)).gradient
 
 
+def _stability_slack(problem: Problem, x: np.ndarray, total: float) -> float:
+    """r - (s x'Ax + b total), the stability slack of loads ``x`` of mass ``total``."""
+    s, b = problem.quad_scale, problem.linear_coeff
+    return problem.rhs - (s * float(x @ problem.quad_matrix @ x) + b * total)
+
+
 class _Loading:
     """One evaluation of a loading ``x``: its slacks, stability gradient and violation.
 
@@ -163,7 +169,7 @@ class _Loading:
         self.slacks = dw, vol, stab = (
             cap - total,
             problem.volume_cap - float(problem.volume_coeffs @ x),
-            problem.rhs - (s * float(x @ problem.quad_matrix @ x) + b * total),
+            _stability_slack(problem, x, total),
         )
         self.gradient = 2.0 * s * (problem.quad_matrix @ x) + b
         terms = (

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import draw_nonneg_loading, draw_random_problem
 
 from shipload import (
     Environment,
@@ -12,6 +13,7 @@ from shipload import (
     hydro_state,
     keel_to_metacenter,
     metacentric_height,
+    solver,
 )
 
 CASE1_LOADS = np.array([0.0, 8500.0, 9100.0, 0.0, 27400.0])
@@ -172,3 +174,22 @@ class TestConstraintSlack:
                     bridge = (gm - mu) * (x.sum() + 15000.0)
                     denom = max(1.0, abs(slack), abs(bridge))
                     assert abs(slack - bridge) <= 1e-9 * denom
+
+    def test_is_the_solver_slack_without_an_evaluation(self, monkeypatch):
+        # The solver's own stability slack, read without forming the gradient
+        # and violation of a whole loading evaluation.
+        rng = np.random.default_rng(27)
+        orders = (LoadingOrder.normal(), LoadingOrder.reverse(), "explicit")
+        cases = []
+        for n in range(1, 42):
+            problem = draw_random_problem(rng, sizes=(n, n + 1), orders=orders)
+            for _ in range(5):
+                x = draw_nonneg_loading(problem, rng) * rng.uniform(0.0, 1.5)
+                cases.append((problem, x, solver._Loading(problem, x).slacks[2]))
+
+        def refuse(*args):
+            raise AssertionError("constraint_slack built a whole loading evaluation")
+
+        monkeypatch.setattr(solver, "_Loading", refuse)
+        for problem, x, want in cases:
+            assert constraint_slack(problem, x) == want

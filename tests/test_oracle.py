@@ -1,5 +1,6 @@
 """Lattice enumeration and certification of solver results."""
 
+import copy
 import itertools
 import math
 import tracemalloc
@@ -133,7 +134,7 @@ def _tiny_lattices():
     return cases
 
 
-def never_prune(problem, p, vol, a):
+def never_prune(problem, p, vol, g):
     """Stand-in for ``oracle._revenue_bound`` whose bound keeps every row."""
     return lambda j, mass, *sums: np.full(mass.shape, math.inf)
 
@@ -376,6 +377,33 @@ class TestGridSearch:
         assert np.array_equal(best_x, [1000.0])
         assert best_revenue == 1000.0
         assert points == 11
+
+    def test_reads_the_generator_not_the_matrix(self, assemble_case):
+        # A_kj = g_min(k,j), so the search's sums come from the generator: a
+        # copy whose dense matrix is all NaN gives the same answers.
+        problems = [
+            (assemble_case(mu, order=LoadingOrder.reverse(), include_ballast=ballast), 1000.0)
+            for mu in (4.0, 6.0)
+            for ballast in (True, False)
+        ]
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            problem = draw_random_problem(rng)
+            problems.append((problem, problem.deadweight_cap / 8.0))
+        found = 0
+        for problem, step in problems:
+            blind = copy.copy(problem)
+            object.__setattr__(blind, "quad_matrix", np.full_like(problem.quad_matrix, np.nan))
+            for above in (-math.inf, solve(problem).revenue):
+                want_x, *want = grid_search(problem, LatticeSpec(step), above=above)
+                got_x, *got = grid_search(blind, LatticeSpec(step), above=above)
+                assert got == want
+                if want_x is None:
+                    assert got_x is None
+                else:
+                    assert np.array_equal(got_x, want_x)
+                    found += 1
+        assert found >= len(problems)
 
     def test_tight_margin_leaves_only_origin(self, assemble_case):
         # rhs is still positive, but the first lattice rung already violates
