@@ -126,8 +126,17 @@ candidate that wins or ties.
 
 The supports are built in NumPy, size by size by prefix expansion, as
 one slot-major array of cargo indices in the smallest unsigned type that
-holds n; beside it the enumeration holds one float bound per support,
-and nothing between calls.  They go in batches of ``CHUNK``, in the
+holds n.  All that a batch holds before it reads a value depends on the
+stack's shape alone (the cargoes kept, K, n and whether a support of K
+cargoes needs the volume cap): its supports, the mask of their real
+slots, and their expansion into (support, pattern) systems with each
+system's caps and support.  An enumeration of at most
+``LAYOUT_SUPPORTS`` supports, one batch, reads all of it from a cache of
+read-only arrays built once per shape (:func:`_layout`), so a solve of
+a shape seen before only does the algebra.  A larger enumeration builds
+its supports on every call, beside them one float bound per support,
+and each batch's systems when the batch is packed; it keeps nothing
+between calls.  The supports go in batches of ``CHUNK``, in the
 scaled units x / C, c / (C a), w max(v) / (C a) and t max(p) / (C a)
 with a = max|A|, so that the tests against zero read O(1) numbers.
 Supports of every size share one batch, in order of size and then
@@ -155,6 +164,7 @@ solver's support exchange calls it.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import NamedTuple
@@ -176,6 +186,9 @@ from .solver import MARGIN, _bases, relaxation_vertices, stable_mass_room
 SYSTEM_BUDGET = 30_000
 # Supports per batch.  On the market n = 41 stack 512 beat 256, 1024 and 2048.
 CHUNK = 512
+# Most supports of an enumeration whose batch layout is cached (_layout):
+# a one-batch enumeration at the default CHUNK, whatever CHUNK is set to.
+LAYOUT_SUPPORTS = 512
 # Scaled steps of the generator, and coefficients of w in the volume row,
 # at most this large count as zero.
 ZERO_TOLERANCE = 1e-10
@@ -294,11 +307,6 @@ def binding_optimum(
         )
         largest, full_needs_volume = fit, False
 
-    slots, starts = _supports(kept, largest, n)
-    bounds = _support_bounds(units, slots, starts) if slots.shape[1] > CHUNK else None
-    # 1 in a slot that holds a real cargo, 0 in one that holds the dummy.
-    present = np.ones(n + 1)
-    present[n] = 0.0
     best_value, best_x, best_multipliers = 0.0, np.zeros(n + 1), (0.0, 0.0, 0.0)
     # The winner's scaled revenue and the place of its support in the order
     # of the supports: candidates are compared in that revenue, and on a tie
@@ -306,9 +314,21 @@ def binding_optimum(
     # cannot change the winner.  The empty vessel comes before every support.
     incumbent, place = 0.0, (0, [])
 
-    for picks in _batches(slots.shape[1], bounds, lambda: incumbent):
-        chunk = slots[:, picks].astype(np.intp)
-        rows = _batch_rows(units, chunk, present[chunk], full_needs_volume)
+    # One batch reads the layout of its stack's shape, built once; more
+    # supports are bounded, and each batch is laid out when it is packed.
+    count = sum(math.comb(len(kept), size) for size in range(1, largest + 1))
+    if count <= min(CHUNK, LAYOUT_SUPPORTS):
+        batches = [_layout(tuple(kept), largest, n, full_needs_volume)[1]]
+    else:
+        slots, starts = _supports(kept, largest, n)
+        bounds = _support_bounds(units, slots, starts) if count > CHUNK else None
+        batches = (
+            _batch(slots[:, picks], n, full_needs_volume)
+            for picks in _batches(count, bounds, lambda: incumbent)
+        )
+
+    for batch in batches:
+        rows = _batch_rows(units, batch)
         # Systems run support by support, then pattern by pattern: within a
         # batch, the earliest support wins a tie, then the lower pattern,
         # then the lower root.
@@ -367,16 +387,88 @@ class _Rows(NamedTuple):
     value: np.ndarray
 
 
-def _batch_rows(
-    units: Units, slots: np.ndarray, mask: np.ndarray, full_needs_volume: bool
-) -> _Rows:
-    """Every allowed system of one batch, solved.
+class _Batch(NamedTuple):
+    """What one batch solves, before any value is read.
 
     ``slots`` holds the batch's supports slot-major, (slot, support), as
     :func:`_supports` does, and ``mask`` is 1.0 in a slot of a real cargo
-    and 0.0 in one of the dummy.  Every support allows pattern 2, the
-    volume cap alone binding, so no batch is empty.
+    and 0.0 in one of the dummy.  Then per system, support by support and
+    pattern by pattern: the position of its support in the batch
+    (``item``), its pattern, whether it binds the deadweight cap (``dw``)
+    and the volume cap (``vol``), and its support, (system, slot).
     """
+
+    slots: np.ndarray
+    mask: np.ndarray
+    item: np.ndarray
+    pattern: np.ndarray
+    dw: np.ndarray
+    vol: np.ndarray
+    support: np.ndarray
+
+
+def _batch(slots: np.ndarray, n: int, full_needs_volume: bool) -> _Batch:
+    """The systems of the supports in ``slots``, with the dummy cargo n in their free slots.
+
+    Every support allows pattern 2, the volume cap alone binding, so no
+    batch is empty.  A support of one cargo does not allow pattern 3, and
+    with ``full_needs_volume`` a support that fills every slot allows only
+    patterns 2 and 3.  Depends on the supports alone: an enumeration of at
+    most ``LAYOUT_SUPPORTS`` supports reads it from :func:`_layout`.
+    """
+    real = slots < n
+    allowed = np.ones((4, slots.shape[1]), dtype=bool)
+    allowed[3] &= real[1] if slots.shape[0] > 1 else False
+    if full_needs_volume:
+        # Patterns 0 and 1 leave the volume cap slack.
+        allowed[:2] &= ~real[-1]
+    item, pattern = np.nonzero(allowed.T)
+    return _Batch(
+        slots,
+        real.astype(float),
+        item,
+        pattern,
+        _DEADWEIGHT_ON[pattern],
+        _VOLUME_ON[pattern],
+        np.take(slots, item, axis=1).T,
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(
+    kept: tuple[int, ...], largest: int, n: int, full_needs_volume: bool
+) -> tuple[tuple[int, ...], _Batch]:
+    """The ``starts`` of :func:`_supports` and the one :func:`_batch` of all its supports.
+
+    Built once per stack shape: the cargoes that the twin merge keeps, K,
+    n and whether a full support needs the volume cap.  Every array is
+    read-only, and positions and patterns are held, as cargoes are, in
+    the smallest unsigned types that hold them.  Only enumerations of at
+    most ``LAYOUT_SUPPORTS`` supports come here, so the arrays of an entry
+    hold at most 69 881 bytes for n < 256 and 92 795 for n < 65 536, both
+    at 9 of 9 kept cargoes (511 supports, 2 035 systems), and the 16
+    entries at most 1.5 MB.
+    """
+    slots, starts = _supports(list(kept), largest, n)
+    batch = _batch(slots, n, full_needs_volume)
+    batch = batch._replace(
+        item=batch.item.astype(np.min_scalar_type(slots.shape[1] - 1)),
+        pattern=batch.pattern.astype(np.uint8),
+    )
+    for array in batch:
+        array.flags.writeable = False
+    return tuple(starts), batch
+
+
+def _batch_rows(units: Units, batch: _Batch) -> _Rows:
+    """Every system of one :class:`_Batch`, solved.
+
+    The batch comes laid out: which systems it holds, their patterns and
+    their supports (:func:`_batch`, built once per stack shape by
+    :func:`_layout` for a one-batch enumeration).  This reads the values
+    along the supports and does the algebra alone.
+    """
+    slots, mask, item, pattern, dw, vol, support = batch
     slack_dw, room, qa, qb, r = units.slack_dw, units.room, units.qa, units.qb, units.r
     # Per (slot, support): the steps of v, p and the generator along it,
     # then f = dv / D and u = dp / D where row i of D y + c e_1 + w dv =
@@ -390,13 +482,6 @@ def _batch_rows(
     gives = (mask > 0.0) & ~flat
     per_slot[5] = np.where(gives, per_slot[2], 1.0)
     per_slot[3:5] = np.where(gives, per_slot[:2] / per_slot[5], 0.0)
-    allowed = np.ones((4, slots.shape[1]), dtype=bool)
-    allowed[3] &= (mask[1] > 0.0) if slots.shape[0] > 1 else False
-    if full_needs_volume:
-        # Patterns 0 and 1 leave the volume cap slack.
-        allowed[:2] &= mask[-1] == 0.0
-    item, pattern = np.nonzero(allowed.T)
-    dw, vol = _DEADWEIGHT_ON[pattern], _VOLUME_ON[pattern]
     per_slot = np.take(per_slot, item, axis=2)
     # With the deadweight cap binding, y_1 = 1 and row 1 only gives c.
     per_slot[3:5, 0, dw] = 0.0
@@ -486,7 +571,6 @@ def _batch_rows(
         ok[0] &= keep & ~fixed
         ok[1:] &= rooted
         value = np.where(ok, (y * dp).sum(axis=1), -np.inf)
-    support = np.take(slots, item, axis=1).T
     return _Rows(
         support, pattern, rooted, fixed, d.T, dv.T, dp.T, w0, w1, s, t, z.swapaxes(1, 2), value
     )
@@ -648,6 +732,8 @@ def _supports(kept: list[int], largest: int, n: int) -> tuple[np.ndarray, list[i
     on.  Each size grows from the one below by prefix expansion: a support
     whose last cargo is the e-th of the m kept has m - 1 - e children.
     Only the last slot's positions are held as intp, one size at a time.
+    Built once per stack shape when they fit ``LAYOUT_SUPPORTS``
+    (:func:`_layout`), on every call otherwise.
     """
     m = len(kept)
     cargo = np.array(kept, dtype=np.min_scalar_type(n))

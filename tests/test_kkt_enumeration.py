@@ -1,7 +1,9 @@
 """The closed-form KKT enumeration: its support rule against the inertia bound it replaced,
 its scalar per-support solve against its batch rows, its batch rows against the same supports
-solved one per batch, and its incumbent prune against the enumeration without it."""
+solved one per batch, its cached batch layout against one built from itertools, and its
+incumbent prune against the enumeration without it."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -118,8 +120,8 @@ def _batch_roots(problem, support):
     largest, full_needs_volume = kkt_enumeration._support_rule(merged)
     chunk = np.full((largest, 1), problem.n, dtype=np.intp)
     chunk[: len(support), 0] = support
-    real = (chunk < problem.n).astype(float)
-    rows = kkt_enumeration._batch_rows(units, chunk, real, full_needs_volume)
+    batch = kkt_enumeration._batch(chunk, problem.n, full_needs_volume)
+    rows = kkt_enumeration._batch_rows(units, batch)
     roots = []
     for root in (1, 2):
         moving = rows.rooted & ~rows.fixed
@@ -299,12 +301,10 @@ class TestBatchComposition:
         slots, _ = kkt_enumeration._supports(kept, largest, problem.n)
         # The whole enumeration is one batch.
         assert slots.shape[1] <= kkt_enumeration.CHUNK
-        real = (slots < problem.n).astype(float)
 
         def solve(rows):
-            return kkt_enumeration._batch_rows(
-                units, slots[:, rows], real[:, rows], full_needs_volume
-            )
+            batch = kkt_enumeration._batch(slots[:, rows], problem.n, full_needs_volume)
+            return kkt_enumeration._batch_rows(units, batch)
 
         batch, backward = solve(slice(None)), solve(slice(None, None, -1))
         bottom = batch.support[:, 0] == 0
@@ -330,6 +330,94 @@ class TestBatchComposition:
                     part = getattr(whole, field)
                     part = part[systems] if field in self.PER_SYSTEM else part[:, systems]
                     np.testing.assert_array_equal(part, getattr(rows, field), err_msg=field)
+
+
+def _reference_layout(kept, largest, n, full_needs_volume):
+    """(starts, batch) of ``_layout`` from itertools and the pattern rule, one support at a time.
+
+    Supports go by size, then lexicographically; a support of one cargo
+    does not bind both caps, and with ``full_needs_volume`` one of
+    ``largest`` cargoes binds the volume cap.
+    """
+    supports = [c for size in range(1, largest + 1) for c in itertools.combinations(kept, size)]
+    starts = tuple(sum(len(c) <= j for c in supports) for j in range(largest))
+    padded = [list(c) + [n] * (largest - len(c)) for c in supports]
+    systems = [
+        (k, pattern)
+        for k, c in enumerate(supports)
+        for pattern in range(4)
+        if not (pattern == 3 and len(c) == 1)
+        and not (full_needs_volume and len(c) == largest and pattern < 2)
+    ]
+    item = [k for k, _ in systems]
+    pattern = [p for _, p in systems]
+    batch = kkt_enumeration._Batch(
+        slots=np.array(padded, dtype=np.min_scalar_type(n)).T,
+        mask=np.array([[float(j < len(c)) for c in supports] for j in range(largest)]),
+        item=np.array(item),
+        pattern=np.array(pattern),
+        dw=np.array([p in (1, 3) for p in pattern]),
+        vol=np.array([p >= 2 for p in pattern]),
+        support=np.array([padded[k] for k in item], dtype=np.min_scalar_type(n)),
+    )
+    return starts, batch
+
+
+class TestLayout:
+    """The batch layout of a one-batch enumeration is built once per stack shape."""
+
+    @pytest.mark.parametrize("full_needs_volume", [False, True])
+    def test_matches_itertools(self, full_needs_volume):
+        shapes = [(tuple(range(m)), largest, m) for m in range(1, 10) for largest in range(1, m + 1)]
+        # Merged twins leave gaps in the kept cargoes; n = 300 holds cargoes in uint16.
+        shapes += [((0, 2, 3, 6, 7), largest, 9) for largest in range(1, 6)]
+        shapes += [((1, 5, 40, 299), largest, 300) for largest in range(1, 5)]
+        for kept, largest, n in shapes:
+            starts, batch = kkt_enumeration._layout(kept, largest, n, full_needs_volume)
+            assert batch.slots.shape[1] <= kkt_enumeration.LAYOUT_SUPPORTS
+            reference_starts, reference = _reference_layout(kept, largest, n, full_needs_volume)
+            assert starts == reference_starts, (kept, largest)
+            for field, array in zip(batch._fields, batch):
+                expected = getattr(reference, field)
+                np.testing.assert_array_equal(array, expected, err_msg=f"{field} {kept} {largest}")
+            assert batch.slots.dtype == batch.support.dtype == np.min_scalar_type(n)
+            assert batch.item.dtype == np.min_scalar_type(batch.slots.shape[1] - 1)
+            assert batch.pattern.dtype == np.uint8
+
+    def test_cached_arrays_are_read_only(self):
+        _, batch = kkt_enumeration._layout((0, 1, 2, 3), 3, 4, True)
+        for array in batch:
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = array[(0,) * array.ndim]
+
+    def test_answers_do_not_depend_on_the_cache(self):
+        rng = np.random.default_rng(31)
+        orders = (LoadingOrder.normal(), LoadingOrder.reverse(), "explicit")
+        draws = checked = hits = 0
+        while checked < 300:
+            draws += 1
+            problem = draw_random_problem(
+                rng, sizes=(2, 14), orders=(orders[draws % 3],), degenerate=draws % 3 == 1
+            )
+            if problem.classification.kind is Definiteness.POSITIVE_SEMIDEFINITE:
+                continue
+            kkt_enumeration.binding_optimum(problem)
+            before = kkt_enumeration._layout.cache_info().hits
+            value, x, multipliers, reason = kkt_enumeration.binding_optimum(problem)
+            hits += kkt_enumeration._layout.cache_info().hits > before
+            kkt_enumeration._layout.cache_clear()
+            cold = kkt_enumeration.binding_optimum(problem)
+            assert (value, multipliers, reason) == (cold[0], cold[2], cold[3])
+            assert x.tobytes() == cold[1].tobytes()
+            checked += 1
+        # Most draws fit one batch, and their second call reads the cache.
+        assert hits >= 200, hits
+
+    def test_unpruned_stack_of_41_is_not_cached(self):
+        kkt_enumeration._layout.cache_clear()
+        _unpruned(large_reverse_stack(41))
+        info = kkt_enumeration._layout.cache_info()
+        assert info.currsize == 0 and info.misses == 0
 
 
 def _unpruned(problem):
@@ -482,8 +570,8 @@ class TestIncumbentPrune:
             kept, merged = kkt_enumeration._merge_twins(diagonal, problem.objective)
             largest, full_needs_volume = kkt_enumeration._support_rule(merged)
             slots, _ = kkt_enumeration._supports(kept, largest, problem.n)
-            real = (slots < problem.n).astype(float)
-            rows = kkt_enumeration._batch_rows(units, slots, real, full_needs_volume)
+            batch = kkt_enumeration._batch(slots, problem.n, full_needs_volume)
+            rows = kkt_enumeration._batch_rows(units, batch)
             # The support of each system, slot-major, and where each slot
             # starts to hold a real cargo: the systems keep the supports' order.
             supports = np.ascontiguousarray(rows.support.T)
