@@ -78,8 +78,39 @@ cargoes are solved only in the two patterns that bind it.  When K
 exceeds the number of cargoes, every support is solved in every
 pattern.
 
-So the candidates hold a global optimum, except where one of these
-steps loses it:
+Only chains need solving.  On a support s_1, ..., s_k, in the scaled
+units below, v and g are both affine in 1/d, so f_i = dv_i / D_i is one
+constant kappa on every slot i >= 2, and rows i >= 2 give y_i = t u_i -
+kappa w in every pattern, with u_i = dp_i / D_i the slope (p_b - p_a) /
+(g_b - g_a) from a = s_(i-1) to b = s_i.  So:
+
+* f is constant on slots i >= 2, and w drops out of the middle loads:
+  z_i = y_i - y_(i+1) = t (u_i - u_(i+1)), 1 < i < k.  A candidate with
+  t > 0 and z >= 0 therefore has u_2 >= ... >= u_k: read bottom up, the
+  slopes between consecutive cargoes never rise.  Call such a support a
+  chain; a support of one or two cargoes always is one, and a support is
+  a chain only if its prefixes are.
+* t = 0 points are the candidates of {s_1, s_k}: every middle load is
+  0, and the volume row and y'Dy telescope, since D_2 + ... + D_k =
+  g_(s_k) - g_(s_1) is the one step of {s_1, s_k} above its bottom.
+* Equal slopes give a zero middle load, and the support without that
+  cargo, still a chain, holds the same point; so a tie is never lost.
+
+A global optimum of at most K cargoes with no two of equal density
+adjacent in its support (the skips above keep one) loads a positive
+amount of each cargo of its support and is a candidate of it: with t >
+0 that support is a chain, and with t = 0 it holds at most two cargoes.
+A candidate of a support that is not a chain passes the checks only
+through the candidate tolerance: in exact arithmetic one of its middle
+loads, t (u_i - u_(i+1)), is negative.  It is no point of the problem,
+and the guarantee below does not rest on it.  Where that load is only a
+rounding error the candidate is found on a chain to rounding: either t
+is a rounding error, and the point is the t = 0 point of {s_1, s_k}, or
+the two slopes are equal in exact arithmetic, and the point is that of
+the chain without s_i.
+
+So the candidates of the chains hold a global optimum, except where one
+of these steps loses it:
 
 * truncation: when the supports of up to K cargoes need more than
   ``SYSTEM_BUDGET`` systems, only the supports of up to the largest size
@@ -97,32 +128,24 @@ steps loses it:
 
 One step drops supports and loses nothing: the incumbent prune.  After
 the first batch, a support is solved only when its bound reaches the
-incumbent, the best scaled revenue of the batches before.  Its bound is
-the smaller of two, and each is at least every candidate of the support
-that passes the checks, with loads down to -``TOLERANCE`` and each cap
-and the stability constraint met to ``TOLERANCE``:
-
-* the relaxation's LP over the support alone, attained at a basis of one
-  or two of its cargoes, with both caps widened by the solver's
-  ``MARGIN``, 1e-6: such a candidate is feasible for it, since
-  ``MARGIN`` is far above the (K + 1) ``TOLERANCE`` it can need;
-* the stable-mass cut T_S max_{i in S} p_i.  Every entry of the scaled
-  block G of A along S is one of its diagonal entries, so 0 <= G_ij -
-  alpha_S <= 2 with alpha_S the least of them.  The loads z of such a
-  candidate are at least -``TOLERANCE`` = -tau and sum to its mass y_1
-  <= 1 + tau, so in z'Gz - alpha_S y_1^2 = sum (G_ij - alpha_S) z_i z_j
-  the negative products sum to at least -4 K tau (1 + 3 K tau), and
-  z'Gz >= alpha_S y_1^2 - 6 K^2 tau.  Its mass therefore keeps qa
-  alpha_S y_1^2 + qb y_1 <= r + tau (max(1, |r|) + 6 qa K^2).  T_S is
-  the largest mass up to 1 + ``MARGIN`` that keeps this with the right
-  side r + ``MARGIN`` (max(1, |r|) + qa K^2 + |qb|), far above, and
-  widened by ``MARGIN`` (|T_S| + 1)
-  (:func:`~shipload.solver.stable_mass_room`), so T_S >= y_1 + K tau,
-  while the candidate's revenue, sum p_i z_i, is at most max p (y_1 +
-  K tau).
-
-So a support whose bound is strictly below the incumbent holds no
-candidate that wins or ties.
+incumbent, the best scaled revenue of the batches before.  Its bound,
+the stable-mass cut T_S max_{i in S} p_i, is at least every candidate of
+the support that passes the checks, with loads down to -``TOLERANCE``
+and each cap and the stability constraint met to ``TOLERANCE``.  Every
+entry of the scaled block G of A along S is one of its diagonal
+entries, so 0 <= G_ij - alpha_S <= 2 with alpha_S the least of them.
+The loads z of such a candidate are at least -``TOLERANCE`` = -tau and
+sum to its mass y_1 <= 1 + tau, so in z'Gz - alpha_S y_1^2 = sum (G_ij -
+alpha_S) z_i z_j the negative products sum to at least -4 K tau (1 +
+3 K tau), and z'Gz >= alpha_S y_1^2 - 6 K^2 tau.  Its mass therefore
+keeps qa alpha_S y_1^2 + qb y_1 <= r + tau (max(1, |r|) + 6 qa K^2).
+T_S is the largest mass up to 1 + ``MARGIN`` (the solver's, 1e-6) that
+keeps this with the right side r + ``MARGIN`` (max(1, |r|) + qa K^2 +
+|qb|), far above, and widened by ``MARGIN`` (|T_S| + 1)
+(:func:`~shipload.solver.stable_mass_room`), so T_S >= y_1 + K tau,
+while the candidate's revenue, sum p_i z_i, is at most max p (y_1 +
+K tau).  So a support whose bound is strictly below the incumbent holds
+no candidate that wins or ties.
 
 The supports are built in NumPy, size by size by prefix expansion, as
 one slot-major array of cargo indices in the smallest unsigned type that
@@ -130,11 +153,14 @@ holds n.  All that a batch holds before it reads a value depends on the
 stack's shape alone (the cargoes kept, K, n and whether a support of K
 cargoes needs the volume cap): its supports, the mask of their real
 slots, and their expansion into (support, pattern) systems with each
-system's caps and support.  An enumeration of at most
-``LAYOUT_SUPPORTS`` supports, one batch, reads all of it from a cache of
-read-only arrays built once per shape (:func:`_layout`), so a solve of
-a shape seen before only does the algebra.  A larger enumeration builds
-its supports on every call, beside them one float bound per support,
+system's caps and support.  An enumeration of at most ``CHUNK``
+supports, one batch, reads all of it from a cache of read-only arrays
+built once per shape (:func:`_layout`), so a solve of a shape seen
+before only does the algebra; it solves every support, since which of
+them are chains depends on the values.  A larger enumeration grows only
+chains, on every call: a support whose last two cargoes are i and k
+takes a child j only when slope(k, j) <= slope(i, k).  Beside them it
+builds one float bound per chain when they fill more than one batch,
 and each batch's systems when the batch is packed; it keeps nothing
 between calls.  The supports go in batches of ``CHUNK``, in the
 scaled units x / C, c / (C a), w max(v) / (C a) and t max(p) / (C a)
@@ -145,14 +171,14 @@ a dummy cargo whose steps are zero, so that its y stays 0.  A batch is
 solved as (slot, system) arrays: a sum over a support is K - 1 vector
 adds in slot order, and the systems where D_1 = 0 or a row fixes t take
 their own steps only in a batch that holds one, so each system's rows
-are the same in any batch.  With more than ``CHUNK`` supports, the first
+are the same in any batch.  With more than ``CHUNK`` chains, the first
 batch holds the ``CHUNK`` with the highest bounds, so that the incumbent
 starts high, and the rest follow in their order, each batch packed from
-the supports whose bounds reach the incumbent when it is packed, so
-every batch but the last is full.  Candidates are compared in their
-scaled revenue alone, and on a tie the earliest support in that order
-wins, then the lower pattern, then the lower root, so neither
-``CHUNK``, the prune nor the order of the batches can change the winner.
+the chains whose bounds reach the incumbent when it is packed, so every
+batch but the last is full.  Candidates are compared in their scaled
+revenue alone, and on a tie the earliest support in that order wins,
+then the lower pattern, then the lower root, so neither the prune nor
+the order of the batches can change the winner.
 
 A root t > 0 carries the multipliers of its point: lam_S = 1 / (2 s t),
 lam_C = (c - b / (2 s)) / t and lam_V = w / t, which
@@ -173,29 +199,26 @@ import numpy as np
 
 from .model import Problem
 from .quadratic_analysis import SIGN_TOLERANCE
-from .solver import MARGIN, _bases, relaxation_vertices, stable_mass_room
+from .solver import MARGIN, stable_mass_room
 
-# Most linear systems that one enumeration may solve, counted before the
-# incumbent prune: four constraint patterns per support, two for a support
-# of exactly K cargoes.  Reverse stacks of up to 43 cargoes fit; 41 cargoes
-# count 24 768 systems, of which the prune leaves 5 000 on the benchmark's
-# seed-1 market stack (8 311 with the LP bound alone), at about 0.25 us
-# each in the batch kernel and 0.39 us each with the supports built,
-# bounded and packed (Xeon, NumPy 2.4).  A larger enumeration is
-# truncated to smaller supports.
+# Most linear systems that one enumeration may solve, counted over every
+# support, before the chain rule and the incumbent prune: four constraint
+# patterns per support, two for a support of exactly K cargoes.  Reverse
+# stacks of up to 43 cargoes fit; 41 cargoes count 24 768 systems, of which
+# chains and the prune leave 5 044 on the benchmark's seed-1 market stack
+# and 2 047 on a reverse stack whose rates fall with density, at about
+# 0.25 us each in the batch kernel (Xeon, NumPy 2.4).  A larger
+# enumeration is truncated to smaller supports.
 SYSTEM_BUDGET = 30_000
 # Supports per batch.  On the market n = 41 stack 512 beat 256, 1024 and 2048.
 CHUNK = 512
-# Most supports of an enumeration whose batch layout is cached (_layout):
-# a one-batch enumeration at the default CHUNK, whatever CHUNK is set to.
-LAYOUT_SUPPORTS = 512
 # Scaled steps of the generator, and coefficients of w in the volume row,
 # at most this large count as zero.
 ZERO_TOLERANCE = 1e-10
 # Relative slack of the candidates' constraints and consistency tests.
-# The support bounds widen the caps and the stability right side by the
-# solver's MARGIN, far above the (K + 1) TOLERANCE by which a candidate
-# that passes can exceed a cap.
+# The stable-mass bound widens the deadweight cap and the stability right
+# side by the solver's MARGIN, far above what a candidate that passes can
+# exceed them by.
 TOLERANCE = 1e-9
 
 # (deadweight binds, volume binds) of the four patterns.
@@ -314,14 +337,17 @@ def binding_optimum(
     # cannot change the winner.  The empty vessel comes before every support.
     incumbent, place = 0.0, (0, [])
 
-    # One batch reads the layout of its stack's shape, built once; more
-    # supports are bounded, and each batch is laid out when it is packed.
+    # One batch reads the layout of its stack's shape, built once, with
+    # every support.  More supports grow as chains only, which are bounded
+    # when they fill more than one batch, and each batch is laid out when
+    # it is packed.
     count = sum(math.comb(len(kept), size) for size in range(1, largest + 1))
-    if count <= min(CHUNK, LAYOUT_SUPPORTS):
+    if count <= CHUNK:
         batches = [_layout(tuple(kept), largest, n, full_needs_volume)[1]]
     else:
-        slots, starts = _supports(kept, largest, n)
-        bounds = _support_bounds(units, slots, starts) if count > CHUNK else None
+        slots, starts = _supports(kept, largest, n, _slopes(units, kept))
+        count = slots.shape[1]
+        bounds = _mass_bounds(units, slots, starts) if count > CHUNK else None
         batches = (
             _batch(slots[:, picks], n, full_needs_volume)
             for picks in _batches(count, bounds, lambda: incumbent)
@@ -414,7 +440,7 @@ def _batch(slots: np.ndarray, n: int, full_needs_volume: bool) -> _Batch:
     batch is empty.  A support of one cargo does not allow pattern 3, and
     with ``full_needs_volume`` a support that fills every slot allows only
     patterns 2 and 3.  Depends on the supports alone: an enumeration of at
-    most ``LAYOUT_SUPPORTS`` supports reads it from :func:`_layout`.
+    most ``CHUNK`` supports reads it from :func:`_layout`.
     """
     real = slots < n
     allowed = np.ones((4, slots.shape[1]), dtype=bool)
@@ -444,7 +470,7 @@ def _layout(
     n and whether a full support needs the volume cap.  Every array is
     read-only, and positions and patterns are held, as cargoes are, in
     the smallest unsigned types that hold them.  Only enumerations of at
-    most ``LAYOUT_SUPPORTS`` supports come here, so the arrays of an entry
+    most ``CHUNK`` supports come here, so the arrays of an entry
     hold at most 69 881 bytes for n < 256 and 92 795 for n < 65 536, both
     at 9 of 9 kept cargoes (511 supports, 2 035 systems), and the 16
     entries at most 1.5 MB.
@@ -695,34 +721,9 @@ def _support_rule(diagonal: np.ndarray) -> tuple[int, bool]:
     return largest, True
 
 
-def _bound_table(units: Units) -> np.ndarray:
-    """The LP bound of every pair of cargoes i <= j, the dummy cargo n included.
-
-    Entry (i, j) is the best revenue, in the scaled units of the batch
-    rows, of a basis of the relaxation that loads only cargoes i and j:
-    either alone at a cap, or both at both caps
-    (:func:`~shipload.solver.relaxation_vertices`).  The deadweight cap 1
-    is widened to 1 + ``MARGIN`` and the volume cap to
-    room (1 + ``MARGIN``) + ``MARGIN``, since a negative load of a
-    candidate frees up to ``TOLERANCE`` of either cap.  Below the
-    diagonal, entry (j, i) holds only the singles of i and j.
-    """
-    m = units.n + 1
-    widened = 1.0 + MARGIN
-    with np.errstate(divide="ignore"):
-        # The dummy cargo has v = 0 and p = 0: no load at the volume cap.
-        densities = 1.0 / units.v
-    revenue = relaxation_vertices(
-        units.p, units.v, densities, widened, units.room * widened + MARGIN
-    )
-    single = np.maximum(np.maximum(revenue[1 : m + 1], revenue[m + 1 : 2 * m + 1]), 0.0)
-    table = np.maximum(single[:, None], single)
-    i, j, _, _ = _bases(m)
-    table[i, j] = np.maximum(table[i, j], revenue[2 * m + 1 :])
-    return table
-
-
-def _supports(kept: list[int], largest: int, n: int) -> tuple[np.ndarray, list[int]]:
+def _supports(
+    kept: list[int], largest: int, n: int, slopes: np.ndarray | None = None
+) -> tuple[np.ndarray, list[int]]:
     """The supports of 1 to ``largest`` of the ``kept`` cargoes, slot-major.
 
     Returns (slots, starts).  ``slots``, of shape (largest, supports), holds
@@ -731,52 +732,47 @@ def _supports(kept: list[int], largest: int, n: int) -> tuple[np.ndarray, list[i
     their free slots; slot j holds a real cargo from support ``starts[j]``
     on.  Each size grows from the one below by prefix expansion: a support
     whose last cargo is the e-th of the m kept has m - 1 - e children.
-    Only the last slot's positions are held as intp, one size at a time.
-    Built once per stack shape when they fit ``LAYOUT_SUPPORTS``
-    (:func:`_layout`), on every call otherwise.
+    With ``slopes``, the :func:`_slopes` of the kept cargoes, only chains
+    grow: a support whose last two cargoes are the d-th and e-th kept takes
+    the f-th only when slopes[e, f] <= slopes[d, e], which a NaN fails.
+    Each size is held in the type of ``slots`` and only the last two
+    slots' positions as intp.  Built once per stack shape, every support,
+    when they fit ``CHUNK`` (:func:`_layout`), and as chains on every call
+    otherwise.
     """
     m = len(kept)
     cargo = np.array(kept, dtype=np.min_scalar_type(n))
-    starts = [0]
-    for size in range(1, largest + 1):
-        starts.append(starts[-1] + math.comb(m, size))
-    slots = np.full((largest, starts.pop()), n, dtype=cargo.dtype)
-    slots[0, :m] = cargo
-    last = np.arange(m)
+    sizes, before, last = [cargo[None]], None, np.arange(m)
     for size in range(1, largest):
-        # The supports of size + 1 go from ``at`` to ``end``.
-        at, end = starts[size], starts[size] + math.comb(m, size + 1)
         children = m - 1 - last
         first = children.cumsum() - children
-        slots[:size, at:end] = slots[:size, starts[size - 1] : at].repeat(children, axis=1)
-        last = np.arange(end - at) + (last + 1 - first).repeat(children)
-        slots[size, at:end] = cargo[last]
+        parent = np.arange(last.size).repeat(children)
+        child = np.arange(parent.size) + (last + 1 - first).repeat(children)
+        if slopes is not None and size > 1:
+            with np.errstate(invalid="ignore"):
+                chain = slopes[last[parent], child] <= slopes[before[parent], last[parent]]
+            parent, child = parent[chain], child[chain]
+        sizes.append(np.concatenate([sizes[-1][:, parent], cargo[child][None]]))
+        before, last = last[parent], child
+    starts = np.cumsum([0] + [block.shape[1] for block in sizes]).tolist()
+    slots = np.full((largest, starts.pop()), n, dtype=cargo.dtype)
+    for size, (start, block) in enumerate(zip(starts, sizes), 1):
+        slots[:size, start : start + block.shape[1]] = block
     return slots, starts
 
 
-def _support_bounds(units: Units, slots: np.ndarray, starts: list[int]) -> np.ndarray:
-    """Each support's bound: the smaller of its pair-table LP bound and its stable-mass bound."""
-    bounds = _mass_bounds(units, slots, starts)
-    return np.minimum(bounds, _pair_bounds(_bound_table(units), slots, starts), out=bounds)
+def _slopes(units: Units, kept: list[int]) -> np.ndarray:
+    """slope(a, b) = (p_b - p_a) / (g_b - g_a) of every pair of the ``kept`` cargoes, by position.
 
-
-def _pair_bounds(table: np.ndarray, slots: np.ndarray, starts: list[int]) -> np.ndarray:
-    """The LP bound of each support of :func:`_supports`: the best basis on two of its cargoes.
-
-    Its slots hold cargo indices in increasing order, so every pair reads
-    the filled half of ``table``, and a lone cargo reads its diagonal.  The
-    flat indices are formed in intp, whatever the type of ``slots``.
+    Read on the scaled rates and generator, as the batch rows read u.  NaN
+    where it is not finite: equal generator entries, whose supports the
+    batch rows skip.
     """
-    m = table.shape[0]
-    flat = table.ravel()
-    bounds = np.take(flat, slots[0].astype(np.intp) * (m + 1))
-    for j in range(1, slots.shape[0]):
-        part = slice(starts[j], None)
-        for i in range(j):
-            index = slots[i, part].astype(np.intp) * m
-            index += slots[j, part]
-            np.maximum(bounds[part], np.take(flat, index), out=bounds[part])
-    return bounds
+    p, g = units.p[kept], units.generator[kept]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = np.subtract.outer(p, p) / np.subtract.outer(g, g)
+    slopes[~np.isfinite(slopes)] = np.nan
+    return slopes
 
 
 def _mass_bounds(units: Units, slots: np.ndarray, starts: list[int]) -> np.ndarray:
@@ -809,8 +805,8 @@ def _mass_bounds(units: Units, slots: np.ndarray, starts: list[int]) -> np.ndarr
 def _batches(count: int, bounds: np.ndarray | None, floor):
     """The supports of each batch, as indices into the ``count`` supports in their order.
 
-    Without ``bounds``, the enumeration of at most ``CHUNK`` supports, all
-    of them form one batch, given as a slice.  Otherwise the first batch
+    Without ``bounds``, when there are at most ``CHUNK`` supports, all of
+    them form one batch, given as a slice.  Otherwise the first batch
     holds the ``CHUNK`` supports with the highest bounds, ties going to
     the earlier, in their order, and the rest follow in their order, each
     read against ``floor()``, the live incumbent, when its batch is

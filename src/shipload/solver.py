@@ -77,7 +77,7 @@ _LP_TOLERANCE = 1e-9
 _NNLS_STEPS_PER_COLUMN = 3
 # Relative widening of every bound that must dominate a float predicate:
 # the root in stable_mass_room, the lattice search's revenue bound and the
-# enumeration's support bounds.  Far above the rounding it covers, a few
+# enumeration's stable-mass bound.  Far above the rounding it covers, a few
 # ulp or about sqrt(ulp) at a double root.
 MARGIN = 1e-6
 # Most steps of the support exchange are 2 n plus this many.  The measured
@@ -389,15 +389,14 @@ def relaxation_vertices(
     """The revenue of every basis of max p.x subject to sum(x) <= cap, v.x <= room and x >= 0.
 
     One entry per basis in :func:`_bases` order; an infeasible basis has
-    revenue -inf.  ``densities`` is 1 / v, which may be infinite where v is
-    0: a single cargo's load at the volume cap is room * density.
+    revenue -inf.  ``densities`` is 1 / v: a single cargo's load at the
+    volume cap is room * density.
     """
     i, j, _, _ = _bases(p.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         # Equal densities give infinite or NaN loads, which fail the test below.
         pair_i, pair_j = _pair_loads(v[i], v[j], cap, room)
         volume_loads = room * densities
-        # A zero rate times an infinite load is NaN too.
         revenue = np.concatenate(
             [[0.0], p * cap, p * volume_loads, p[i] * pair_i + p[j] * pair_j]
         )

@@ -1,7 +1,8 @@
 """The closed-form KKT enumeration: its support rule against the inertia bound it replaced,
 its scalar per-support solve against its batch rows, its batch rows against the same supports
-solved one per batch, its cached batch layout against one built from itertools, and its
-incumbent prune against the enumeration without it."""
+solved one per batch, its cached batch layout against one built from itertools, its
+incumbent prune against the enumeration without it, and its chain rule against every
+support."""
 
 import itertools
 import math
@@ -374,7 +375,7 @@ class TestLayout:
         shapes += [((1, 5, 40, 299), largest, 300) for largest in range(1, 5)]
         for kept, largest, n in shapes:
             starts, batch = kkt_enumeration._layout(kept, largest, n, full_needs_volume)
-            assert batch.slots.shape[1] <= kkt_enumeration.LAYOUT_SUPPORTS
+            assert batch.slots.shape[1] <= kkt_enumeration.CHUNK
             reference_starts, reference = _reference_layout(kept, largest, n, full_needs_volume)
             assert starts == reference_starts, (kept, largest)
             for field, array in zip(batch._fields, batch):
@@ -420,48 +421,53 @@ class TestLayout:
         assert info.currsize == 0 and info.misses == 0
 
 
+def _one_batch(count, bounds, floor):
+    """``_batches`` without the prune: every support in one batch, in their order."""
+    yield slice(None)
+
+
 def _unpruned(problem):
-    """``binding_optimum`` with all supports in one batch, in their order: no bound is built."""
+    """``binding_optimum`` with all its supports in one batch, in their order: none is pruned."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kkt_enumeration, "CHUNK", math.inf)
+        patch.setattr(kkt_enumeration, "_batches", _one_batch)
         return kkt_enumeration.binding_optimum(problem)
 
 
 def _counted(run, problem):
-    """(systems solved, what ``run(problem)`` returned, bound tables built)."""
-    systems, tables = [0], [0]
-    batch_rows, bound_table = kkt_enumeration._batch_rows, kkt_enumeration._bound_table
+    """(systems solved, what ``run(problem)`` returned, stable-mass bounds built)."""
+    systems, bounds = [0], [0]
+    batch_rows, mass_bounds = kkt_enumeration._batch_rows, kkt_enumeration._mass_bounds
 
     def counted_rows(*args):
         rows = batch_rows(*args)
         systems[0] += rows.support.shape[0]
         return rows
 
-    def counted_table(units):
-        tables[0] += 1
-        return bound_table(units)
+    def counted_bounds(*args):
+        bounds[0] += 1
+        return mass_bounds(*args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kkt_enumeration, "_batch_rows", counted_rows)
-        patch.setattr(kkt_enumeration, "_bound_table", counted_table)
+        patch.setattr(kkt_enumeration, "_mass_bounds", counted_bounds)
         answer = run(problem)
-    return systems[0], answer, tables[0]
+    return systems[0], answer, bounds[0]
 
 
 def _assert_unchanged_by_the_prune(problem):
     """Pruned and unpruned enumerations agree bit for bit.
 
-    Returns (whether the pruned run built a bound table, the truncation reason).
+    Returns (whether the pruned run bounded its supports, the truncation reason).
     """
-    (value, x, multipliers, reason), tables = _counted(kkt_enumeration.binding_optimum, problem)[1:]
+    (value, x, multipliers, reason), bounds = _counted(kkt_enumeration.binding_optimum, problem)[1:]
     reference = _unpruned(problem)
     assert (value, multipliers, reason) == (reference[0], reference[2], reference[3])
     assert x.tobytes() == reference[1].tobytes()
-    return tables > 0, reason
+    return bounds > 0, reason
 
 
 class TestIncumbentPrune:
-    """Supports whose LP or stable-mass bound cannot reach the incumbent are not solved."""
+    """Chains whose stable-mass bound cannot reach the incumbent are not solved."""
 
     def test_same_answers_without_the_prune(self):
         rng = np.random.default_rng(2026)
@@ -496,7 +502,8 @@ class TestIncumbentPrune:
     @pytest.mark.parametrize("n", [21, 41, 44, 60, 80])
     def test_same_answers_on_large_reverse_stacks(self, n):
         bounded, _ = _assert_unchanged_by_the_prune(large_reverse_stack(n))
-        assert bounded
+        # The chains of 21 cargoes fit one batch, and are not bounded.
+        assert bounded == (n > 21)
 
     def test_halves_the_systems_of_a_reverse_stack_of_41(self):
         # Rates drawn apart from the densities, as in a market.
@@ -504,16 +511,16 @@ class TestIncumbentPrune:
             np.random.default_rng(1), sizes=(41, 42), orders=(LoadingOrder.reverse(),)
         )
         assert problem.n == 41
-        systems, _, tables = _counted(kkt_enumeration.binding_optimum, problem)
+        systems, _, bounds = _counted(kkt_enumeration.binding_optimum, problem)
         reference = _counted(_unpruned, problem)[0]
-        assert tables == 1
+        assert bounds == 1
         assert systems < reference / 2, (systems, reference)
 
     def test_one_batch_builds_no_table(self):
         problem = large_reverse_stack(12)
-        systems, _, tables = _counted(kkt_enumeration.binding_optimum, problem)
+        systems, _, bounds = _counted(kkt_enumeration.binding_optimum, problem)
         # 12 + 66 + 220 supports, within one batch.
-        assert tables == 0 and systems == _counted(_unpruned, problem)[0]
+        assert bounds == 0 and systems == _counted(_unpruned, problem)[0]
 
     @pytest.mark.parametrize("seed", [0, 9])
     def test_stable_mass_cut_on_a_reverse_stack_of_41(self, seed):
@@ -558,10 +565,10 @@ class TestIncumbentPrune:
         assert x.tobytes() == reference[1].tobytes()
 
     def test_bound_covers_every_candidate_of_its_support(self):
-        """Both bounds of a support are at least each candidate that passes the batch checks."""
+        """A support's stable-mass bound is at least each candidate that passes the batch checks."""
         rng = np.random.default_rng(5)
         orders = (LoadingOrder.normal(), LoadingOrder.reverse(), "explicit")
-        candidates = tighter = 0
+        candidates = 0
         for draw in range(200):
             room = (0.3, 0.8) if draw % 2 else (0.5, 2.0)
             problem = draw_random_problem(rng, sizes=(2, 9), orders=orders, room=room)
@@ -577,17 +584,12 @@ class TestIncumbentPrune:
             supports = np.ascontiguousarray(rows.support.T)
             sizes = (supports < problem.n).sum(axis=0)
             starts = np.searchsorted(sizes, np.arange(1, largest + 1)).tolist()
-            table = kkt_enumeration._bound_table(units)
-            pair = kkt_enumeration._pair_bounds(table, supports, starts)
             mass = kkt_enumeration._mass_bounds(units, supports, starts)
             # The best candidate of each system, -inf where none passes.
             best = rows.value.max(axis=0)
-            assert (best <= pair).all() and (best <= mass).all()
+            assert (best <= mass).all()
             candidates += int(np.isfinite(best).sum())
-            tighter += int(np.count_nonzero(np.isfinite(best) & (mass < pair)))
         assert candidates >= 1000, candidates
-        # The cut is the smaller bound on systems that hold candidates.
-        assert tighter >= 100, tighter
 
     def test_least_diagonal_cut_is_below_the_step_cut(self):
         """The stable-mass bound with alpha_S the least generator entry along S is never
@@ -626,6 +628,99 @@ class TestIncumbentPrune:
             below += int(np.count_nonzero(mass < reference - 1e-9))
         assert supports >= 10_000, (supports, below)
         assert below >= 1000, (supports, below)
+
+
+def _chains(units, supports, n):
+    """Per support, a row of cargo indices with n in its free slots: whether, read bottom up,
+    the slopes (p_b - p_a) / (g_b - g_a) between its consecutive cargoes never rise, on the
+    scaled rates and generator.
+
+    A support of one or two cargoes always is a chain; in a longer one a
+    slope between equal generator entries fails.
+    """
+    cargo = supports.astype(np.intp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = np.diff(units.p[cargo], axis=1) / np.diff(units.generator[cargo], axis=1)
+        below, above = slopes[:, :-1], slopes[:, 1:]
+        rises = ~(np.isfinite(below) & np.isfinite(above) & (above <= below))
+    return ~(rises & (supports[:, 2:] < n)).any(axis=1)
+
+
+def _without_chains(units, kept):
+    """``_slopes`` with every slope 0: every support passes the child test."""
+    return np.zeros((len(kept), len(kept)))
+
+
+def _solved(problem):
+    """(the supports that the unpruned ``binding_optimum`` solves, each as a row of cargo
+    indices, and whether each holds a candidate with t > 0 that passes the batch checks)."""
+    rows = []
+    batch_rows = kkt_enumeration._batch_rows
+
+    def recorded(units, batch):
+        rows.append(batch_rows(units, batch))
+        return rows[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kkt_enumeration, "_batch_rows", recorded)
+        _unpruned(problem)
+    # One batch, whose systems run support by support.
+    (rows,) = rows
+    first = np.flatnonzero(np.r_[True, (rows.support[1:] != rows.support[:-1]).any(axis=1)])
+    found = np.logical_or.reduceat((np.isfinite(rows.value) & (rows.t > 0.0)).any(axis=0), first)
+    return rows.support[first], found
+
+
+class TestChains:
+    """Only chains hold a candidate with t > 0, so a multi-batch enumeration grows only them."""
+
+    def test_candidates_lie_on_chains_and_answers_hold(self):
+        rng = np.random.default_rng(32)
+        orders = (LoadingOrder.normal(), LoadingOrder.reverse(), "explicit")
+        draws = checked = grown = held = ballast = apart = 0
+        while checked < 300:
+            draws += 1
+            # In every order, every third draw gives one cargo the density of
+            # another, or of water.
+            problem = draw_random_problem(
+                rng, sizes=(2, 22), orders=(orders[draws % 3],), room=(0.3, 2.0),
+                degenerate=draws // 3 % 3 == 1,
+            )
+            if problem.classification.kind is Definiteness.POSITIVE_SEMIDEFINITE:
+                continue
+            units = kkt_enumeration.scaled_units(problem)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kkt_enumeration, "_slopes", _without_chains)
+                everything, found = _solved(problem)
+                value, _, _, reason = kkt_enumeration.binding_optimum(problem)
+                reference = solver.solve(problem)
+            chains = _chains(units, everything, problem.n)
+            assert chains[found].all(), (draws, everything[found & ~chains])
+            held += int(np.count_nonzero(found & (everything[:, 2:] < problem.n).any(axis=1)))
+
+            # With the rule a multi-batch enumeration solves the chains alone,
+            # and one batch every support.
+            solved = _solved(problem)[0]
+            if solved.shape != everything.shape:
+                np.testing.assert_array_equal(solved, everything[chains], err_msg=str(draws))
+                grown += 1
+            else:
+                np.testing.assert_array_equal(solved, everything, err_msg=str(draws))
+
+            answer = kkt_enumeration.binding_optimum(problem)
+            assert answer[3] == reason
+            assert abs(answer[0] - value) <= 1e-13 * abs(value), (draws, answer[0], value)
+            solution = solver.solve(problem)
+            assert solution.revenue == reference.revenue and solution.status == reference.status
+            assert solution.x.tobytes() == reference.x.tobytes()
+            assert solution.kkt.satisfied == reference.kkt.satisfied
+
+            checked += 1
+            ballast += BALLAST_LABEL in problem.labels
+            d = problem.densities
+            apart += any(d[i] == d[j] for i in range(d.size) for j in range(i + 2, d.size))
+        assert grown >= 100 and held >= 1000, (grown, held)
+        assert ballast >= 100 and apart >= 10, (ballast, apart)
 
 
 class TestMemory:

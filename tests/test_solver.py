@@ -1157,6 +1157,7 @@ class TestStableMassRoom:
         monkeypatch.setattr(oracle, "stable_mass_room", counted("oracle"))
         monkeypatch.setattr(kkt_enumeration, "stable_mass_room", counted("enumeration"))
         grid_search(large_reverse_stack(3), LatticeSpec(2000.0))
-        # 21 + 210 + 1330 supports: more than one batch, so they are bounded.
-        kkt_enumeration.binding_optimum(large_reverse_stack(21))
+        # 41 + 820 + 10 660 supports, whose chains fill more than one batch,
+        # so they are bounded.
+        kkt_enumeration.binding_optimum(large_reverse_stack(41))
         assert calls["oracle"] > 0 and calls["enumeration"] == 1, calls

@@ -300,20 +300,6 @@ class TestRelaxationReference:
         assert tied_faces["zero rates"] == 600, tied_faces
         assert water >= 300
 
-    def test_bound_table_reads_the_same_revenues(self):
-        # The enumeration's bound table calls it on scaled units with a dummy
-        # cargo of v = 0, whose density is infinite.
-        rng = np.random.default_rng(23)
-        for _ in range(300):
-            problem = draw_random_problem(rng, sizes=(1, 13), orders=ORDERS, degenerate=True)
-            units = kkt_enumeration.scaled_units(problem)
-            with np.errstate(divide="ignore"):
-                densities = 1.0 / units.v
-            room = units.room * (1.0 + 1e-6) + 1e-6
-            arguments = units.p, units.v, densities, 1.0 + 1e-6, room
-            revenue = solver.relaxation_vertices(*arguments)
-            assert _same(revenue, _reference_vertices(*arguments)[-1])
-
 
 # ---------------------------------------------------------------------------
 # reference: the scalar solve of one support, slot by slot
