@@ -91,7 +91,7 @@ class _Prefixes(NamedTuple):
 def _guess(limit: np.ndarray, unit: float, top) -> np.ndarray:
     """Closed-form level floor(limit / unit), clipped to [-1, top + 1]."""
     # fmax and fmin also send a NaN limit to -1.
-    guess = np.fmin(np.fmax(np.floor(limit / unit), -1.0), np.asarray(top) + 1.0)
+    guess = np.fmin(np.fmax(np.floor(limit / unit), -1.0), top + 1.0)
     return guess.astype(np.int64)
 
 
@@ -99,24 +99,26 @@ def _settle(level: np.ndarray, top, fits) -> np.ndarray:
     """Move each row's guessed level to the last fitting level of its run.
 
     ``fits(rows, k)`` applies the exact lattice predicate to level ``k`` of
-    each listed row.  A row starts at its guess capped at ``top``, climbs
-    while the next level up to ``top`` fits, and drops while its own level
-    does not, down to -1 for none.  On a predicate monotone in the level
-    this is the last fitting level; the closed-form guesses are within a
-    level of it, so rows rarely move more than once.
+    each listed row.  A row starts at its guess capped at ``top`` (one
+    level for all rows, or one per row), climbs while the next level up to
+    ``top`` fits, and drops while its own level does not, down to -1 for
+    none.  On a predicate monotone in the level this is the last fitting
+    level; the closed-form guesses are within a level of it, so rows
+    rarely move more than once.
     """
-    top = np.broadcast_to(top, level.shape)
     level = np.minimum(level, top)
-    rows = slice(None)
+    rows, k, below = slice(None), level, top
     while True:
-        k, below = level[rows], top[rows]
         climb = (k < below) & fits(rows, np.minimum(k + 1, below))
         drop = ~climb & (k >= 0) & ~fits(rows, np.maximum(k, 0))
-        level[rows] = k + climb - drop
-        moved = np.flatnonzero(climb | drop)
+        moved = (climb | drop).nonzero()[0]
         if not moved.size:
             return level
+        level[rows] = k + climb - drop
         rows = moved if isinstance(rows, slice) else rows[moved]
+        k = level[rows]
+        if isinstance(top, np.ndarray):
+            below = top[rows]
 
 
 def _chunks(counts: np.ndarray):
@@ -138,43 +140,47 @@ def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return parent, level
 
 
-def _dual_vertices(p: np.ndarray, vol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices (lambda_C, lambda_V) of the dual of the suffix LP.
+def _dual_vertices(p, vol) -> np.ndarray:
+    """Vertices (lambda_C, lambda_V) of the dual of the suffix LP, as the two rows of an array.
 
     The LP is max p.x subject to sum(x) <= R_m, vol.x <= R_v, x >= 0; its
     dual region is lambda_C >= h(lambda_V) = max(0, max_k p_k - vol_k *
     lambda_V) with lambda_V >= 0.  The envelope h is walked from lambda_V =
     0 to the right: each vertex hands the envelope to a strictly flatter
     line or to zero, so there are at most one vertex per paying cargo plus
-    one.  Cargoes without a rate add no dual constraint and are skipped;
-    so is the zero volume coefficient of the cargo that pads n = 1.
-    Each lambda_C is re-evaluated as h(lambda_V) and widened by the margin,
-    so every returned pair is dual feasible whatever the rounding.
+    one.  Of the flatter lines the walk takes the first to meet the
+    current one, the one with the least coefficient among equal meets,
+    and the first in stack order among those.  Cargoes without a rate add
+    no dual constraint and are skipped; so is the zero volume coefficient
+    of the cargo that pads n = 1.  Each lambda_C is re-evaluated as
+    h(lambda_V) and widened by the margin, so every returned pair is dual
+    feasible whatever the rounding.  The walk runs on Python floats over
+    a few cargoes; ``p`` and ``vol`` are sequences of floats.
     """
-    paying = p > 0.0
-    p, vol = p[paying], vol[paying]
-    if not p.size:
-        return np.zeros(1), np.zeros(1)
+    lines = [(pk, vk) for pk, vk in zip(p, vol) if pk > 0.0]
+    if not lines:
+        return np.zeros((2, 1))
+    top = max(lines)[0]
+    line = min((vk, k) for k, (pk, vk) in enumerate(lines) if pk == top)[1]
     lam = [0.0]
-    top = p.max()
-    ties = np.flatnonzero(p == top)
-    line = int(ties[np.argmin(vol[ties])])
     while True:
-        flatter = np.flatnonzero(vol < vol[line])
-        zero = p[line] / vol[line]
-        if flatter.size:
-            meet = (p[line] - p[flatter]) / (vol[line] - vol[flatter])
-            first = np.lexsort((vol[flatter], meet))[0]
-            if meet[first] < zero:
-                lam.append(max(float(meet[first]), 0.0))
-                line = int(flatter[first])
+        pl, vl = lines[line]
+        zero = pl / vl
+        meets = [((pl - pk) / (vl - vk), vk, k) for k, (pk, vk) in enumerate(lines) if vk < vl]
+        if meets:
+            meet, _, first = min(meets)
+            if meet < zero:
+                lam.append(max(meet, 0.0))
+                line = first
                 continue
         lam.append(zero)
         break
-    lam_v = np.array(lam)
-    envelope = np.maximum((p[:, None] - vol[:, None] * lam_v).max(axis=0), 0.0)
-    lam_c = envelope + MARGIN * (top + vol.max() * lam_v)
-    return lam_c, lam_v
+    widest = max(vk for _, vk in lines)
+    lam_c = [
+        max(max(pk - vk * lv for pk, vk in lines), 0.0) + MARGIN * (top + widest * lv)
+        for lv in lam
+    ]
+    return np.array([lam_c, lam])
 
 
 def _revenue_bound(problem: Problem, p: np.ndarray, vol: np.ndarray, g: np.ndarray):
@@ -189,7 +195,8 @@ def _revenue_bound(problem: Problem, p: np.ndarray, vol: np.ndarray, g: np.ndarr
     UB is the value of the two-constraint LP over the cargoes j..m-1 with
     mass room R_m and volume room R_v = V - volume, taken as the least of
     lambda_C * R_m + lambda_V * R_v over the dual vertices of
-    :func:`_dual_vertices`, which are computed once per depth.
+    :func:`_dual_vertices`, which are walked once per depth on Python
+    floats when the bound is built.
 
     R_m is tightened by stability.  The matrix is A_ik = g_min(i,k) in
     stack order, as ``assemble_problem`` builds it, so each entry of its
@@ -214,18 +221,21 @@ def _revenue_bound(problem: Problem, p: np.ndarray, vol: np.ndarray, g: np.ndarr
     """
     cap, vol_cap = problem.deadweight_cap, problem.volume_cap
     s, b, r = problem.quad_scale, problem.linear_coeff, problem.rhs
-    duals = [_dual_vertices(p[j:], vol[j:]) for j in range(p.size)]
-    alpha = np.minimum.accumulate(g[::-1])[::-1]
+    rates, coeffs = p.tolist(), vol.tolist()
+    # One row per vertex: the least over the vertices reduces along rows.
+    duals = [_dual_vertices(rates[j:], coeffs[j:])[:, :, None] for j in range(p.size)]
+    quads = s * np.minimum.accumulate(g[::-1])[::-1]
     relax = MARGIN * (abs(r) + s * np.abs(g).max() * cap * cap + abs(b) * cap)
+    two_s, cap_margin, vol_margin = 2.0 * s, MARGIN * cap, MARGIN * vol_cap
 
     def bound(j, mass, volume, quad, w, gain):
-        room = np.maximum(cap - mass, 0.0) + MARGIN * cap
-        vol_room = np.maximum(vol_cap - volume, 0.0) + MARGIN * vol_cap
-        beta = 2.0 * s * w + b
+        room = np.maximum(cap - mass, 0.0) + cap_margin
+        vol_room = np.maximum(vol_cap - volume, 0.0) + vol_margin
+        beta = two_s * w + b
         gamma = s * quad + b * mass - r - relax
-        room, lost = stable_mass_room(s * alpha[j], beta, gamma, room, cap)
+        room, lost = stable_mass_room(quads[j], beta, gamma, room, cap)
         lam_c, lam_v = duals[j]
-        lp = (room[:, None] * lam_c + vol_room[:, None] * lam_v).min(axis=1)
+        lp = np.minimum.reduce(lam_c * room + lam_v * vol_room)
         return np.where(lost, -math.inf, (gain + lp) * (1.0 + MARGIN))
 
     return bound
@@ -256,7 +266,9 @@ def grid_search(
     (:func:`~shipload.solver.stable_mass_room`), or none when no room is
     left.  Every level found in closed form is re-checked with the exact
     lattice predicate and moved to the last fitting level, so no
-    infeasible point is returned.
+    infeasible point is returned.  The first fitting level that ties the
+    best row's revenue is found by bisection on the revenue, then by a
+    scan of at most ``_ROW_BUDGET`` levels at a time.
 
     The search is branch and bound (Land and Doig, 1960).  The incumbent is
     the best revenue found so far, or ``above`` while that is larger, and a
@@ -327,24 +339,25 @@ def grid_search(
     def grow(rows: _Prefixes, parent: np.ndarray, level: np.ndarray, j: int) -> _Prefixes:
         # Children of the listed rows at coordinate j, minus the pruned ones.
         t = values[level]
+        w = rows.w[parent]
         mass = rows.mass[parent] + t
         volume = rows.volume[parent] + vol[j] * t
-        quad = rows.quad[parent] + 2.0 * t * rows.w[parent] + g[j] * t * t
+        quad = rows.quad[parent] + 2.0 * t * w + g[j] * t * t
         keep = volume <= vol_cap
-        parent, level, t = parent[keep], level[keep], t[keep]
-        return _Prefixes(
-            np.column_stack([rows.levels[parent], level]),
-            mass[keep],
-            volume[keep],
-            quad[keep],
-            rows.w[parent] + g[j] * t,
-            rows.gain[parent] + p[j] * t,
-        )
+        if not keep.all():
+            parent, level, t, w, mass, volume, quad = (
+                field[keep] for field in (parent, level, t, w, mass, volume, quad)
+            )
+        fixed = np.empty((parent.size, j + 1), dtype=np.int64)
+        fixed[:, :j] = rows.levels[parent]
+        fixed[:, j] = level
+        return _Prefixes(fixed, mass, volume, quad, w + g[j] * t, rows.gain[parent] + p[j] * t)
 
     def prefixes(rows: _Prefixes, j: int):
         # Depth-first over chunks keeps the yield order lexicographic.
-        ub = bound(j, *rows[1:])
-        rows = rows._make(field[ub > best_revenue] for field in rows)
+        keep = bound(j, *rows[1:]) > best_revenue
+        if not keep.all():
+            rows = rows._make(field[keep] for field in rows)
         if not rows.mass.size:
             return
         if j == iu:
@@ -370,7 +383,7 @@ def grid_search(
         quad = rows.quad[parent] + 2.0 * u * w
         sq = auu * u * u
         gain = rows.gain[parent] + p[iu] * u
-        kept = np.flatnonzero(bound(iv, mass, volume, quad + sq, w + auu * u, gain) > floor)
+        kept = (bound(iv, mass, volume, quad + sq, w + auu * u, gain) > floor).nonzero()[0]
         c, u_kept, volume_kept = room[parent[kept]], u[kept], volume[kept]
         v_mass = _settle(
             _guess(c - u_kept, step, levels), levels, lambda i, k: u_kept[i] + values[k] <= c[i]
@@ -382,12 +395,11 @@ def grid_search(
             lambda i, k: volume_kept[i] + vol[iv] * values[k] <= vol_cap,
         )
         live = v_top >= 0
-        if not live.any():
+        if not live.all():
+            kept, v_top = kept[live], v_top[live]
+        if not kept.size:
             return covered, -math.inf, None
-        kept, v_top = kept[live], v_top[live]
-        parent, u_level, u, mass, w, quad, sq, gain = (
-            field[kept] for field in (parent, u_level, u, mass, w, quad, sq, gain)
-        )
+        u, mass, w, quad, sq, gain = (field[kept] for field in (u, mass, w, quad, sq, gain))
         lin_v = 2.0 * w
         cross_v = 2.0 * auu * u
 
@@ -396,8 +408,8 @@ def grid_search(
             q = quad[i] + lin_v[i] * v + sq[i] + cross_v[i] * v + avv * v * v
             return s * q + b * (mass[i] + v) <= r
 
-        v_best = v_top.copy()
-        short = np.flatnonzero(~stable(slice(None), v_top))
+        v_best = v_top
+        short = (~stable(slice(None), v_top)).nonzero()[0]
         if short.size:
             beta = s * (lin_v[short] + cross_v[short]) + b
             gamma = s * (quad[short] + sq[short]) + b * mass[short] - r
@@ -407,16 +419,29 @@ def grid_search(
             v_best[short] = _settle(guess, under, lambda i, k: stable(short[i], k))
         gains = np.where(v_best >= 0, gain + p[iv] * values[np.maximum(v_best, 0)], -math.inf)
         row = int(np.argmax(gains))
-        if not gains[row] > floor:
+        best = gains[row]
+        if not best > floor:
             return covered, -math.inf, None
-        # The first of the row's fitting levels that ties its best.
-        k = np.arange(v_best[row] + 1)
-        row_gains = np.where(
-            stable(np.full(k.size, row), k), gain[row] + p[iv] * values[k], -math.inf
-        )
-        v_level = int(np.argmax(row_gains))
-        point = values[np.r_[rows.levels[parent[row]], u_level[row], v_level]]
-        return covered, float(row_gains[v_level]), point[-n:]
+        # The row's first fitting level that ties its best.  Revenue does not
+        # fall as the level grows, so the tying levels run from the first
+        # one, found by bisection, up to the best, which fits; that run is
+        # scanned in slices of at most a row budget.
+        last = int(v_best[row])
+        tie, high = 0, last
+        while tie < high:
+            mid = (tie + high) // 2
+            if gain[row] + p[iv] * values[mid] < best:
+                tie = mid + 1
+            else:
+                high = mid
+        for start in range(tie, last + 1, _ROW_BUDGET):
+            fits = stable(row, np.arange(start, min(start + _ROW_BUDGET, last + 1)))
+            if fits.any():
+                tie = start + int(fits.argmax())
+                break
+        pair = kept[row]
+        point = values[np.concatenate((rows.levels[parent[pair]], (u_level[pair], tie)))]
+        return covered, float(best), point[-n:]
 
     best_x: np.ndarray | None = None
     examined = 0

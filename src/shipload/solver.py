@@ -448,8 +448,9 @@ def stable_mass_room(quad, lin, const, room, cap: float):
         root_d -= lin
         root_d /= 2.0 * quad
         np.copyto(crossing, root_d, where=lin < 0.0)
-    # Infinite crossings become finite ones outside [0, cap].
-    np.clip(crossing, -2.0 * cap, 2.0 * cap, out=crossing)
+    # Infinite crossings become finite ones outside [0, cap]; NaN stays.
+    np.maximum(crossing, -2.0 * cap, out=crossing)
+    np.minimum(crossing, 2.0 * cap, out=crossing)
     widen = np.abs(crossing, out=root_d)
     widen += cap
     widen *= MARGIN

@@ -216,6 +216,81 @@ def zero_rate_problem():
     )
 
 
+def drawn_market():
+    """A drawn four-cargo market, normal order, one cargo denser than water.
+
+    The benchmark's ``certify`` workload draws it as ``c04-n4-normal-one``
+    for seed 1, with a lattice step of its deadweight over 83 levels.
+    """
+    cargoes = (
+        CargoType("c1", 0.7517714611239136, 4.095476947401969),
+        CargoType("c2", 0.690147143043856, 7.686113838575466),
+        CargoType("c3", 1.5175055770989818, 3.2929124802271823),
+        CargoType("c4", 0.5527128608421841, 9.200388227308169),
+    )
+    vessel = Vessel(
+        159.96355743979132, 21.73977104598585, 21565.331549445596,
+        27156.40848769811, 10136.877736016524, 6.181782883314296,
+    )
+    return assemble_problem(
+        vessel, Environment(1.008922423599691), StabilityPolicy(6.365882614424138),
+        cargoes, LoadingOrder.normal(), False,
+    )
+
+
+def numpy_dual_vertices(p, vol):
+    """The suffix-LP dual walk on NumPy arrays: the bitwise reference of ``oracle._dual_vertices``."""
+    p, vol = np.asarray(p, dtype=float), np.asarray(vol, dtype=float)
+    paying = p > 0.0
+    p, vol = p[paying], vol[paying]
+    if not p.size:
+        return np.zeros(1), np.zeros(1)
+    lam = [0.0]
+    top = p.max()
+    ties = np.flatnonzero(p == top)
+    line = int(ties[np.argmin(vol[ties])])
+    while True:
+        flatter = np.flatnonzero(vol < vol[line])
+        zero = p[line] / vol[line]
+        if flatter.size:
+            meet = (p[line] - p[flatter]) / (vol[line] - vol[flatter])
+            first = np.lexsort((vol[flatter], meet))[0]
+            if meet[first] < zero:
+                lam.append(max(float(meet[first]), 0.0))
+                line = int(flatter[first])
+                continue
+        lam.append(zero)
+        break
+    lam_v = np.array(lam)
+    envelope = np.maximum((p[:, None] - vol[:, None] * lam_v).max(axis=0), 0.0)
+    lam_c = envelope + oracle.MARGIN * (top + vol.max() * lam_v)
+    return lam_c, lam_v
+
+
+def random_suffix(rng):
+    """Rates and volume coefficients of a lattice suffix, with the degenerate cases.
+
+    One to six cargoes; rates of zero, equal rates and equal volume
+    coefficients each turn up in about a third of the draws, and about one
+    in eight starts with the zero cargo that pads n = 1.  Half the draws
+    are small integers, where lines often meet at one point.
+    """
+    m = int(rng.integers(1, 7))
+    p = rng.uniform(0.0, 10.0, m)
+    vol = rng.uniform(1.0, 3.0, m)
+    if rng.uniform() < 0.5:
+        p, vol = np.floor(p), np.floor(2.0 * vol)
+    if rng.uniform() < 0.3:
+        p[rng.uniform(size=m) < 0.4] = 0.0
+    if m > 1 and rng.uniform() < 0.3:
+        p[rng.integers(m)] = p[rng.integers(m)]
+    if m > 1 and rng.uniform() < 0.3:
+        vol[rng.integers(m)] = vol[rng.integers(m)]
+    if rng.uniform() < 0.125:
+        p, vol = np.r_[0.0, p], np.r_[0.0, vol]
+    return p, vol
+
+
 TINY_LATTICES = _tiny_lattices()
 
 
@@ -345,6 +420,51 @@ class TestDifferential:
             assert np.array_equal(best_x, [0.0, 1000.0, 0.0])
             assert np.array_equal(best_x, want_x)
             assert (best_revenue, points) == (4000.0, covered)
+        # A lone zero-rate cargo denser than water: the empty vessel fails the
+        # margin and only the top two levels steady it.  Every level ties,
+        # and the tie scan crosses the unfitting ones slice by slice.
+        stone = assemble_problem(
+            Vessel(60.0, 12.0, 3000.0, 2700.0, 1500.0, 5.0), Environment(1.0),
+            StabilityPolicy(2.6), (CargoType("stone", 2.3, 0.0),), LoadingOrder.normal(), False,
+        )
+        assert brute_force(stone, 250.0, 12)[3] == [(11,), (12,)]
+        best_x, best_revenue, points = grid_search(stone, LatticeSpec(250.0))
+        assert np.array_equal(best_x, [2750.0]) and (best_revenue, points) == (0.0, 13)
+
+
+class TestDualVertices:
+    def test_python_walk_matches_the_numpy_walk(self):
+        rng = np.random.default_rng(34)
+        for _ in range(20000):
+            p, vol = random_suffix(rng)
+            got = oracle._dual_vertices(p.tolist(), vol.tolist())
+            want = np.array(numpy_dual_vertices(p, vol))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_vertices_are_dual_feasible_and_bound_the_lp(self):
+        # Each vertex is dual feasible, so lambda_C R_m + lambda_V R_v over
+        # any vertex bounds the LP; the least one is the LP optimum widened
+        # by at most MARGIN times (largest rate + max(vol) lambda_V) R_m.
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(35)
+        for _ in range(400):
+            p, vol = random_suffix(rng)
+            lam_c, lam_v = oracle._dual_vertices(p.tolist(), vol.tolist())
+            assert (lam_v >= 0.0).all() and (lam_c >= 0.0).all()
+            assert (lam_c >= (p[:, None] - vol[:, None] * lam_v).max(axis=0)).all()
+            room = 0.0 if rng.uniform() < 0.1 else rng.uniform(0.0, 2.0)
+            vol_room = 0.0 if rng.uniform() < 0.1 else rng.uniform(0.0, 4.0)
+            result = linprog(
+                -p, A_ub=np.vstack([np.ones_like(p), vol]), b_ub=[room, vol_room],
+                bounds=(0.0, None), method="highs",
+            )
+            assert result.status == 0
+            want = -result.fun
+            got = (lam_c * room + lam_v * vol_room).min()
+            scale = (p.max() + vol.max() * lam_v.max()) * room
+            assert got >= want
+            assert got <= want + oracle.MARGIN * scale + 1e-9 * max(1.0, want)
 
 
 def test_settle_finds_the_last_fitting_level_of_the_run():
@@ -566,13 +686,30 @@ class TestCertify:
                 verdicts.add(verdict)
         assert verdicts == {True, False}
 
-    def test_bounded_search_covers_a_sliver_of_the_lattice(self, assemble_case):
+    def test_bounded_search_covers_a_sliver_of_the_lattice(self, assemble_case, monkeypatch):
         problem = assemble_case(4.0, order=LoadingOrder.reverse(), include_ballast=False)
         solution = solve(problem)
         spec = LatticeSpec(500.0)
         full = search(problem, spec, prune=False)[2]
         assert full == 3049501
         assert grid_search(problem, spec, above=solution.revenue)[2] <= 0.01 * full
+        # The searches certify runs on the reverse case rows and on a drawn
+        # market: the rows each one builds and the points it covers pin the
+        # pruning.
+        market = drawn_market()
+        searches = [
+            (assemble_case(mu, order=LoadingOrder.reverse(), include_ballast=ballast), step)
+            for ballast, step in ((False, 500.0), (True, 1000.0))
+            for mu in (4.0, 6.0)
+        ] + [(market, market.deadweight_cap / 83)]
+        built = count_rows(monkeypatch)
+        counts = []
+        for problem, step in searches:
+            built.clear()
+            verdict, _, points = oracle._certify(problem, solve(problem), LatticeSpec(step))
+            assert verdict is True
+            counts.append((sum(built), points))
+        assert counts == [(32746, 0), (3563, 91), (6561, 0), (5376, 0), (1790, 84)]
 
     def test_infeasible_plans_are_not_certified(self, assemble_case):
         problem = assemble_case(4.0, order=LoadingOrder.reverse(), include_ballast=False)
